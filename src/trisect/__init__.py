@@ -9,7 +9,7 @@ from .numeric import (RankCertificate, LatticeReduction, numerical_rank,
                       DEFAULT_RANK_TOL)
 from .theta import (RiemannMatrix, HalfCharacteristic, ThetaValue,
                     theta, theta_batch, theta_gradient, theta_hessian,
-                    second_order_theta, second_order_basis,
+                    second_order_basis,
                     eps_from_index, index_from_eps, all_epsilons,
                     DEFAULT_THETA_TOL)
 from .curves import (CurvePoint, Divisor, HyperellipticCurve, JacobianLift,

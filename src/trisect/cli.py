@@ -93,11 +93,19 @@ def _cmd_periods(args):
                    {"total": time.time() - t0}, passed)
 
 
+def _parse_z(text):
+    try:
+        return np.asarray([complex(re_, im_) for re_, im_ in json.loads(text)])
+    except (ValueError, TypeError) as exc:
+        raise InvalidInput("--z must be a JSON list of [re, im] pairs",
+                           reason=str(exc))
+
+
 def _cmd_theta(args):
     t0 = time.time()
     curve, raw = _load_curve(args.curve)
     periods = cv.period_matrix(curve)
-    z = np.asarray([complex(re_, im_) for re_, im_ in json.loads(args.z)])
+    z = _parse_z(args.z)
     char = None
     if args.char:
         bits = args.char.split(";")
@@ -380,21 +388,23 @@ def run(argv=None):
     try:
         report = args.func(args)
     except InvalidInput as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "error": str(exc), "code": exc.code,
-                          "details": _c2j(exc.details)}, indent=2))
-        return 2
-    except NumericalFailure as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "error": str(exc), "code": exc.code,
-                          "details": _c2j(exc.details)}, indent=2))
-        return 3
+        return _print_error(exc, 2)
     except TrisectError as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "error": str(exc), "code": exc.code}, indent=2))
-        return 3
-    print(json.dumps(report, indent=2))
+        return _print_error(exc, 3)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        return _print_error(NumericalFailure(
+            "report holds a non-finite number", reason=str(exc)), 3)
+    print(text)
     return 0 if report["pass"] else 1
+
+
+def _print_error(exc, exit_code):
+    print(json.dumps({"schema_version": SCHEMA_VERSION,
+                      "error": str(exc), "code": exc.code,
+                      "details": _c2j(exc.details)}, indent=2))
+    return exit_code
 
 
 def main():

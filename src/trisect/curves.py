@@ -266,6 +266,8 @@ def period_matrix(curve, tol=1e-11):
     Raises NumericalFailure when the computed tau violates the Riemann
     matrix invariants (symmetry, positive definite imaginary part).
     """
+    if not 0.0 < tol < 1.0:
+        raise InvalidInput("period tolerance must lie in (0, 1)", tol=tol)
     g = curve.genus
     roots = curve.roots
     segs = [_segment_integrals(curve, roots[j], roots[j + 1], tol)

@@ -46,9 +46,8 @@ def _condition_data(rm, tol=DEFAULT_THETA_TOL):
     entries.  Cached on the Riemann matrix together with a row-normalized
     copy used for all rank and residual decisions.
     """
-    cached = getattr(rm, "_gamma00_conditions", None)
-    if cached is not None:
-        return cached
+    if rm._gamma00_conditions is not None:
+        return rm._gamma00_conditions
     g = rm.g
     origin = np.zeros(g, dtype=complex)
     values = second_order_basis(rm, origin, tol=tol)          # (2^g,)

@@ -145,9 +145,8 @@ def _theta_scales(rm, tol=DEFAULT_THETA_TOL, n_points=12, seed=20260823):
     These calibrate all relative membership/smoothness thresholds for this
     Riemann matrix.
     """
-    cached = getattr(rm, "_theta_scales", None)
-    if cached is not None:
-        return cached
+    if rm._theta_scales is not None:
+        return rm._theta_scales
     rng = np.random.default_rng(seed)
     pts = np.stack([theta_divisor_point(rm, rng, tol=tol)
                     for _ in range(n_points)])

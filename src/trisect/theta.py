@@ -4,10 +4,16 @@ The series is truncated over the ellipsoid ||T(n + center)|| <= R, with T the
 Cholesky factor of pi * Im(tau); R is chosen from the Gaussian tail estimate
 so the omitted mass is below the requested tolerance.  Arguments are first
 reduced modulo the period lattice and the exact quasi-periodicity prefactor
-is reapplied, so returned values are the true (unreduced) ones.
+is reapplied, with its product-rule terms for derivatives, so returned values
+and derivatives are the true (unreduced) ones at any argument.
 
 Derivative series reuse the value-series ellipsoid enlarged by a fixed
 margin, since the polynomial prefactors grow slower than the Gaussian decays.
+
+The second-order basis theta[eps/2, 0](2 tau, 2 z) is the part of
+theta(z; tau/2) summed over m = eps (mod 2): one series on tau/2 grouped by
+parity.  Its arguments are reduced modulo the tau lattice, whose shifts are
+even on the tau/2 lattice and so keep every class in place.
 
 Characteristic ordering convention: eps in {0,1}^g is indexed
 lexicographically with eps_1 most significant.  Every other module and the
@@ -19,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
 
-from .errors import InvalidInput
-from .numeric import nearest_lattice_vector
+from .errors import InvalidInput, NumericalFailure
 
 TOL_FLOOR = 1e-15
 TOL_CEIL = 1e-3
@@ -29,11 +34,19 @@ DEFAULT_THETA_TOL = 1e-10
 _TWO_PI_I = 2j * np.pi
 
 
+def _box(half_widths):
+    """All integer points n with |n_i| <= half_widths[i]."""
+    grids = np.meshgrid(*[np.arange(-w, w + 1) for w in half_widths],
+                        indexing="ij")
+    return np.stack([grid.ravel() for grid in grids], axis=1)
+
+
 class RiemannMatrix:
     """A g x g complex symmetric matrix with positive definite imaginary part.
 
-    Caches the Cholesky data and lattice-point enumerations used by the
-    theta series; instances are immutable after construction.
+    Caches the Cholesky data and the lattice points used by the theta
+    series, and per-matrix results of other modules; the entries are
+    immutable.
     """
 
     def __init__(self, entries):
@@ -60,36 +73,34 @@ class RiemannMatrix:
         self._chol = np.linalg.cholesky(np.pi * entries.imag).T
         self._chol_inv = np.linalg.inv(self._chol)
         # shortest lattice vector of T Z^g, approximated over the +-1 box
-        ticks = np.arange(-1, 2)
-        grids = np.meshgrid(*([ticks] * self.g), indexing="ij")
-        box = np.stack([grid.ravel() for grid in grids], axis=1)
+        box = _box([1] * self.g)
         box = box[np.any(box != 0, axis=1)]
         self._rho = float(np.min(np.linalg.norm(box @ self._chol.T, axis=1)))
-        self._point_cache = {}
-        self._doubled = None
-
-    @property
-    def doubled(self):
-        """The Riemann matrix 2*tau (used by second-order theta functions)."""
-        if self._doubled is None:
-            self._doubled = RiemannMatrix(2.0 * self.entries)
-        return self._doubled
+        self._points = np.zeros((0, self.g))  # sorted by ||T n||
+        self._point_norms = np.zeros(0)
+        self._points_radius = -1.0  # _points is complete up to this norm
+        self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
+        self._theta_scales = None  # geometry._theta_scales
+        self._gamma00_conditions = None  # gamma00._condition_data
 
     def lattice_points(self, radius):
-        """Integer points n with ||T n|| <= radius, cached per radius step."""
+        """Integer points n with ||T n|| <= radius (rounded up to a quarter
+        step), sorted by ||T n||: a prefix of the one cached point set,
+        which only a larger radius re-enumerates.
+        """
         key = float(np.ceil(radius * 4.0) / 4.0)
-        pts = self._point_cache.get(key)
-        if pts is None:
-            bound = key * np.linalg.norm(self._chol_inv, axis=1)
-            ranges = [np.arange(-int(np.floor(b)), int(np.floor(b)) + 1)
-                      for b in bound]
-            grids = np.meshgrid(*ranges, indexing="ij")
-            pts = np.stack([grid.ravel() for grid in grids], axis=1)
-            keep = np.linalg.norm(pts @ self._chol.T, axis=1) <= key + 1e-12
-            pts = pts[keep].astype(float)
-            pts.setflags(write=False)
-            self._point_cache[key] = pts
-        return pts
+        if key > self._points_radius:
+            pts = _box(np.floor(key * np.linalg.norm(self._chol_inv, axis=1))
+                       .astype(int))
+            norms = np.linalg.norm(pts @ self._chol.T, axis=1)
+            keep = np.flatnonzero(norms <= key + 1e-12)
+            keep = keep[np.argsort(norms[keep], kind="stable")]
+            self._points = pts[keep].astype(float)
+            self._points.setflags(write=False)
+            self._point_norms = norms[keep]
+            self._points_radius = key
+        stop = np.searchsorted(self._point_norms, key + 1e-12, side="right")
+        return self._points[:stop]
 
 
 @dataclass(frozen=True)
@@ -149,10 +160,21 @@ def all_epsilons(g):
     return [eps_from_index(i, g) for i in range(2 ** g)]
 
 
-def _check_tol(tol):
+def _prepare(tau, Z, tol):
+    """Validated (RiemannMatrix, (N, g) arguments, whether Z was one point)."""
+    rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
     if not TOL_FLOOR < tol < TOL_CEIL:
         raise InvalidInput("theta tolerance must lie in (1e-15, 1e-3)",
                            tol=tol)
+    Z = np.asarray(Z, dtype=complex)
+    squeeze = Z.ndim == 1
+    Z = np.atleast_2d(Z)
+    if Z.shape[1] != rm.g:
+        raise InvalidInput("argument dimension does not match genus",
+                           got=Z.shape[1], genus=rm.g)
+    if not np.all(np.isfinite(Z)):
+        raise InvalidInput("non-finite theta argument")
+    return rm, Z, squeeze
 
 
 def _round_reduce(rm, Z):
@@ -189,12 +211,14 @@ def _pick_radius(rm, tol, offset, deriv_order):
                        tol=tol)
 
 
-def _series(rm, Z_red, a, b, tol, deriv):
+def _series(rm, Z_red, a, b, tol, deriv, by_parity=False):
     """Truncated theta sums at reduced points, all orders 0..deriv at once.
 
-    Z_red: (N, g) reduced arguments; a, b: characteristic shifts.
-    Returns (results, radius, tail_bound) where results is a list with the
-    value array (N,), then gradients (N, g) and Hessians (N, g, g) as needed.
+    Z_red: (N, g) reduced arguments; a, b: characteristic shifts.  The terms
+    are summed into one class, or with ``by_parity`` into the 2^g classes of
+    n mod 2 in the eps order.  Returns (results, radius, tail_bound) where
+    results lists the values (N, C), then gradients (N, C, g) and Hessians
+    (N, C, g, g) as needed.
     """
     tau = rm.entries
     yinv_y = Z_red.imag @ rm._imag_inv.T
@@ -207,38 +231,69 @@ def _series(rm, Z_red, a, b, tol, deriv):
     margin = float(deriv)
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
     pts = rm.lattice_points(radius + offset)
+    n_rows, g = Z_red.shape
+    bounds = [0, len(pts)]
+    if by_parity:
+        parity = (pts.astype(int) % 2) @ (1 << np.arange(g)[::-1])
+        order = np.argsort(parity, kind="stable")
+        pts = pts[order]
+        bounds = np.searchsorted(parity[order], np.arange(2 ** g + 1))
 
     shifted = pts + a[None, :]
     quad = 1j * np.pi * np.einsum("tg,gh,th->t", shifted, tau, shifted)
-    n_pts, g = Z_red.shape
-    outs = [np.empty(n_pts, dtype=complex)]
+    # term weights 1, n_k and n_k n_l of the value, gradient, Hessian series
+    weights = [np.ones((1, len(pts)))]
     if deriv >= 1:
-        outs.append(np.empty((n_pts, g), dtype=complex))
+        weights.append(shifted.T)
     if deriv >= 2:
-        outs.append(np.empty((n_pts, g, g), dtype=complex))
-    for start in range(0, n_pts, 128):
-        block = slice(start, min(start + 128, n_pts))
+        weights.append((shifted.T[:, None] * shifted.T).reshape(g * g, -1))
+    weights = np.concatenate(weights)
+    sums = np.empty((n_rows, len(bounds) - 1, len(weights)), dtype=complex)
+    for start in range(0, n_rows, 128):
+        block = slice(start, min(start + 128, n_rows))
         lin = _TWO_PI_I * shifted @ (Z_red[block] + b[None, :]).T
-        terms = np.exp(quad[:, None] + lin)
-        outs[0][block] = terms.sum(axis=0)
-        if deriv >= 1:
-            outs[1][block] = _TWO_PI_I * np.einsum("tn,tg->ng",
-                                                   terms, shifted)
-        if deriv >= 2:
-            outs[2][block] = _TWO_PI_I ** 2 * np.einsum(
-                "tn,tg,th->ngh", terms, shifted, shifted)
+        terms = np.exp(quad[:, None] + lin).view(float)
+        for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            sums[block, c] = (weights[:, lo:hi] @ terms[lo:hi]).view(
+                complex).T
+    outs = [sums[..., 0]]
+    if deriv >= 1:
+        outs.append(_TWO_PI_I * sums[..., 1:g + 1])
+    if deriv >= 2:
+        outs.append(_TWO_PI_I ** 2 * sums[..., g + 1:].reshape(
+            sums.shape[:2] + (g, g)))
     tail = boost * _tail_bound(rm, radius - margin, offset, deriv)
     return outs, radius, tail
 
 
-def _prefactor(rm, a, b, m, p, Z_red):
-    """Quasi-periodicity factor relating theta at Z and at the reduction."""
+def _unreduce(rm, a, b, m, p, Z_red, outs, deriv):
+    """Theta or its derivatives at Z = Z_red + m + tau p from _series output.
+
+    Applies the quasi-periodicity factor and, for derivatives, the
+    product-rule terms of its z-dependence.  Shapes are those of ``outs``.
+    Raises NumericalFailure when a value overflows.
+    """
     tau = rm.entries
     quad = np.einsum("ng,gh,nh->n", p, tau, p)
-    expo = (_TWO_PI_I * (m @ a - p @ b)
-            - 1j * np.pi * quad
-            - _TWO_PI_I * np.einsum("ng,ng->n", p, Z_red))
-    return np.exp(expo)
+    pre = np.exp(_TWO_PI_I * (m @ a - p @ b)
+                 - 1j * np.pi * quad
+                 - _TWO_PI_I * np.einsum("ng,ng->n", p, Z_red))[:, None]
+    shift = (-_TWO_PI_I * p)[:, None, :]
+    if deriv == 0:
+        out = pre * outs[0]
+    elif deriv == 1:
+        out = pre[..., None] * (outs[1] + shift * outs[0][..., None])
+    else:
+        out = pre[..., None, None] * (
+            outs[2]
+            + shift[..., :, None] * outs[1][..., None, :]
+            + shift[..., None, :] * outs[1][..., :, None]
+            + shift[..., :, None] * shift[..., None, :]
+            * outs[0][..., None, None])
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure("theta value is not finite: the argument is "
+                               "too far from the fundamental cell")
+    return out
 
 
 def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
@@ -249,16 +304,7 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
     applied internally, so the returned values correspond to the raw
     (unreduced) arguments.
     """
-    rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
-    _check_tol(tol)
-    Z = np.asarray(Z, dtype=complex)
-    squeeze = Z.ndim == 1
-    Z = np.atleast_2d(Z)
-    if Z.shape[1] != rm.g:
-        raise InvalidInput("argument dimension does not match genus",
-                           got=Z.shape[1], genus=rm.g)
-    if not np.all(np.isfinite(Z)):
-        raise InvalidInput("non-finite theta argument")
+    rm, Z, squeeze = _prepare(tau, Z, tol)
     char = char or HalfCharacteristic.zero(rm.g)
     if char.g != rm.g:
         raise InvalidInput("characteristic length does not match genus")
@@ -266,21 +312,8 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
 
     Z_red, m, p = _round_reduce(rm, Z)
     outs, radius, tail = _series(rm, Z_red, a, b, tol, deriv)
-    pre = _prefactor(rm, a, b, m, p, Z_red)
-    if deriv == 0:
-        out = pre * outs[0]
-    elif deriv == 1:
-        out = pre[:, None] * (outs[1] + (-_TWO_PI_I * p) * outs[0][:, None])
-    else:
-        shift = -_TWO_PI_I * p
-        out = pre[:, None, None] * (
-            outs[2]
-            + shift[:, :, None] * outs[1][:, None, :]
-            + shift[:, None, :] * outs[1][:, :, None]
-            + shift[:, :, None] * shift[:, None, :] * outs[0][:, None, None])
-    if squeeze:
-        out = out[0]
-    return out, radius, tail
+    out = _unreduce(rm, a, b, m, p, Z_red, outs, deriv)[:, 0]
+    return (out[0] if squeeze else out), radius, tail
 
 
 def theta(tau, z, char=None, tol=DEFAULT_THETA_TOL):
@@ -302,111 +335,24 @@ def theta_hessian(tau, z, char=None, tol=DEFAULT_THETA_TOL):
     return 0.5 * (vals + np.swapaxes(vals, -1, -2))
 
 
-def second_order_theta(tau, z, eps, tol=DEFAULT_THETA_TOL):
-    """Second-order theta function: theta[eps/2, 0](2 tau, 2 z)."""
-    rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
-    char = HalfCharacteristic(tuple(int(e) for e in eps), (0,) * rm.g)
-    return theta(rm.doubled, 2.0 * np.asarray(z, dtype=complex), char, tol).value
-
-
 def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     """All 2^g second-order theta values at each point, in the fixed eps order.
 
-    Computed through a single enumeration of the half-lattice: with
-    m = 2n + eps, theta[eps/2,0](2 tau, 2 z) is the sum of
-    exp(i pi m^T tau m / 2 + 2 pi i m^T z) over m congruent to eps mod 2.
-    deriv=0 returns (N, 2^g) values, deriv=2 uses the term-wise factor
-    (2 pi i m)(2 pi i m)^T and returns (N, 2^g, g, g) Hessians.  Derivative
-    jets skip the lattice reduction, so they are meant for arguments already
-    inside the fundamental cell (in practice: the origin).
+    theta[eps/2, 0](2 tau, 2 z) is the sum of exp(i pi m^T tau m / 2
+    + 2 pi i m^T z) over m = eps (mod 2), so the 2^g functions sum to
+    theta(z; tau/2) and are computed as that one theta series, its terms
+    grouped by m mod 2.  Z is reduced modulo the tau lattice (not the tau/2
+    lattice, whose odd shifts would permute the classes) and the exact
+    prefactor reapplied, so values and derivatives hold at any argument.
+    deriv=0 returns (N, 2^g) values, deriv=1 (N, 2^g, g) gradients and
+    deriv=2 (N, 2^g, g, g) Hessians.
     """
-    rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
-    _check_tol(tol)
-    Z = np.asarray(Z, dtype=complex)
-    squeeze = Z.ndim == 1
-    Z = np.atleast_2d(Z)
-    g = rm.g
-    if Z.shape[1] != g:
-        raise InvalidInput("argument dimension does not match genus")
-
-    # reduce modulo the full lattice; the prefactor is common to all eps
-    tau_e = rm.entries
-    if deriv == 0:
-        Z_red, _, p = _round_reduce(rm, Z)
-        quad_p = np.einsum("ng,gh,nh->n", p, tau_e, p)
-        pre = np.exp(-_TWO_PI_I * quad_p
-                     - 2.0 * _TWO_PI_I * np.einsum("ng,ng->n", p, Z_red))
-    else:
-        Z_red = Z
-        pre = np.ones(Z.shape[0], dtype=complex)
-
-    # Work on the half-integer lattice of tau/2: ||T_h m|| with
-    # T_h = chol(pi Im(tau) / 2).
-    imag = tau_e.imag / 2.0
-    chol = np.linalg.cholesky(np.pi * imag).T
-    yinv_y = 2.0 * (Z_red.imag @ rm._imag_inv.T)  # (Im tau/2)^{-1} Im z
-    offset = float(np.max(np.linalg.norm(yinv_y @ chol.T, axis=1),
-                          initial=0.0))
-    boost = float(np.exp(np.pi * np.max(
-        np.einsum("ng,ng->n", Z_red.imag, yinv_y), initial=0.0)))
-    ticks = np.arange(-1, 2)
-    grids = np.meshgrid(*([ticks] * g), indexing="ij")
-    box = np.stack([grid.ravel() for grid in grids], axis=1)
-    box = box[np.any(box != 0, axis=1)]
-    rho = float(np.min(np.linalg.norm(box @ chol.T, axis=1)))
-
-    margin = 2.0 if deriv else 0.0
-    radius = rho / 2.0 + offset + np.sqrt(max(-np.log(tol / boost), 1.0))
-    arg = lambda r: max(r - offset - rho / 2.0, 0.0) ** 2  # noqa: E731
-    smin = np.linalg.svd(chol, compute_uv=False)[-1]
-    def bound(r):
-        e = (g / 2.0) * (2.0 / rho) ** g * gamma_fn(g / 2.0) \
-            * gammaincc(g / 2.0, arg(r))
-        if deriv:
-            e *= (2.0 * np.pi * (r + 1.0) / smin) ** deriv
-        return boost * e
-    for _ in range(200):
-        if bound(radius) < tol:
-            break
-        radius += 0.4
-    radius += margin
-
-    chol_inv = np.linalg.inv(chol)
-    lim = (radius + offset) * np.linalg.norm(chol_inv, axis=1)
-    ranges = [np.arange(-int(np.floor(l)), int(np.floor(l)) + 1)
-              for l in lim]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    pts = np.stack([grid.ravel() for grid in grids], axis=1)
-    keep = np.linalg.norm(pts @ chol.T, axis=1) <= radius + offset + 1e-12
-    pts = pts[keep].astype(float)
-
-    parity = (pts.astype(int) % 2)
-    eps_idx = np.zeros(len(pts), dtype=int)
-    for i in range(g):
-        eps_idx = (eps_idx << 1) | parity[:, i]
-
-    quad = 0.5j * np.pi * np.einsum("tg,gh,th->t", pts, tau_e, pts)
-    n_pts = Z.shape[0]
-    n_eps = 2 ** g
-    if deriv == 0:
-        out = np.zeros((n_pts, n_eps), dtype=complex)
-    else:
-        out = np.zeros((n_pts, n_eps, g, g), dtype=complex)
-    for start in range(0, n_pts, 64):
-        block = slice(start, min(start + 64, n_pts))
-        lin = _TWO_PI_I * pts @ Z_red[block].T
-        terms = np.exp(quad[:, None] + lin)  # (T, nb)
-        for e in range(n_eps):
-            sel = eps_idx == e
-            if deriv == 0:
-                out[block, e] = terms[sel].sum(axis=0)
-            else:
-                out[block, e] = _TWO_PI_I ** 2 * np.einsum(
-                    "tn,tg,th->ngh", terms[sel], pts[sel], pts[sel])
-    if deriv == 0:
-        out *= pre[:, None]
-    else:
-        out *= pre[:, None, None, None]
-    if squeeze:
-        out = out[0]
-    return out
+    rm, Z, squeeze = _prepare(tau, Z, tol)
+    if rm._half is None:
+        rm._half = RiemannMatrix(rm.entries / 2.0)
+    zero = np.zeros(rm.g)
+    Z_red, m, p = _round_reduce(rm, Z)
+    outs, _, _ = _series(rm._half, Z_red, zero, zero, tol, deriv,
+                         by_parity=True)
+    out = _unreduce(rm._half, zero, zero, m, 2.0 * p, Z_red, outs, deriv)
+    return out[0] if squeeze else out

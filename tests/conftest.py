@@ -1,12 +1,7 @@
-import numpy as np
 import pytest
 
 import trisect.curves as cv
-
-
-def reference_curve(genus):
-    coeffs = np.poly(range(2 * genus + 1))[::-1]
-    return cv.HyperellipticCurve(tuple(float(c) for c in coeffs))
+from trisect.selftest import reference_curve
 
 
 @pytest.fixture(scope="session")

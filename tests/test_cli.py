@@ -130,6 +130,22 @@ class TestErrorPaths:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv, code", [
+        (["theta", "--z", "notjson"], 2),
+        (["periods", "--tol", "-1"], 2),
+        (["theta", "--z", "[[1e300,0],[0,1e3],[0,0]]"], 3),
+    ], ids=["z-not-json", "negative-period-tol", "non-finite-theta"])
+    def test_exit_contract(self, capsys, curve_file, argv, code):
+        assert run(argv + ["--curve", curve_file]) == code
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=_reject_non_finite)
+        assert report["code"] == {2: "INVALID_INPUT",
+                                  3: "NUMERICAL_FAILURE"}[code]
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"strict JSON has no {token}")
+
 
 class TestSelftestCommand:
 

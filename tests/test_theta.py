@@ -5,7 +5,7 @@ from scipy.special import gamma as gamma_fn
 from trisect.errors import InvalidInput
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta,
                            theta_batch, theta_gradient, theta_hessian,
-                           second_order_theta, second_order_basis,
+                           second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps)
 
 TAU1 = np.array([[1.0j]])
@@ -28,6 +28,19 @@ def brute_theta(tau, z, a=None, b=None, box=12):
     expo = (1j * np.pi * np.einsum("tg,gh,th->t", n, tau, n)
             + 2j * np.pi * n @ (z + b))
     return complex(np.sum(np.exp(expo)))
+
+
+def second_order_theta(tau, z, eps, deriv=0):
+    """Oracle: theta[eps/2, 0](2 tau, 2 z) as theta on the matrix 2 tau.
+
+    deriv=2 gives its z-Hessian, 4 x the Hessian of theta(2 tau) at 2 z.
+    """
+    rm = RiemannMatrix(2.0 * np.asarray(tau))
+    char = HalfCharacteristic(tuple(int(e) for e in eps), (0,) * rm.g)
+    z2 = 2.0 * np.asarray(z, dtype=complex)
+    if deriv == 0:
+        return theta(rm, z2, char, tol=1e-12).value
+    return 4.0 * theta_hessian(rm, z2, char, tol=1e-12)
 
 
 class TestAgainstBruteForce:
@@ -99,12 +112,22 @@ class TestParityAndIdentities:
         tm, _, _ = theta_batch(rm, Z - W)
         assert np.max(np.abs(lhs - tp * tm) / np.abs(tp * tm)) < 1e-9
 
-    def test_second_order_basis_matches_delegation(self):
+    @pytest.mark.parametrize("deriv", [0, 2])
+    @pytest.mark.parametrize("tau", [TAU2, TAU3], ids=["g2", "g3"])
+    def test_second_order_basis_matches_delegation(self, tau, deriv):
+        g = len(tau)
         rng = np.random.default_rng(3)
-        z = rng.standard_normal(2) * 0.3 + 0.2j * rng.standard_normal(2)
-        basis = second_order_basis(TAU2, z)
-        for idx, eps in enumerate(all_epsilons(2)):
-            assert abs(basis[idx] - second_order_theta(TAU2, z, eps)) < 1e-10
+        z = rng.standard_normal(g) * 0.3 + 0.2j * rng.standard_normal(g)
+        m = np.array([2.0, -1.0, 3.0])[:g]
+        p = np.array([1.0, -2.0, -1.0])[:g]
+        # a tau/2-lattice reduction would permute the parity classes at the
+        # half-period shift, whose tau/2 coordinates p are odd
+        for arg in (z, z + m + tau @ p, z + tau @ p / 2.0):
+            basis = second_order_basis(tau, arg, deriv=deriv)
+            expected = np.array([second_order_theta(tau, arg, eps, deriv)
+                                 for eps in all_epsilons(g)])
+            assert np.max(np.abs(basis - expected)) \
+                < 1e-10 * np.max(np.abs(expected))
 
 
 class TestDerivatives:
@@ -176,6 +199,18 @@ class TestErrorControl:
             RiemannMatrix(np.array([[-1.0j]]))
         with pytest.raises(InvalidInput):
             theta(TAU2, [0.0, 0.0, 0.0])
+        for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(InvalidInput):
+                second_order_basis(TAU2, bad)
+
+    def test_lattice_points_prefix_matches_fresh_enumeration(self):
+        grown = RiemannMatrix(TAU3)
+        grown.lattice_points(4.0)
+        for radius in (1.3, 2.6):
+            fresh = RiemannMatrix(TAU3).lattice_points(radius)
+            got = grown.lattice_points(radius)
+            assert len(got) == len(fresh)
+            assert {tuple(n) for n in got} == {tuple(n) for n in fresh}
 
 
 class TestCharacteristicIndexing:
