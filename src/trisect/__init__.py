@@ -15,9 +15,8 @@ from .theta import (RiemannMatrix, HalfCharacteristic, ThetaValue,
 from .curves import (CurvePoint, Divisor, HyperellipticCurve, JacobianLift,
                      PeriodData, BellSample, involution, period_matrix,
                      abel_jacobi, abel_jacobi_divisor, riemann_constant,
-                     half_period_candidates, random_effective_divisor,
-                     count_conjugate_pairs, divisor_is_special,
-                     sample_B_ell)
+                     random_effective_divisor, count_conjugate_pairs,
+                     divisor_is_special, sample_B_ell)
 from .geometry import (KummerPoint, GaussImage, GaussFiberEntry,
                        kummer_map, gauss_map, on_theta, vanishing_order,
                        theta_divisor_point, canonical_direction,

@@ -401,9 +401,11 @@ def run(argv=None):
 
 
 def _print_error(exc, exit_code):
+    # strict JSON: a non-finite detail is written as "NaN" or "Infinity"
+    details = json.loads(json.dumps(_c2j(exc.details)), parse_constant=str)
     print(json.dumps({"schema_version": SCHEMA_VERSION,
                       "error": str(exc), "code": exc.code,
-                      "details": _c2j(exc.details)}, indent=2))
+                      "details": details}, indent=2, allow_nan=False))
     return exit_code
 
 

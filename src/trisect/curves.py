@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (IllConditionedCurve, InvalidInput, NumericalFailure,
-                     PathDegenerate)
+from .errors import (AmbiguousConstant, IllConditionedCurve, InvalidInput,
+                     NumericalFailure, PathDegenerate)
 from .numeric import nearest_lattice_vector, quadrature_nodes
-from .theta import RiemannMatrix, theta_batch
+from .theta import RiemannMatrix, _round_reduce, theta_batch
 
 _MAX_NODES = 1 << 14
 
@@ -485,63 +485,42 @@ def random_effective_divisor(curve, degree, rng):
     return Divisor.of(*points)
 
 
-def half_period_candidates(periods):
-    """All 4^g half-periods (m + tau n) / 2 with m, n in {0,1}^g."""
-    g = periods.curve.genus
-    tau = periods.tau.entries
-    cands = []
-    for idx in range(4 ** g):
-        bits = [(idx >> k) & 1 for k in range(2 * g)]
-        m = np.array(bits[:g], dtype=float)
-        n = np.array(bits[g:], dtype=float)
-        cands.append(((m + tau @ n) / 2.0, m.astype(int), n.astype(int)))
-    return cands
-
-
 def riemann_constant(curve, periods, tol=1e-7, n_divisors=20, seed=20260823):
-    """The theta characteristic kappa as a half-period, found by requiring
-    theta(AJ(D) - kappa) to vanish on random effective divisors of
-    degree g-1.
+    """The Riemann constant kappa for base point infinity.
 
-    Raises AmbiguousConstant when zero or several candidates survive.
+    For the odd model kappa is the half-period AJ(e_2) + AJ(e_4) + ...
+    + AJ(e_2g), branch points e_1 < ... < e_{2g+1} counted from 1
+    (Mumford, Tata Lectures on Theta II, Ch. IIIa).  It is returned as the
+    lift (m + tau n) / 2 with m, n in {0,1}^g.  The certificate requires
+    theta(AJ(D) - kappa) to vanish on n_divisors random effective divisors
+    D of degree g-1: the worst Newton residual |theta| / ||grad theta||
+    must lie below tol, else AmbiguousConstant is raised.
     """
-    from .errors import AmbiguousConstant
-
     g = curve.genus
+    tau = periods.tau
+    branch_sum = sum(abel_jacobi(curve, curve.weierstrass_point(i), periods).z
+                     for i in range(1, 2 * g, 2))
+    _, m, n = _round_reduce(tau, 2.0 * branch_sum[None, :])
+    m, n = np.mod(m[0], 2.0), np.mod(n[0], 2.0)
+    kappa = (m + tau.entries @ n) / 2.0
+
     rng = np.random.default_rng(seed)
-    cands = half_period_candidates(periods)
-    kappas = np.stack([c[0] for c in cands])
-    alive = np.arange(len(cands))
-
-    divisors = [random_effective_divisor(curve, g - 1, rng)
-                for _ in range(n_divisors)]
-    lifts = [abel_jacobi_divisor(curve, d, periods).z for d in divisors]
-
     residual = 0.0
-    for i, zd in enumerate(lifts):
-        # Newton residual |theta| / ||grad theta||: an estimate of the
-        # distance from the theta divisor, invariant under the wildly
-        # varying quasi-periodic scale of theta across half-period
-        # translates.  Only surviving candidates are re-evaluated.
-        pts = zd[None, :] - kappas[alive]
-        vals, _, _ = theta_batch(periods.tau, pts, tol=1e-10)
-        grads, _, _ = theta_batch(periods.tau, pts, tol=1e-10, deriv=1)
-        gnorm = np.linalg.norm(grads, axis=1)
-        newt = np.abs(vals) / np.maximum(gnorm, 1e-300)
-        keep = newt < tol
-        if not np.any(keep):
-            raise AmbiguousConstant(
-                "no half-period annihilates theta on W_{g-1}",
-                best_residual=float(np.min(newt)))
-        alive = alive[keep]
-        if len(alive) == 1:
-            residual = max(residual, float(newt[keep][0]))
-    if len(alive) != 1:
-        raise AmbiguousConstant("multiple surviving half-periods",
-                                survivors=len(alive))
-    z, m, n = cands[int(alive[0])]
-    return JacobianLift(z, periods.tau), {
-        "residual": residual, "m": m.tolist(), "n": n.tolist()}
+    for _ in range(n_divisors):
+        divisor = random_effective_divisor(curve, g - 1, rng)
+        z = abel_jacobi_divisor(curve, divisor, periods).z - kappa
+        # Newton residual: an estimate of the distance from the theta
+        # divisor, invariant under the quasi-periodic scale of theta
+        val, _, _ = theta_batch(tau, z, tol=1e-10)
+        grad, _, _ = theta_batch(tau, z, tol=1e-10, deriv=1)
+        residual = max(residual, float(
+            abs(val) / max(np.linalg.norm(grad), 1e-300)))
+    info = {"residual": residual, "m": m.astype(int).tolist(),
+            "n": n.astype(int).tolist()}
+    if not residual < tol:
+        raise AmbiguousConstant(
+            "theta(AJ(D) - kappa) does not vanish on W_{g-1}", **info)
+    return JacobianLift(kappa, tau), info
 
 
 def count_conjugate_pairs(curve, divisor):

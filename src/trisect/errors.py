@@ -32,8 +32,8 @@ class PathDegenerate(NumericalFailure):
 
 
 class AmbiguousConstant(NumericalFailure):
-    """The half-period search for the Riemann constant did not isolate
-    a unique candidate."""
+    """The Riemann constant failed its certificate: theta(AJ(D) - kappa)
+    did not vanish on the test divisors D of degree g-1."""
 
     code = "AMBIGUOUS_CONSTANT"
 

@@ -165,7 +165,8 @@ def criterion_derivatives(ctx, seed):
 
 
 def criterion_riemann_constant(ctx, seed):
-    """Unique theta characteristic; vanishing on twenty fresh divisors."""
+    """The branch-point kappa makes theta vanish on twenty fresh divisors
+    of degree g-1, drawn with seeds other than its own certificate's."""
     worst = 0.0
     for g in (2, 3, 4):
         curve = ctx.curve(g)

@@ -34,11 +34,17 @@ DEFAULT_THETA_TOL = 1e-10
 _TWO_PI_I = 2j * np.pi
 
 
-def _box(half_widths):
-    """All integer points n with |n_i| <= half_widths[i]."""
-    grids = np.meshgrid(*[np.arange(-w, w + 1) for w in half_widths],
-                        indexing="ij")
-    return np.stack([grid.ravel() for grid in grids], axis=1)
+#: Lattice points x (rows + term weights) per block of a theta sum, and box
+#: points per enumeration slab: a call's memory is bounded at any radius.
+_BLOCK = 1 << 16
+
+
+def _box(half_widths, start, stop):
+    """The integer points n with |n_i| <= half_widths[i], numbered in
+    lexicographic order, from number start up to stop (exclusive)."""
+    shape = 2 * np.asarray(half_widths, dtype=int) + 1
+    index = np.arange(start, min(stop, np.prod(shape)))
+    return np.stack(np.unravel_index(index, shape), axis=1) - shape // 2
 
 
 class RiemannMatrix:
@@ -73,32 +79,42 @@ class RiemannMatrix:
         self._chol = np.linalg.cholesky(np.pi * entries.imag).T
         self._chol_inv = np.linalg.inv(self._chol)
         # shortest lattice vector of T Z^g, approximated over the +-1 box
-        box = _box([1] * self.g)
+        box = _box([1] * self.g, 0, 3 ** self.g)
         box = box[np.any(box != 0, axis=1)]
         self._rho = float(np.min(np.linalg.norm(box @ self._chol.T, axis=1)))
-        self._points = np.zeros((0, self.g))  # sorted by ||T n||
+        self._points = np.zeros((0, self.g), dtype=np.int16)  # by ||T n||
         self._point_norms = np.zeros(0)
         self._points_radius = -1.0  # _points is complete up to this norm
+        self._classes = []  # indices into _points by n mod 2
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
         self._theta_scales = None  # geometry._theta_scales
         self._gamma00_conditions = None  # gamma00._condition_data
 
     def lattice_points(self, radius):
-        """Integer points n with ||T n|| <= radius (rounded up to a quarter
-        step), sorted by ||T n||: a prefix of the one cached point set,
+        """Integer points n (int16) with ||T n|| <= radius (rounded up to a
+        quarter step), sorted by ||T n||: a prefix of the one cached point set,
         which only a larger radius re-enumerates.
         """
         key = float(np.ceil(radius * 4.0) / 4.0)
         if key > self._points_radius:
-            pts = _box(np.floor(key * np.linalg.norm(self._chol_inv, axis=1))
-                       .astype(int))
-            norms = np.linalg.norm(pts @ self._chol.T, axis=1)
-            keep = np.flatnonzero(norms <= key + 1e-12)
-            keep = keep[np.argsort(norms[keep], kind="stable")]
-            self._points = pts[keep].astype(float)
+            widths = np.floor(key * np.linalg.norm(self._chol_inv, axis=1))
+            pts, norms = [], []
+            for lo in range(0, int(np.prod(2 * widths + 1)), _BLOCK):
+                slab = _box(widths, lo, lo + _BLOCK)
+                slab_norms = np.linalg.norm(slab @ self._chol.T, axis=1)
+                keep = slab_norms <= key + 1e-12
+                pts.append(slab[keep].astype(np.int16))
+                norms.append(slab_norms[keep])
+            pts, norms = np.concatenate(pts), np.concatenate(norms)
+            order = np.argsort(norms, kind="stable")
+            self._points = pts[order]
             self._points.setflags(write=False)
-            self._point_norms = norms[keep]
+            self._point_norms = norms[order]
+            del pts, norms, order  # before the class indices are built
             self._points_radius = key
+            parity = (self._points % 2) @ (1 << np.arange(self.g)[::-1])
+            self._classes = [np.flatnonzero(parity == c).astype(np.int32)
+                             for c in range(2 ** self.g)]
         stop = np.searchsorted(self._point_norms, key + 1e-12, side="right")
         return self._points[:stop]
 
@@ -232,30 +248,31 @@ def _series(rm, Z_red, a, b, tol, deriv, by_parity=False):
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
     pts = rm.lattice_points(radius + offset)
     n_rows, g = Z_red.shape
-    bounds = [0, len(pts)]
-    if by_parity:
-        parity = (pts.astype(int) % 2) @ (1 << np.arange(g)[::-1])
-        order = np.argsort(parity, kind="stable")
-        pts = pts[order]
-        bounds = np.searchsorted(parity[order], np.arange(2 ** g + 1))
-
-    shifted = pts + a[None, :]
-    quad = 1j * np.pi * np.einsum("tg,gh,th->t", shifted, tau, shifted)
-    # term weights 1, n_k and n_k n_l of the value, gradient, Hessian series
-    weights = [np.ones((1, len(pts)))]
-    if deriv >= 1:
-        weights.append(shifted.T)
-    if deriv >= 2:
-        weights.append((shifted.T[:, None] * shifted.T).reshape(g * g, -1))
-    weights = np.concatenate(weights)
-    sums = np.empty((n_rows, len(bounds) - 1, len(weights)), dtype=complex)
-    for start in range(0, n_rows, 128):
-        block = slice(start, min(start + 128, n_rows))
-        lin = _TWO_PI_I * shifted @ (Z_red[block] + b[None, :]).T
-        terms = np.exp(quad[:, None] + lin).view(float)
-        for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            sums[block, c] = (weights[:, lo:hi] @ terms[lo:hi]).view(
-                complex).T
+    # index arrays of the classes of the points, or one slice of them all
+    groups = [idx[:np.searchsorted(idx, len(pts))] for idx in rm._classes] \
+        if by_parity else [slice(None)]
+    n_weights = 1 + (deriv >= 1) * g + (deriv >= 2) * g * g
+    step = max(_BLOCK // (min(n_rows, 128) + n_weights), 1)
+    sums = np.zeros((n_rows, len(groups), n_weights), dtype=complex)
+    for c, group in enumerate(groups):
+        members = pts[group]
+        for lo in range(0, len(members), step):
+            shifted = members[lo:lo + step] + a[None, :]
+            quad = 1j * np.pi * np.einsum("tg,gh,th->t", shifted, tau,
+                                          shifted)
+            # weights 1, n_k and n_k n_l of the value, gradient, Hessian terms
+            weights = [np.ones((1, len(shifted)))]
+            if deriv >= 1:
+                weights.append(shifted.T)
+            if deriv >= 2:
+                weights.append((shifted.T[:, None] * shifted.T)
+                               .reshape(g * g, -1))
+            weights = np.concatenate(weights)
+            for start in range(0, n_rows, 128):
+                block = slice(start, min(start + 128, n_rows))
+                lin = _TWO_PI_I * shifted @ (Z_red[block] + b[None, :]).T
+                terms = np.exp(quad[:, None] + lin).view(float)
+                sums[block, c] += (weights @ terms).view(complex).T
     outs = [sums[..., 0]]
     if deriv >= 1:
         outs.append(_TWO_PI_I * sums[..., 1:g + 1])

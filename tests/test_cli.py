@@ -134,7 +134,9 @@ class TestErrorPaths:
         (["theta", "--z", "notjson"], 2),
         (["periods", "--tol", "-1"], 2),
         (["theta", "--z", "[[1e300,0],[0,1e3],[0,0]]"], 3),
-    ], ids=["z-not-json", "negative-period-tol", "non-finite-theta"])
+        (["theta", "--z", "[[0,0],[0,0],[0,0]]", "--tol", "nan"], 2),
+    ], ids=["z-not-json", "negative-period-tol", "non-finite-theta",
+            "nan-theta-tol"])
     def test_exit_contract(self, capsys, curve_file, argv, code):
         assert run(argv + ["--curve", curve_file]) == code
         report = json.loads(capsys.readouterr().out,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import trisect.curves as cv
-from trisect.errors import InvalidInput, IllConditionedCurve
+from trisect.errors import AmbiguousConstant, InvalidInput, IllConditionedCurve
+from trisect.theta import theta_batch
 from conftest import reference_curve, random_curve_point
 
 
@@ -12,6 +13,35 @@ def agm(a, b):
         if abs(a - b) < 1e-16 * abs(a):
             break
     return a
+
+
+def half_period_search(curve, periods):
+    """Oracle for the Riemann constant: scan all 4^g half-periods
+    (m + tau n) / 2, m, n in {0,1}^g, for the unique one on which
+    theta(AJ(D) - kappa) vanishes for twenty random effective D of degree
+    g-1, drawn with a seed of their own."""
+    g = curve.genus
+    tau = periods.tau.entries
+    cands = []
+    for idx in range(4 ** g):
+        bits = [(idx >> k) & 1 for k in range(2 * g)]
+        m = np.array(bits[:g], dtype=float)
+        n = np.array(bits[g:], dtype=float)
+        cands.append(((m + tau @ n) / 2.0, m.astype(int), n.astype(int)))
+    kappas = np.stack([c[0] for c in cands])
+    alive = np.arange(len(cands))
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        d = cv.random_effective_divisor(curve, g - 1, rng)
+        pts = cv.abel_jacobi_divisor(curve, d, periods).z[None, :] \
+            - kappas[alive]
+        vals, _, _ = theta_batch(periods.tau, pts, tol=1e-10)
+        grads, _, _ = theta_batch(periods.tau, pts, tol=1e-10, deriv=1)
+        newt = np.abs(vals) / np.maximum(np.linalg.norm(grads, axis=1),
+                                         1e-300)
+        alive = alive[newt < 1e-7]
+    assert len(alive) == 1
+    return cands[int(alive[0])]
 
 
 class TestCurveValidation:
@@ -157,10 +187,24 @@ class TestAbelJacobi:
 
 class TestRiemannConstant:
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_kappa_matches_half_period_search(self, g):
+        curve = reference_curve(g)
+        periods = cv.period_matrix(curve)
+        kappa, info = cv.riemann_constant(curve, periods)
+        z, m, n = half_period_search(curve, periods)
+        assert np.array_equal(kappa.z, z)
+        assert info["m"] == m.tolist() and info["n"] == n.tolist()
+
+    def test_refuses_kappa_that_fails_the_certificate(self, jac2):
+        curve, periods, _ = jac2
+        with pytest.raises(AmbiguousConstant) as exc:
+            cv.riemann_constant(curve, periods, tol=1e-30)
+        assert exc.value.details["residual"] >= 1e-30
+
     @pytest.mark.parametrize("g", [2, 3])
     def test_kappa_annihilates_fresh_divisors(self, g, jac2, jac3):
         curve, periods, kappa = {2: jac2, 3: jac3}[g]
-        from trisect.theta import theta_batch
         rng = np.random.default_rng(555 + g)
         for _ in range(20):
             d = cv.random_effective_divisor(curve, g - 1, rng)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -15,8 +17,11 @@ TAU3 = np.array([[1.2j, 0.2 + 0.1j, -0.1],
                  [-0.1, 0.3 + 0.2j, 0.1 + 1.8j]])
 
 
-def brute_theta(tau, z, a=None, b=None, box=12):
-    """Independent oracle: direct box sum over the integer lattice."""
+def brute_theta(tau, z, a=None, b=None, box=12, deriv=0):
+    """Independent oracle: direct box sum over the integer lattice.
+
+    deriv=2 gives the z-Hessian, the sum weighted by (2 pi i)^2 n n^T.
+    """
     tau = np.asarray(tau, dtype=complex)
     z = np.asarray(z, dtype=complex)
     g = len(z)
@@ -27,20 +32,20 @@ def brute_theta(tau, z, a=None, b=None, box=12):
     n = np.stack([grid.ravel() for grid in grids], axis=1) + a
     expo = (1j * np.pi * np.einsum("tg,gh,th->t", n, tau, n)
             + 2j * np.pi * n @ (z + b))
-    return complex(np.sum(np.exp(expo)))
+    terms = np.exp(expo)
+    if deriv == 2:
+        return (2j * np.pi) ** 2 * np.einsum("t,tg,th->gh", terms, n, n)
+    return complex(np.sum(terms))
 
 
 def second_order_theta(tau, z, eps, deriv=0):
-    """Oracle: theta[eps/2, 0](2 tau, 2 z) as theta on the matrix 2 tau.
+    """Oracle: theta[eps/2, 0](2 tau, 2 z) as a box sum on the matrix 2 tau.
 
     deriv=2 gives its z-Hessian, 4 x the Hessian of theta(2 tau) at 2 z.
     """
-    rm = RiemannMatrix(2.0 * np.asarray(tau))
-    char = HalfCharacteristic(tuple(int(e) for e in eps), (0,) * rm.g)
-    z2 = 2.0 * np.asarray(z, dtype=complex)
-    if deriv == 0:
-        return theta(rm, z2, char, tol=1e-12).value
-    return 4.0 * theta_hessian(rm, z2, char, tol=1e-12)
+    value = brute_theta(2.0 * np.asarray(tau), 2.0 * np.asarray(z),
+                        a=np.asarray(eps) / 2.0, deriv=deriv)
+    return value if deriv == 0 else 4.0 * value
 
 
 class TestAgainstBruteForce:
@@ -211,6 +216,25 @@ class TestErrorControl:
             got = grown.lattice_points(radius)
             assert len(got) == len(fresh)
             assert {tuple(n) for n in got} == {tuple(n) for n in fresh}
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_blocked_sums_match_one_block(self, monkeypatch, deriv):
+        # blocks of two or three points split every class of the sums and
+        # every enumeration of the point set into many slabs
+        rng = np.random.default_rng(7)
+        Z = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        points = RiemannMatrix(TAU3).lattice_points(3.0)
+        whole = (theta_batch(TAU3, Z, deriv=deriv)[0],
+                 second_order_basis(TAU3, Z, deriv=deriv))
+        theta_module = sys.modules[RiemannMatrix.__module__]
+        monkeypatch.setattr(theta_module, "_BLOCK", 40)
+        np.testing.assert_array_equal(
+            RiemannMatrix(TAU3).lattice_points(3.0), points)
+        blocked = (theta_batch(TAU3, Z, deriv=deriv)[0],
+                   second_order_basis(TAU3, Z, deriv=deriv))
+        for got, want in zip(blocked, whole):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestCharacteristicIndexing:
