@@ -4,8 +4,7 @@ hyperelliptic Jacobians, with explicit residual and rank certificates."""
 from .errors import (TrisectError, InvalidInput, IllConditionedCurve,
                      NumericalFailure, PathDegenerate, AmbiguousConstant,
                      IndeterminateRank, NotOnTheta, PreconditionFailed)
-from .numeric import (RankCertificate, LatticeReduction, numerical_rank,
-                      nearest_lattice_vector, projective_angle,
+from .numeric import (RankCertificate, numerical_rank, projective_angle,
                       DEFAULT_RANK_TOL)
 from .theta import (RiemannMatrix, HalfCharacteristic, ThetaValue,
                     theta, theta_batch, theta_gradient, theta_hessian,

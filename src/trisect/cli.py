@@ -148,15 +148,24 @@ def _cmd_fay(args):
                    {"total": time.time() - t0}, cert.passes)
 
 
-def _cmd_trisecant(args):
-    t0 = time.time()
+def _theta_divisor_setup(args, ell):
+    """Curve, raw curve JSON, periods, kappa and the B_ell sample of
+    args.seed for a theta-divisor command.  The sample is drawn before the
+    periods, so a curve of genus < 3 or an invalid ell is refused first.
+    """
     curve, raw = _load_curve(args.curve)
     if curve.genus < 3:
-        raise InvalidInput("theta trisecants need genus >= 3",
+        raise InvalidInput("theta-divisor constructions need genus >= 3",
                            genus=curve.genus)
+    sample = cv.sample_B_ell(curve, ell, seed=args.seed)
     periods = cv.period_matrix(curve)
     kappa, _ = cv.riemann_constant(curve, periods)
-    sample = cv.sample_B_ell(curve, 3, seed=args.seed)
+    return curve, raw, periods, kappa, sample
+
+
+def _cmd_trisecant(args):
+    t0 = time.time()
+    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, 3)
     triple = se.theta_trisecant_construct(curve, periods, sample, kappa)
     cert = se.certify_secant(periods.tau, triple.lifts,
                              rank_tol=args.rank_tol)
@@ -176,11 +185,8 @@ def _cmd_trisecant(args):
 
 def _cmd_multisecant(args):
     t0 = time.time()
-    curve, raw = _load_curve(args.curve)
     ell = args.ell
-    periods = cv.period_matrix(curve)
-    kappa, _ = cv.riemann_constant(curve, periods)
-    sample = cv.sample_B_ell(curve, ell, seed=args.seed)
+    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, ell)
     seen = []
     partitions = se.all_partitions(sample)
     certs = []
@@ -263,12 +269,7 @@ def _cmd_gamma00_dim(args):
 
 def _cmd_gamma00_trisecant(args):
     t0 = time.time()
-    curve, raw = _load_curve(args.curve)
-    if curve.genus < 3:
-        raise InvalidInput("needs genus >= 3", genus=curve.genus)
-    periods = cv.period_matrix(curve)
-    kappa, _ = cv.riemann_constant(curve, periods)
-    sample = cv.sample_B_ell(curve, 3, seed=args.seed)
+    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, 3)
     triple = se.theta_trisecant_construct(curve, periods, sample, kappa)
     dim, info = g00.trisecant_gamma00_test(
         periods.tau, triple.a.z, triple.b.z, triple.c.z,
@@ -292,12 +293,8 @@ def _cmd_gamma00_trisecant(args):
 
 def _cmd_span(args):
     t0 = time.time()
-    curve, raw = _load_curve(args.curve)
-    if curve.genus < 3:
-        raise InvalidInput("needs genus >= 3", genus=curve.genus)
-    periods = cv.period_matrix(curve)
-    kappa, _ = cv.riemann_constant(curve, periods)
-    sample = cv.sample_B_ell(curve, args.ell, seed=args.seed)
+    curve, raw, periods, kappa, sample = _theta_divisor_setup(args,
+                                                              args.ell)
     dim_inner, dim_outer, dim_g00, details = g00.span_VpWp(
         curve, periods, sample, kappa, tol=args.rank_tol)
     results = {

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
-from .numeric import nearest_lattice_vector, projective_angle
+from .numeric import projective_angle
 from .theta import (RiemannMatrix, theta_batch, second_order_basis,
                     DEFAULT_THETA_TOL)
 
@@ -76,6 +76,11 @@ def _as_vector(z, g):
     return z
 
 
+def _reduced(rm, x):
+    """The point x reduced modulo the period lattice."""
+    return rm.reduce(_as_vector(x, rm.g))[0]
+
+
 def kummer_map(tau, z, tol=DEFAULT_THETA_TOL):
     """Kummer image: all 2^g second-order theta values, projectively.
 
@@ -85,9 +90,7 @@ def kummer_map(tau, z, tol=DEFAULT_THETA_TOL):
     cell.
     """
     rm = _as_rm(tau)
-    vec = _as_vector(z, rm.g)
-    red = nearest_lattice_vector(vec, rm.entries).residual
-    coords = second_order_basis(rm, red, tol=tol)
+    coords = second_order_basis(rm, _reduced(rm, z), tol=tol)
     scale = float(np.max(np.abs(coords)))
     if scale < 1e-13:
         raise NumericalFailure(
@@ -169,8 +172,11 @@ def on_theta(tau, x, tol=DEFAULT_ON_THETA_TOL, theta_tol=DEFAULT_THETA_TOL):
     and far from the fundamental cell.
     """
     rm = _as_rm(tau)
-    vec = _as_vector(x, rm.g)
-    vec = nearest_lattice_vector(vec, rm.entries).residual
+    return _on_theta(rm, _reduced(rm, x), tol, theta_tol)
+
+
+def _on_theta(rm, vec, tol, theta_tol):
+    """on_theta at a reduced point vec."""
     val_scale, _ = _theta_scales(rm, tol=theta_tol)
     rng = np.random.default_rng(7)
     probes = vec[None, :] + 0.2 * (rng.standard_normal((6, rm.g))
@@ -190,13 +196,16 @@ def gauss_map(tau, x, tol=DEFAULT_ON_THETA_TOL,
     gradient-norm threshold calibrated on sampled smooth divisor points.
     """
     rm = _as_rm(tau)
-    vec = _as_vector(x, rm.g)
-    member, residual = on_theta(rm, vec, tol=tol, theta_tol=theta_tol)
+    return _gauss_map(rm, _reduced(rm, x), tol, theta_tol)
+
+
+def _gauss_map(rm, vec, tol, theta_tol):
+    """gauss_map at a reduced point vec."""
+    member, residual = _on_theta(rm, vec, tol, theta_tol)
     if not member:
         raise NotOnTheta("point is not on the theta divisor",
                          residual=residual)
-    red = nearest_lattice_vector(vec, rm.entries).residual
-    grad, _, _ = theta_batch(rm, red, tol=theta_tol, deriv=1)
+    grad, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=1)
     gnorm = float(np.linalg.norm(grad))
     _, grad_scale = _theta_scales(rm, tol=theta_tol)
     threshold = SMOOTHNESS_THRESHOLD * grad_scale
@@ -221,10 +230,9 @@ def vanishing_order(tau, x, max_order=2, tol=DEFAULT_ON_THETA_TOL,
     if max_order > 2:
         raise InvalidInput("orders above 2 are not resolved", got=max_order)
     rm = _as_rm(tau)
-    image = gauss_map(rm, x, tol=tol, theta_tol=theta_tol)
-    if image.defined:
+    vec = _reduced(rm, x)
+    if _gauss_map(rm, vec, tol, theta_tol).defined:
         return 1
-    vec = nearest_lattice_vector(_as_vector(x, rm.g), rm.entries).residual
     hess, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=2)
     _, grad_scale = _theta_scales(rm, tol=theta_tol)
     # a nonzero Hessian on the scale of the generic gradient marks order 2

@@ -1,11 +1,12 @@
-"""Shared numerical utilities: rank certification, lattice reduction,
-projective comparison and singular-endpoint quadrature nodes.
+"""Shared numerical utilities: rank certification, projective comparison
+and singular-endpoint quadrature nodes.  Lattice reduction lives with the
+period lattice, in trisect.theta.RiemannMatrix.reduce.
 
 All functions are pure and operate on plain numpy arrays; tolerances are
 explicit arguments with documented defaults.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +43,6 @@ class RankCertificate:
         }
 
 
-@dataclass(frozen=True)
-class LatticeReduction:
-    """Integer part (m, n) and residual of reducing z modulo Z^g + tau Z^g."""
-
-    m: np.ndarray
-    n: np.ndarray
-    residual: np.ndarray = field(repr=False)
-    residual_norm: float = 0.0
-
-
 def numerical_rank(matrix, tol=DEFAULT_RANK_TOL):
     """Decide the rank of a complex matrix from its singular spectrum.
 
@@ -75,54 +66,6 @@ def numerical_rank(matrix, tol=DEFAULT_RANK_TOL):
     gap = 0.0 if rank == full else float(s[rank] / smax) if smax > 0 else 0.0
     return RankCertificate(singular_values=s, decided_rank=rank,
                            gap_ratio=gap, tolerance_used=tol)
-
-
-def _offset_box(g, radius=1):
-    """All integer offset pairs (dm, dn) in the +-radius box, shape (N, 2g)."""
-    ticks = np.arange(-radius, radius + 1)
-    grids = np.meshgrid(*([ticks] * (2 * g)), indexing="ij")
-    return np.stack([grid.ravel() for grid in grids], axis=1)
-
-
-_OFFSET_CACHE = {}
-
-
-def nearest_lattice_vector(z, tau):
-    """Reduce z in C^g modulo the lattice Z^g + tau Z^g.
-
-    The real coordinates of z in the (I, tau) basis are rounded and the
-    +-1 integer box around the rounding is searched exhaustively.  This
-    window is adequate for the moderately conditioned Riemann matrices the
-    package produces; extremely skew tau would need proper lattice
-    reduction, which is out of scope.
-    """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    tau = np.asarray(tau, dtype=complex)
-    g = len(z)
-    if tau.shape != (g, g):
-        raise InvalidInput("dimension mismatch between z and tau",
-                           g=g, tau_shape=tau.shape)
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(tau))):
-        raise InvalidInput("non-finite input")
-
-    imag_tau = tau.imag
-    n_real = np.linalg.solve(imag_tau, z.imag)
-    m_real = z.real - tau.real @ n_real
-    m0 = np.round(m_real).astype(int)
-    n0 = np.round(n_real).astype(int)
-
-    if g not in _OFFSET_CACHE:
-        _OFFSET_CACHE[g] = _offset_box(g)
-    offsets = _OFFSET_CACHE[g]
-    ms = m0 + offsets[:, :g]
-    ns = n0 + offsets[:, g:]
-    lattice = ms + ns @ tau.T
-    residuals = z[None, :] - lattice
-    norms = np.linalg.norm(residuals, axis=1)
-    best = int(np.argmin(norms))
-    return LatticeReduction(m=ms[best].copy(), n=ns[best].copy(),
-                            residual=residuals[best].copy(),
-                            residual_norm=float(norms[best]))
 
 
 def projective_angle(v, w):

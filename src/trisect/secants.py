@@ -14,8 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import (numerical_rank, projective_angle,
-                      nearest_lattice_vector, DEFAULT_RANK_TOL)
+from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
 from .geometry import (_as_rm, _theta_scales, on_theta, kummer_map,
                        canonical_direction, SMOOTHNESS_THRESHOLD,
@@ -138,7 +137,11 @@ def certify_secant(tau, lifts, expect_on_theta=True,
     if len(lifts) < 3:
         raise InvalidInput("a secant certificate needs at least 3 points",
                            got=len(lifts))
-    Z = _lift_array(lifts, rm.g)
+    # every figure is taken at the reduced lifts: a lattice shift scales a
+    # point's Kummer row by s^2 and, on the divisor, its gradient by s, so
+    # rank, angles and the outer-product identity do not see it, and the
+    # gradient norms are on the calibrated scale
+    Z, _, _ = rm.reduce(_lift_array(lifts, rm.g))
     r = len(lifts)
 
     raw = second_order_basis(rm, Z, tol=theta_tol)          # (r, 2^g)
@@ -151,25 +154,17 @@ def certify_secant(tau, lifts, expect_on_theta=True,
 
     theta_res = [on_theta(rm, z, tol=on_theta_tol,
                           theta_tol=theta_tol)[1] for z in Z]
-    # smoothness and Gauss angles at the reduced representatives, where the
-    # gradient norms are on the calibrated scale (at divisor points the
-    # quasi-periodic factor moves the gradient by an exact scalar)
-    Z_red = np.stack([nearest_lattice_vector(z, rm.entries).residual
-                      for z in Z])
-    grads_red, _, _ = theta_batch(rm, Z_red, tol=theta_tol, deriv=1)
-    gnorms = np.linalg.norm(grads_red, axis=1)
+    grads, _, _ = theta_batch(rm, Z, tol=theta_tol, deriv=1)
+    gnorms = np.linalg.norm(grads, axis=1)
     _, grad_scale = _theta_scales(rm, tol=theta_tol)
     smooth = [i for i in range(r)
               if theta_res[i] < on_theta_tol
               and gnorms[i] > SMOOTHNESS_THRESHOLD * grad_scale]
-    angles = [projective_angle(grads_red[i], grads_red[j])
+    angles = [projective_angle(grads[i], grads[j])
               for i, j in combinations(smooth, 2)]
 
     # beta from the raw coordinate dependency row_0 = sum beta_k row_k,
     # then the outer-product gradient identity of the collinearity proof
-    # (raw values and gradients taken at the same lifts, so the
-    # quasi-periodic scalars stay consistent)
-    grads, _, _ = theta_batch(rm, Z, tol=theta_tol, deriv=1)
     beta, *_ = np.linalg.lstsq(raw[1:].T, raw[0], rcond=None)
     outer0 = np.outer(grads[0], grads[0])
     outer_sum = np.einsum("k,kg,kh->gh", beta, grads[1:], grads[1:])

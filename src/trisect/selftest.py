@@ -16,6 +16,7 @@ from . import curves as cv
 from . import geometry as ge
 from . import secants as se
 from . import gamma00 as g00
+from .errors import InvalidInput
 from .numeric import projective_angle, numerical_rank
 from .theta import (theta_batch, second_order_basis, all_epsilons,
                     HalfCharacteristic)
@@ -408,16 +409,11 @@ def criterion_outer_product(ctx, seed):
         if not cert.passes:
             return {"passed": False, "failed_at": g}
         worst_outer = max(worst_outer, cert.outer_product_residual)
-        from .numeric import nearest_lattice_vector
-        from .geometry import _theta_scales, SMOOTHNESS_THRESHOLD
-        _, grad_scale = _theta_scales(periods.tau)
-        smooth = []
-        for lift in cert.lifts:
-            red = nearest_lattice_vector(lift.z,
-                                         periods.tau.entries).residual
-            gr, _, _ = theta_batch(periods.tau, red, deriv=1)
-            if np.linalg.norm(gr) > SMOOTHNESS_THRESHOLD * grad_scale:
-                smooth.append(gr)
+        _, grad_scale = ge._theta_scales(periods.tau)
+        red, _, _ = periods.tau.reduce(np.stack([l.z for l in cert.lifts]))
+        grads, _, _ = theta_batch(periods.tau, red, deriv=1)
+        threshold = ge.SMOOTHNESS_THRESHOLD * grad_scale
+        smooth = [gr for gr in grads if np.linalg.norm(gr) > threshold]
         if len(smooth) >= 2:
             rank = se.igusa_span_check(smooth).decided_rank
             span_ok = span_ok and rank <= 1
@@ -447,7 +443,6 @@ def run_selftest(seed=DEFAULT_SEED, only=None):
     names = list(CRITERIA)
     if only is not None:
         if only not in CRITERIA:
-            from .errors import InvalidInput
             raise InvalidInput("unknown criterion", name=only,
                                known=names)
         names = [only]

@@ -78,14 +78,14 @@ class RiemannMatrix:
         # T with ||T v||^2 = pi v^T Im(tau) v
         self._chol = np.linalg.cholesky(np.pi * entries.imag).T
         self._chol_inv = np.linalg.inv(self._chol)
-        # shortest lattice vector of T Z^g, approximated over the +-1 box
-        box = _box([1] * self.g, 0, 3 ** self.g)
-        box = box[np.any(box != 0, axis=1)]
-        self._rho = float(np.min(np.linalg.norm(box @ self._chol.T, axis=1)))
         self._points = np.zeros((0, self.g), dtype=np.int16)  # by ||T n||
         self._point_norms = np.zeros(0)
         self._points_radius = -1.0  # _points is complete up to this norm
         self._classes = []  # indices into _points by n mod 2
+        # shortest vector of T Z^g, exactly: no basis vector is shorter, so
+        # the enumeration up to the shortest one holds it after the origin
+        self.lattice_points(np.min(np.linalg.norm(self._chol, axis=0)))
+        self._rho = float(self._point_norms[1])
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
         self._theta_scales = None  # geometry._theta_scales
         self._gamma00_conditions = None  # gamma00._condition_data
@@ -117,6 +117,28 @@ class RiemannMatrix:
                              for c in range(2 ** self.g)]
         stop = np.searchsorted(self._point_norms, key + 1e-12, side="right")
         return self._points[:stop]
+
+    def reduce(self, Z):
+        """Reduce points modulo the lattice Z^g + tau Z^g by rounding.
+
+        Rounds p = Y^-1 Im z, then m = Re z - X p (tau = X + iY), the cell
+        reduction of Deconinck et al., Math. Comp. 73 (2004).  Z is one
+        point (g,) or a batch (N, g); returns (Z_reduced, m, p) of its shape
+        with Z = Z_reduced + m + tau p.  The residual Z_reduced is the
+        offset from the nearest lattice point whenever that offset is
+        shorter than 1 / (2 ||B^-1||), B the real basis [[I, X], [0, Y]] of
+        the lattice, and the offset from some lattice point otherwise.
+        """
+        Z = np.asarray(Z, dtype=complex)
+        if Z.ndim not in (1, 2) or Z.shape[-1] != self.g:
+            raise InvalidInput("argument dimension does not match genus",
+                               got=Z.shape[-1] if Z.ndim else 0,
+                               genus=self.g)
+        if not np.all(np.isfinite(Z)):
+            raise InvalidInput("non-finite argument")
+        p = np.round(Z.imag @ self._imag_inv.T)
+        m = np.round(Z.real - p @ self.entries.real.T)
+        return Z - m - p @ self.entries.T, m, p
 
 
 @dataclass(frozen=True)
@@ -177,32 +199,14 @@ def all_epsilons(g):
 
 
 def _prepare(tau, Z, tol):
-    """Validated (RiemannMatrix, (N, g) arguments, whether Z was one point)."""
+    """Validated RiemannMatrix, the (N, g) arguments reduced as
+    (Z_reduced, m, p) by RiemannMatrix.reduce, and whether Z was one point."""
     rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
     if not TOL_FLOOR < tol < TOL_CEIL:
         raise InvalidInput("theta tolerance must lie in (1e-15, 1e-3)",
                            tol=tol)
     Z = np.asarray(Z, dtype=complex)
-    squeeze = Z.ndim == 1
-    Z = np.atleast_2d(Z)
-    if Z.shape[1] != rm.g:
-        raise InvalidInput("argument dimension does not match genus",
-                           got=Z.shape[1], genus=rm.g)
-    if not np.all(np.isfinite(Z)):
-        raise InvalidInput("non-finite theta argument")
-    return rm, Z, squeeze
-
-
-def _round_reduce(rm, Z):
-    """Vectorised rounding reduction of points modulo Z^g + tau Z^g.
-
-    Returns (Z_reduced, m, p) with Z = Z_reduced + m + tau p.
-    """
-    tau = rm.entries
-    p = np.round(Z.imag @ rm._imag_inv.T)
-    m = np.round(Z.real - p @ tau.real.T)
-    z_red = Z - m - p @ tau.T
-    return z_red, m, p
+    return rm, rm.reduce(np.atleast_2d(Z)), Z.ndim == 1
 
 
 def _tail_bound(rm, radius, offset, deriv_order):
@@ -283,12 +287,14 @@ def _series(rm, Z_red, a, b, tol, deriv, by_parity=False):
     return outs, radius, tail
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _unreduce(rm, a, b, m, p, Z_red, outs, deriv):
     """Theta or its derivatives at Z = Z_red + m + tau p from _series output.
 
     Applies the quasi-periodicity factor and, for derivatives, the
     product-rule terms of its z-dependence.  Shapes are those of ``outs``.
-    Raises NumericalFailure when a value overflows.
+    Raises NumericalFailure, and issues no floating-point warning, when a
+    value overflows.
     """
     tau = rm.entries
     quad = np.einsum("ng,gh,nh->n", p, tau, p)
@@ -321,13 +327,11 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
     applied internally, so the returned values correspond to the raw
     (unreduced) arguments.
     """
-    rm, Z, squeeze = _prepare(tau, Z, tol)
+    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol)
     char = char or HalfCharacteristic.zero(rm.g)
     if char.g != rm.g:
         raise InvalidInput("characteristic length does not match genus")
     a, b = char.a, char.b
-
-    Z_red, m, p = _round_reduce(rm, Z)
     outs, radius, tail = _series(rm, Z_red, a, b, tol, deriv)
     out = _unreduce(rm, a, b, m, p, Z_red, outs, deriv)[:, 0]
     return (out[0] if squeeze else out), radius, tail
@@ -364,11 +368,10 @@ def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     deriv=0 returns (N, 2^g) values, deriv=1 (N, 2^g, g) gradients and
     deriv=2 (N, 2^g, g, g) Hessians.
     """
-    rm, Z, squeeze = _prepare(tau, Z, tol)
+    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol)
     if rm._half is None:
         rm._half = RiemannMatrix(rm.entries / 2.0)
     zero = np.zeros(rm.g)
-    Z_red, m, p = _round_reduce(rm, Z)
     outs, _, _ = _series(rm._half, Z_red, zero, zero, tol, deriv,
                          by_parity=True)
     out = _unreduce(rm._half, zero, zero, m, 2.0 * p, Z_red, outs, deriv)

@@ -137,6 +137,7 @@ class TestErrorPaths:
         (["theta", "--z", "[[0,0],[0,0],[0,0]]", "--tol", "nan"], 2),
     ], ids=["z-not-json", "negative-period-tol", "non-finite-theta",
             "nan-theta-tol"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_contract(self, capsys, curve_file, argv, code):
         assert run(argv + ["--curve", curve_file]) == code
         report = json.loads(capsys.readouterr().out,

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from trisect.curves import JacobianLift
 from trisect.errors import InvalidInput
-from trisect.numeric import (numerical_rank, nearest_lattice_vector,
-                             projective_angle, quadrature_nodes)
+from trisect.numeric import numerical_rank, projective_angle, quadrature_nodes
+from trisect.theta import RiemannMatrix
 
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
+RM2 = RiemannMatrix(TAU2)
 
 
 class TestNumericalRank:
@@ -55,6 +57,28 @@ class TestNumericalRank:
         assert isinstance(d["singular_values"][0], float)
 
 
+def box_minimum(z, tau, width=2):
+    """Test-local oracle: the shortest z - m - tau n over the integer box
+    of half-width ``width`` around the rounded real coordinates of z in
+    the basis (I, tau), searched exhaustively."""
+    g = len(z)
+    n_real = np.linalg.solve(tau.imag, z.imag)
+    centre = np.round(np.concatenate([z.real - tau.real @ n_real, n_real]))
+    ticks = np.arange(-width, width + 1)
+    grids = np.meshgrid(*([ticks] * (2 * g)), indexing="ij")
+    box = centre + np.stack([grid.ravel() for grid in grids], axis=1)
+    lattice = box[:, :g] + box[:, g:] @ tau.T
+    return float(np.min(np.linalg.norm(z - lattice, axis=1)))
+
+
+def exact_radius(tau):
+    """1 / (2 ||B^-1||), B the real basis [[I, X], [0, Y]] of the lattice:
+    below this distance the rounding residual is the nearest one."""
+    g = len(tau)
+    basis = np.block([[np.eye(g), tau.real], [np.zeros((g, g)), tau.imag]])
+    return 0.5 / np.linalg.norm(np.linalg.inv(basis), 2)
+
+
 class TestLatticeReduction:
 
     @given(st.integers(-3, 3), st.integers(-3, 3),
@@ -65,20 +89,53 @@ class TestLatticeReduction:
         n = np.array([n1, n2], dtype=float)
         small = np.array([0.05 + 0.02j, -0.03 + 0.04j])
         z = small + m + TAU2 @ n
-        red = nearest_lattice_vector(z, TAU2)
-        assert np.allclose(red.residual, small, atol=1e-12)
-        assert red.residual_norm < 0.1
+        red, m_got, p_got = RM2.reduce(z)
+        assert np.allclose(red, small, atol=1e-12)
+        assert np.array_equal(m_got, m) and np.array_equal(p_got, n)
+        assert np.allclose(red + m_got + TAU2 @ p_got, z, atol=1e-12)
 
     def test_idempotent(self):
         z = np.array([0.9 + 1.3j, -2.0 + 0.4j])
-        first = nearest_lattice_vector(z, TAU2)
-        second = nearest_lattice_vector(first.residual, TAU2)
-        assert second.residual_norm <= first.residual_norm + 1e-14
-        assert np.allclose(second.residual, first.residual, atol=1e-12)
+        first, _, _ = RM2.reduce(z)
+        second, m, p = RM2.reduce(first)
+        assert not np.any(m) and not np.any(p)
+        assert np.array_equal(second, first)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
-            nearest_lattice_vector(np.zeros(3), TAU2)
+            RM2.reduce(np.zeros(3))
+        with pytest.raises(InvalidInput):
+            RM2.reduce(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j,
+                                     complex(0.0, np.nan)])
+    def test_non_finite(self, bad):
+        with pytest.raises(InvalidInput):
+            RM2.reduce(np.array([0.1, bad]))
+        with pytest.raises(InvalidInput):
+            RM2.reduce(np.array([[0.1, 0.2], [0.3, bad]]))
+
+    @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+           st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           st.floats(0.0, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_distance_is_box_minimum_below_exact_radius(self, shift,
+                                                         direction, frac):
+        d = np.asarray(direction)
+        assume(np.linalg.norm(d) > 1e-3)
+        d = frac * exact_radius(TAU2) * d / np.linalg.norm(d)
+        small = d[:2] + 1j * d[2:]
+        z = small + np.asarray(shift[:2]) + TAU2 @ np.asarray(shift[2:])
+        dist = JacobianLift(z, RM2).lattice_distance()
+        assert dist == pytest.approx(box_minimum(z, TAU2), abs=1e-12)
+        assert dist == pytest.approx(np.linalg.norm(small), abs=1e-12)
+
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_distance_never_below_box_minimum(self, coords):
+        z = np.asarray(coords[:2]) + 1j * np.asarray(coords[2:])
+        dist = JacobianLift(z, RM2).lattice_distance()
+        assert dist >= box_minimum(z, TAU2) - 1e-12
 
 
 class TestProjectiveAngle:

@@ -237,6 +237,41 @@ class TestErrorControl:
                                        atol=1e-12 * np.max(np.abs(want)))
 
 
+#: unimodular U (det 1); tau' = U^T tau U is the same lattice in a skewed
+#: basis, on which the +-1 box overestimates the shortest vector
+UNIMODULAR = [[[3, 1], [2, 1]], [[5, 2], [2, 1]], [[1, -3], [0, 1]],
+              [[0, 1], [-1, 0]]]
+
+
+class TestSkewedTau:
+
+    @pytest.mark.parametrize("U", UNIMODULAR, ids=lambda u: str(u))
+    def test_rho_invariant_under_unimodular_change(self, jac2, U):
+        tau = jac2[1].tau.entries
+        U = np.asarray(U)
+        skewed = RiemannMatrix(U.T @ tau @ U)
+        # oracle: the shortest sqrt(pi n^T Y n) over a wide box
+        box = np.stack(np.meshgrid(*[np.arange(-8, 9)] * 2,
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+        box = box[np.any(box != 0, axis=1)]
+        shortest = np.sqrt(np.pi * np.min(np.einsum(
+            "ng,gh,nh->n", box, tau.imag, box)))
+        assert RiemannMatrix(tau)._rho == pytest.approx(shortest, rel=1e-13)
+        assert skewed._rho == pytest.approx(shortest, rel=1e-13)
+
+    @pytest.mark.parametrize("U", UNIMODULAR, ids=lambda u: str(u))
+    def test_theta_invariant_under_unimodular_change(self, jac2, U):
+        # theta(z; tau) = theta(U^T z; U^T tau U), summed as n = U k
+        tau = jac2[1].tau.entries
+        U = np.asarray(U)
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((6, 2)) + 0.4j * rng.standard_normal((6, 2))
+        want, _, tail = theta_batch(tau, Z)
+        got, _, tail_skewed = theta_batch(U.T @ tau @ U, Z @ U)
+        rounding = 1e-13 * np.max(np.abs(want))
+        assert np.all(np.abs(got - want) <= tail + tail_skewed + rounding)
+
+
 class TestCharacteristicIndexing:
 
     def test_lexicographic_order(self):
