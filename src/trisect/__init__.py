@@ -6,11 +6,9 @@ from .errors import (TrisectError, InvalidInput, IllConditionedCurve,
                      IndeterminateRank, NotOnTheta, PreconditionFailed)
 from .numeric import (RankCertificate, numerical_rank, projective_angle,
                       DEFAULT_RANK_TOL)
-from .theta import (RiemannMatrix, HalfCharacteristic, ThetaValue,
-                    theta, theta_batch, theta_gradient, theta_hessian,
-                    second_order_basis,
-                    eps_from_index, index_from_eps, all_epsilons,
-                    DEFAULT_THETA_TOL)
+from .theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
+                    second_order_basis, eps_from_index, index_from_eps,
+                    all_epsilons, DEFAULT_THETA_TOL)
 from .curves import (CurvePoint, Divisor, HyperellipticCurve, JacobianLift,
                      PeriodData, BellSample, involution, period_matrix,
                      abel_jacobi, abel_jacobi_divisor, riemann_constant,

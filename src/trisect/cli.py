@@ -22,7 +22,7 @@ from . import geometry as ge
 from . import secants as se
 from . import gamma00 as g00
 from .errors import TrisectError, InvalidInput, NumericalFailure
-from .theta import theta, HalfCharacteristic, DEFAULT_THETA_TOL
+from .theta import theta_batch, HalfCharacteristic, DEFAULT_THETA_TOL
 from .numeric import DEFAULT_RANK_TOL
 from .selftest import run_selftest, CRITERIA, DEFAULT_SEED
 
@@ -113,11 +113,12 @@ def _cmd_theta(args):
             raise InvalidInput("characteristic must be 'bits;bits'")
         char = HalfCharacteristic(tuple(int(b) for b in bits[0]),
                                   tuple(int(b) for b in bits[1]))
-    value = theta(periods.tau, z, char=char, tol=args.tol)
+    (value,), radius, tail = theta_batch(periods.tau, z, char=char,
+                                         tol=args.tol)
     results = {
-        "value": value.value,
-        "truncation_radius": value.truncation_radius,
-        "bound_on_tail": value.bound_on_tail,
+        "value": complex(value),
+        "truncation_radius": float(radius),
+        "bound_on_tail": float(tail),
     }
     return _report(args, {"curve": raw, "z": args.z, "char": args.char},
                    results, {"theta_tol": args.tol},

@@ -513,16 +513,14 @@ def riemann_constant(curve, periods, tol=1e-7, n_divisors=20, seed=20260823):
     kappa = (m + tau.entries @ n) / 2.0
 
     rng = np.random.default_rng(seed)
-    residual = 0.0
-    for _ in range(n_divisors):
-        divisor = random_effective_divisor(curve, g - 1, rng)
-        z = abel_jacobi_divisor(curve, divisor, periods).z - kappa
-        # Newton residual: an estimate of the distance from the theta
-        # divisor, invariant under the quasi-periodic scale of theta
-        val, _, _ = theta_batch(tau, z, tol=1e-10)
-        grad, _, _ = theta_batch(tau, z, tol=1e-10, deriv=1)
-        residual = max(residual, float(
-            abs(val) / max(np.linalg.norm(grad), 1e-300)))
+    Z = np.stack([abel_jacobi_divisor(
+        curve, random_effective_divisor(curve, g - 1, rng), periods).z
+        for _ in range(n_divisors)]) - kappa
+    # Newton residual: an estimate of the distance from the theta divisor,
+    # invariant under the quasi-periodic scale of theta
+    (vals, grads), _, _ = theta_batch(tau, Z, tol=1e-10, deriv=1)
+    residual = float(np.max(np.abs(vals) / np.maximum(
+        np.linalg.norm(grads, axis=1), 1e-300)))
     info = {"residual": residual, "m": m.astype(int).tolist(),
             "n": n.astype(int).tolist()}
     if not residual < tol:

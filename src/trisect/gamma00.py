@@ -14,7 +14,8 @@ import numpy as np
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
-from .geometry import _as_rm, _as_vector
+from .geometry import _as_rm, _as_vector, gauss_fiber_enumerate
+from .curves import abel_jacobi_divisor
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ def _condition_data(rm, tol=DEFAULT_THETA_TOL):
         return rm._gamma00_conditions
     g = rm.g
     origin = np.zeros(g, dtype=complex)
-    values = second_order_basis(rm, origin, tol=tol)          # (2^g,)
-    hess = second_order_basis(rm, origin, tol=tol, deriv=2)   # (2^g, g, g)
+    # values (2^g,) and Hessians (2^g, g, g) from one pass
+    (values, _, hess), _, _ = second_order_basis(rm, origin, tol=tol, deriv=2)
     rows = [values]
     for i in range(g):
         for j in range(i, g):
@@ -73,7 +74,7 @@ def section_from_point(tau, x, tol=DEFAULT_THETA_TOL):
     """
     rm = _as_rm(tau)
     vec = _as_vector(x, rm.g)
-    coeffs = second_order_basis(rm, vec, tol=tol)
+    (coeffs,), _, _ = second_order_basis(rm, vec, tol=tol)
     return SectionCoefficients(coeffs=coeffs)
 
 
@@ -124,8 +125,8 @@ def gamma00_combination(tau, x1, x2, tol=1e-6, theta_tol=DEFAULT_THETA_TOL):
     rm = _as_rm(tau)
     v1 = _as_vector(x1, rm.g)
     v2 = _as_vector(x2, rm.g)
-    g1, _, _ = theta_batch(rm, v1, tol=theta_tol, deriv=1)
-    g2, _, _ = theta_batch(rm, v2, tol=theta_tol, deriv=1)
+    (_, (g1, g2)), _, _ = theta_batch(rm, np.stack([v1, v2]), tol=theta_tol,
+                                      deriv=1)
     angle = projective_angle(g1, g2)
     if angle > tol:
         raise PreconditionFailed("points have different Gauss images",
@@ -175,9 +176,6 @@ def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,
     the special (singular-image) fiber points.  Returns
     (dim inner, dim outer, dim order-4 space, details).
     """
-    from .geometry import gauss_fiber_enumerate
-    from .curves import abel_jacobi_divisor
-
     g = curve.genus
     rm = periods.tau
     entries = gauss_fiber_enumerate(sample.k0, g, curve=curve)

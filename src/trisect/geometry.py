@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
 from .numeric import projective_angle
+from .curves import Divisor, abel_jacobi_divisor, divisor_is_special
 from .theta import (RiemannMatrix, theta_batch, second_order_basis,
                     DEFAULT_THETA_TOL)
 
@@ -90,7 +91,7 @@ def kummer_map(tau, z, tol=DEFAULT_THETA_TOL):
     cell.
     """
     rm = _as_rm(tau)
-    coords = second_order_basis(rm, _reduced(rm, z), tol=tol)
+    (coords,), _, _ = second_order_basis(rm, _reduced(rm, z), tol=tol)
     scale = float(np.max(np.abs(coords)))
     if scale < 1e-13:
         raise NumericalFailure(
@@ -120,9 +121,7 @@ def theta_divisor_point(tau, rng, tol=DEFAULT_THETA_TOL, max_tries=8):
         for _ in range(60):
             if not np.isfinite(t) or abs(t) > 4.0:
                 break
-            z = z0 + t * d
-            val, _, _ = theta_batch(rm, z, tol=tol)
-            grad, _, _ = theta_batch(rm, z, tol=tol, deriv=1)
+            (val, grad), _, _ = theta_batch(rm, z0 + t * d, tol=tol, deriv=1)
             dd = complex(grad @ d)
             if not np.isfinite(dd) or abs(dd) < 1e-14:
                 break
@@ -135,8 +134,7 @@ def theta_divisor_point(tau, rng, tol=DEFAULT_THETA_TOL, max_tries=8):
                 break
         if ok:
             z = z0 + t * d
-            val, _, _ = theta_batch(rm, z, tol=tol)
-            grad, _, _ = theta_batch(rm, z, tol=tol, deriv=1)
+            (val, grad), _, _ = theta_batch(rm, z, tol=tol, deriv=1)
             if abs(complex(val)) < 1e-9 * np.linalg.norm(grad):
                 return np.asarray(z)
     raise NumericalFailure("Newton search for a theta-divisor point failed")
@@ -153,11 +151,11 @@ def _theta_scales(rm, tol=DEFAULT_THETA_TOL, n_points=12, seed=20260823):
     rng = np.random.default_rng(seed)
     pts = np.stack([theta_divisor_point(rm, rng, tol=tol)
                     for _ in range(n_points)])
-    grads, _, _ = theta_batch(rm, pts, tol=tol, deriv=1)
+    (_, grads), _, _ = theta_batch(rm, pts, tol=tol, deriv=1)
     grad_scale = float(np.median(np.linalg.norm(grads, axis=1)))
     probes = pts + 0.2 * (rng.standard_normal(pts.shape)
                           + 1j * rng.standard_normal(pts.shape))
-    vals, _, _ = theta_batch(rm, probes, tol=tol)
+    (vals,), _, _ = theta_batch(rm, probes, tol=tol)
     val_scale = float(np.median(np.abs(vals)))
     scales = (val_scale, grad_scale)
     rm._theta_scales = scales
@@ -172,20 +170,26 @@ def on_theta(tau, x, tol=DEFAULT_ON_THETA_TOL, theta_tol=DEFAULT_THETA_TOL):
     and far from the fundamental cell.
     """
     rm = _as_rm(tau)
-    return _on_theta(rm, _reduced(rm, x), tol, theta_tol)
+    vec = _reduced(rm, x)
+    (val,), _, _ = theta_batch(rm, vec, tol=theta_tol)
+    members, residuals = _on_theta(rm, vec[None], val[None], tol, theta_tol)
+    return bool(members[0]), float(residuals[0])
 
 
-def _on_theta(rm, vec, tol, theta_tol):
-    """on_theta at a reduced point vec."""
+def _on_theta(rm, vecs, vals, tol, theta_tol):
+    """on_theta at reduced points vecs (N, g) with theta values vals (N,):
+    (members, residuals), from one probe call at the same six offsets
+    around every point."""
     val_scale, _ = _theta_scales(rm, tol=theta_tol)
     rng = np.random.default_rng(7)
-    probes = vec[None, :] + 0.2 * (rng.standard_normal((6, rm.g))
-                                   + 1j * rng.standard_normal((6, rm.g)))
-    pvals, _, _ = theta_batch(rm, probes, tol=theta_tol)
-    scale = max(val_scale, float(np.max(np.abs(pvals))))
-    val, _, _ = theta_batch(rm, vec, tol=theta_tol)
-    residual = abs(complex(val)) / scale
-    return residual < tol, residual
+    offsets = 0.2 * (rng.standard_normal((6, rm.g))
+                     + 1j * rng.standard_normal((6, rm.g)))
+    probes = (vecs[:, None, :] + offsets).reshape(-1, rm.g)
+    (pvals,), _, _ = theta_batch(rm, probes, tol=theta_tol)
+    scales = np.maximum(val_scale,
+                        np.max(np.abs(pvals).reshape(len(vecs), 6), axis=1))
+    residuals = np.abs(vals) / scales
+    return residuals < tol, residuals
 
 
 def gauss_map(tau, x, tol=DEFAULT_ON_THETA_TOL,
@@ -196,16 +200,19 @@ def gauss_map(tau, x, tol=DEFAULT_ON_THETA_TOL,
     gradient-norm threshold calibrated on sampled smooth divisor points.
     """
     rm = _as_rm(tau)
-    return _gauss_map(rm, _reduced(rm, x), tol, theta_tol)
+    vec = _reduced(rm, x)
+    jet, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=1)
+    return _gauss_map(rm, vec, jet, tol, theta_tol)
 
 
-def _gauss_map(rm, vec, tol, theta_tol):
-    """gauss_map at a reduced point vec."""
-    member, residual = _on_theta(rm, vec, tol, theta_tol)
-    if not member:
+def _gauss_map(rm, vec, jet, tol, theta_tol):
+    """gauss_map at a reduced point vec with its theta jet (value,
+    gradient, ...)."""
+    val, grad = jet[:2]
+    members, residuals = _on_theta(rm, vec[None], val[None], tol, theta_tol)
+    if not members[0]:
         raise NotOnTheta("point is not on the theta divisor",
-                         residual=residual)
-    grad, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=1)
+                         residual=float(residuals[0]))
     gnorm = float(np.linalg.norm(grad))
     _, grad_scale = _theta_scales(rm, tol=theta_tol)
     threshold = SMOOTHNESS_THRESHOLD * grad_scale
@@ -231,9 +238,10 @@ def vanishing_order(tau, x, max_order=2, tol=DEFAULT_ON_THETA_TOL,
         raise InvalidInput("orders above 2 are not resolved", got=max_order)
     rm = _as_rm(tau)
     vec = _reduced(rm, x)
-    if _gauss_map(rm, vec, tol, theta_tol).defined:
+    jet, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=2)
+    if _gauss_map(rm, vec, jet, tol, theta_tol).defined:
         return 1
-    hess, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=2)
+    hess = jet[2]
     _, grad_scale = _theta_scales(rm, tol=theta_tol)
     # a nonzero Hessian on the scale of the generic gradient marks order 2
     if np.linalg.norm(hess) > SMOOTHNESS_THRESHOLD * grad_scale:
@@ -315,11 +323,9 @@ def gauss_fiber_enumerate(k0, genus, curve=None, periods=None, kappa=None):
         sub = tuple((lab, l) for lab, l in zip(labels, lvec) if l > 0)
         special = None
         if curve is not None and hasattr(k0, "terms"):
-            from .curves import Divisor, divisor_is_special
             div = Divisor.of(*sub)
             sub = div
             if periods is not None and kappa is not None:
-                from .curves import abel_jacobi_divisor
                 x = abel_jacobi_divisor(curve, div, periods) - kappa
                 special = vanishing_order(periods.tau, x) >= 2
             else:

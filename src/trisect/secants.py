@@ -16,9 +16,9 @@ import numpy as np
 from .errors import InvalidInput
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
-from .geometry import (_as_rm, _theta_scales, on_theta, kummer_map,
-                       canonical_direction, SMOOTHNESS_THRESHOLD,
-                       DEFAULT_ON_THETA_TOL)
+from .geometry import (_as_rm, _on_theta, _theta_scales, kummer_map,
+                       canonical_direction, hyperplane_residual,
+                       SMOOTHNESS_THRESHOLD, DEFAULT_ON_THETA_TOL)
 from .curves import (JacobianLift, Divisor, abel_jacobi,
                      abel_jacobi_divisor)
 
@@ -144,7 +144,7 @@ def certify_secant(tau, lifts, expect_on_theta=True,
     Z, _, _ = rm.reduce(_lift_array(lifts, rm.g))
     r = len(lifts)
 
-    raw = second_order_basis(rm, Z, tol=theta_tol)          # (r, 2^g)
+    (raw,), _, _ = second_order_basis(rm, Z, tol=theta_tol)  # (r, 2^g)
     rows = raw / np.max(np.abs(raw), axis=1, keepdims=True)
     rank_cert = numerical_rank(rows, tol=rank_tol)
     general = []
@@ -152,14 +152,12 @@ def certify_secant(tau, lifts, expect_on_theta=True,
         sub_cert = numerical_rank(rows[list(subset)], tol=rank_tol)
         general.append(sub_cert.decided_rank == r - 1)
 
-    theta_res = [on_theta(rm, z, tol=on_theta_tol,
-                          theta_tol=theta_tol)[1] for z in Z]
-    grads, _, _ = theta_batch(rm, Z, tol=theta_tol, deriv=1)
+    (vals, grads), _, _ = theta_batch(rm, Z, tol=theta_tol, deriv=1)
+    members, theta_res = _on_theta(rm, Z, vals, on_theta_tol, theta_tol)
     gnorms = np.linalg.norm(grads, axis=1)
     _, grad_scale = _theta_scales(rm, tol=theta_tol)
     smooth = [i for i in range(r)
-              if theta_res[i] < on_theta_tol
-              and gnorms[i] > SMOOTHNESS_THRESHOLD * grad_scale]
+              if members[i] and gnorms[i] > SMOOTHNESS_THRESHOLD * grad_scale]
     angles = [projective_angle(grads[i], grads[j])
               for i, j in combinations(smooth, 2)]
 
@@ -264,7 +262,7 @@ def igusa_span_check(gradients, tol=DEFAULT_RANK_TOL):
 
 
 def degenerate_trisecant(curve, periods, sample, kappa, tol=1e-10,
-                         rank_tol=DEFAULT_RANK_TOL, fd_step=1e-5):
+                         rank_tol=DEFAULT_RANK_TOL):
     """Tangent line of the Kummer variety from a B2 canonical divisor.
 
     The ell=3 construction with the fiber r+s collapsed onto a doubled
@@ -298,20 +296,19 @@ def degenerate_trisecant(curve, periods, sample, kappa, tol=1e-10,
     merged_dist = a.lattice_distance(b)
 
     # tangent direction of the Kummer curve: the doubled point moves along
-    # the curve with velocity given by its canonical direction
+    # the curve with velocity given by its canonical direction, so the
+    # tangent is the basis gradient at za contracted with it
     v = canonical_direction(curve, periods, W)
     za = a.z
-    plus = second_order_basis(rm, za + fd_step * v, tol=tol)
-    minus = second_order_basis(rm, za - fd_step * v, tol=tol)
-    tangent = (plus - minus) / (2.0 * fd_step)
+    (_, basis_grad), _, _ = second_order_basis(rm, za, tol=tol, deriv=1)
+    tangent = basis_grad @ v
 
     ka = kummer_map(rm, a, tol=tol).coords
     kc = kummer_map(rm, c, tol=tol).coords
     rows = np.stack([ka, kc, tangent / np.max(np.abs(tangent))])
     line_cert = numerical_rank(rows, tol=rank_tol)
 
-    grad, _, _ = theta_batch(rm, za, tol=tol, deriv=1)
-    from .geometry import hyperplane_residual
+    (_, grad), _, _ = theta_batch(rm, za, tol=tol, deriv=1)
     containment = []
     for point, _ in sample.k0.terms:
         d = canonical_direction(curve, periods, point)

@@ -97,11 +97,11 @@ def criterion_theta_identities(ctx, seed):
         rm = ctx.periods(g).tau
         Z = rng.standard_normal((100, g)) + 0.25j * rng.standard_normal((100, g))
         W = rng.standard_normal((100, g)) + 0.25j * rng.standard_normal((100, g))
-        bz = second_order_basis(rm, Z)
-        bw = second_order_basis(rm, W)
+        (bz,), _, _ = second_order_basis(rm, Z)
+        (bw,), _, _ = second_order_basis(rm, W)
         lhs = np.einsum("ne,ne->n", bz, bw)
-        tp, _, _ = theta_batch(rm, Z + W)
-        tm, _, _ = theta_batch(rm, Z - W)
+        (tp,), _, _ = theta_batch(rm, Z + W)
+        (tm,), _, _ = theta_batch(rm, Z - W)
         rhs = tp * tm
         worst_add = max(worst_add, float(np.max(np.abs(lhs - rhs)
                                                 / np.abs(rhs))))
@@ -110,8 +110,8 @@ def criterion_theta_identities(ctx, seed):
         m = rng.integers(-2, 3, size=g).astype(float)
         p = rng.integers(-2, 3, size=g).astype(float)
         shift = m + rm.entries @ p
-        v0, _, _ = theta_batch(rm, Z[:20])
-        v1, _, _ = theta_batch(rm, Z[:20] + shift)
+        (v0,), _, _ = theta_batch(rm, Z[:20])
+        (v1,), _, _ = theta_batch(rm, Z[:20] + shift)
         factor = np.exp(-1j * np.pi * (p @ rm.entries @ p)
                         - 2j * np.pi * (Z[:20] @ p))
         worst_qp = max(worst_qp, float(np.max(
@@ -123,13 +123,13 @@ def criterion_theta_identities(ctx, seed):
         for eps_p in all_epsilons(g):
             for eps_pp in all_epsilons(g):
                 char = HalfCharacteristic(eps_p, eps_pp)
-                vp, _, _ = theta_batch(rm, z, char=char)
-                vm, _, _ = theta_batch(rm, -z, char=char)
+                (vp,), _, _ = theta_batch(rm, z, char=char)
+                (vm,), _, _ = theta_batch(rm, -z, char=char)
                 sign = (-1.0) ** char.parity
                 worst_par = max(worst_par, float(
                     abs(vm - sign * vp) / max(abs(vp), 1e-12)))
                 if char.parity == 1:
-                    v0c, _, _ = theta_batch(rm, origin, char=char)
+                    (v0c,), _, _ = theta_batch(rm, origin, char=char)
                     worst_par = max(worst_par, float(abs(v0c)))
     runtime = time.time() - t0
     return {"passed": bool(worst_add < 1e-9 and worst_qp < 1e-9
@@ -140,25 +140,22 @@ def criterion_theta_identities(ctx, seed):
 
 
 def criterion_derivatives(ctx, seed):
-    """Gradient and Hessian against central finite differences (genus 2)."""
+    """Gradient and Hessian against central finite differences (genus 2),
+    all read off one jet at z and the four points z +- h e_i."""
     rng = np.random.default_rng(seed)
     rm = ctx.periods(2).tau
     h = 1e-5
+    steps = h * np.eye(2)
     worst = 0.0
     for _ in range(20):
         z = rng.standard_normal(2) + 0.25j * rng.standard_normal(2)
-        grad, _, _ = theta_batch(rm, z, deriv=1)
-        hess, _, _ = theta_batch(rm, z, deriv=2)
+        (vals, grads, hess), _, _ = theta_batch(
+            rm, np.concatenate([z[None], z + steps, z - steps]), deriv=2)
+        grad, hess = grads[0], hess[0]
         for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            vp, _, _ = theta_batch(rm, z + e)
-            vm, _, _ = theta_batch(rm, z - e)
-            fd = (complex(vp) - complex(vm)) / (2 * h)
+            fd = (vals[1 + i] - vals[3 + i]) / (2 * h)
             worst = max(worst, abs(fd - grad[i]) / max(abs(grad[i]), 1.0))
-            gp, _, _ = theta_batch(rm, z + e, deriv=1)
-            gm, _, _ = theta_batch(rm, z - e, deriv=1)
-            fdh = (gp - gm) / (2 * h)
+            fdh = (grads[1 + i] - grads[3 + i]) / (2 * h)
             for j in range(2):
                 worst = max(worst, abs(fdh[j] - hess[i, j])
                             / max(abs(hess[i, j]), 1.0))
@@ -174,14 +171,12 @@ def criterion_riemann_constant(ctx, seed):
         periods = ctx.periods(g)
         kappa = ctx.kappa(g)
         rng = np.random.default_rng(seed + 17 * g)
-        for _ in range(20):
-            D = cv.random_effective_divisor(curve, g - 1, rng)
-            zd = cv.abel_jacobi_divisor(curve, D, periods)
-            z = (zd - kappa).z
-            val, _, _ = theta_batch(periods.tau, z)
-            grad, _, _ = theta_batch(periods.tau, z, deriv=1)
-            worst = max(worst, abs(complex(val))
-                        / max(np.linalg.norm(grad), 1e-300))
+        Z = np.stack([(cv.abel_jacobi_divisor(
+            curve, cv.random_effective_divisor(curve, g - 1, rng), periods)
+            - kappa).z for _ in range(20)])
+        (vals, grads), _, _ = theta_batch(periods.tau, Z, deriv=1)
+        worst = max(worst, float(np.max(np.abs(vals) / np.maximum(
+            np.linalg.norm(grads, axis=1), 1e-300))))
     return {"passed": bool(worst < 1e-7), "worst_residual": float(worst)}
 
 
@@ -411,7 +406,7 @@ def criterion_outer_product(ctx, seed):
         worst_outer = max(worst_outer, cert.outer_product_residual)
         _, grad_scale = ge._theta_scales(periods.tau)
         red, _, _ = periods.tau.reduce(np.stack([l.z for l in cert.lifts]))
-        grads, _, _ = theta_batch(periods.tau, red, deriv=1)
+        (_, grads), _, _ = theta_batch(periods.tau, red, deriv=1)
         threshold = ge.SMOOTHNESS_THRESHOLD * grad_scale
         smooth = [gr for gr in grads if np.linalg.norm(gr) > threshold]
         if len(smooth) >= 2:

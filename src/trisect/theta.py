@@ -7,6 +7,10 @@ reduced modulo the period lattice and the exact quasi-periodicity prefactor
 is reapplied, with its product-rule terms for derivatives, so returned values
 and derivatives are the true (unreduced) ones at any argument.
 
+One pass over the lattice points returns the whole jet up to the requested
+order: values, gradients and Hessians come from the same sums (the
+derivative-from-one-summation form of Deconinck et al., Math. Comp. 73
+(2004)), so a caller that needs a value and its gradient makes one call.
 Derivative series reuse the value-series ellipsoid enlarged by a fixed
 margin, since the polynomial prefactors grow slower than the Gaussian decays.
 
@@ -86,6 +90,8 @@ class RiemannMatrix:
         # the enumeration up to the shortest one holds it after the origin
         self.lattice_points(np.min(np.linalg.norm(self._chol, axis=0)))
         self._rho = float(self._point_norms[1])
+        # least singular value of T, for the derivative tail bounds
+        self._smin = float(np.linalg.svd(self._chol, compute_uv=False)[-1])
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
         self._theta_scales = None  # geometry._theta_scales
         self._gamma00_conditions = None  # gamma00._condition_data
@@ -177,13 +183,6 @@ class HalfCharacteristic:
         return np.asarray(self.eps_dblprime, dtype=float) / 2.0
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    value: complex
-    truncation_radius: float
-    bound_on_tail: float
-
-
 def eps_from_index(idx, g):
     """Inverse of index_from_eps: binary digits, eps_1 most significant."""
     return tuple((idx >> (g - 1 - i)) & 1 for i in range(g))
@@ -198,13 +197,15 @@ def all_epsilons(g):
     return [eps_from_index(i, g) for i in range(2 ** g)]
 
 
-def _prepare(tau, Z, tol):
+def _prepare(tau, Z, tol, deriv):
     """Validated RiemannMatrix, the (N, g) arguments reduced as
     (Z_reduced, m, p) by RiemannMatrix.reduce, and whether Z was one point."""
     rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
     if not TOL_FLOOR < tol < TOL_CEIL:
         raise InvalidInput("theta tolerance must lie in (1e-15, 1e-3)",
                            tol=tol)
+    if deriv not in (0, 1, 2):
+        raise InvalidInput("derivative order must be 0, 1 or 2", got=deriv)
     Z = np.asarray(Z, dtype=complex)
     return rm, rm.reduce(np.atleast_2d(Z)), Z.ndim == 1
 
@@ -216,8 +217,7 @@ def _tail_bound(rm, radius, offset, deriv_order):
     eps = (g / 2.0) * (2.0 / rho) ** g * gamma_fn(g / 2.0) \
         * gammaincc(g / 2.0, arg)
     if deriv_order:
-        smin = np.linalg.svd(rm._chol, compute_uv=False)[-1]
-        eps *= (2.0 * np.pi * (radius + 1.0) / smin) ** deriv_order
+        eps *= (2.0 * np.pi * (radius + 1.0) / rm._smin) ** deriv_order
     return eps
 
 
@@ -288,13 +288,13 @@ def _series(rm, Z_red, a, b, tol, deriv, by_parity=False):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _unreduce(rm, a, b, m, p, Z_red, outs, deriv):
-    """Theta or its derivatives at Z = Z_red + m + tau p from _series output.
+def _unreduce(rm, a, b, m, p, Z_red, outs):
+    """The jet of theta at Z = Z_red + m + tau p from _series output.
 
-    Applies the quasi-periodicity factor and, for derivatives, the
-    product-rule terms of its z-dependence.  Shapes are those of ``outs``.
-    Raises NumericalFailure, and issues no floating-point warning, when a
-    value overflows.
+    Applies the quasi-periodicity factor to every order, with the
+    product-rule terms of its z-dependence for the derivatives.  Returns a
+    list of the shapes of ``outs``.  Raises NumericalFailure, and issues no
+    floating-point warning, when any entry overflows.
     """
     tau = rm.entries
     quad = np.einsum("ng,gh,nh->n", p, tau, p)
@@ -302,62 +302,45 @@ def _unreduce(rm, a, b, m, p, Z_red, outs, deriv):
                  - 1j * np.pi * quad
                  - _TWO_PI_I * np.einsum("ng,ng->n", p, Z_red))[:, None]
     shift = (-_TWO_PI_I * p)[:, None, :]
-    if deriv == 0:
-        out = pre * outs[0]
-    elif deriv == 1:
-        out = pre[..., None] * (outs[1] + shift * outs[0][..., None])
-    else:
-        out = pre[..., None, None] * (
+    jet = [pre * outs[0]]
+    if len(outs) > 1:
+        jet.append(pre[..., None] * (outs[1] + shift * outs[0][..., None]))
+    if len(outs) > 2:
+        jet.append(pre[..., None, None] * (
             outs[2]
             + shift[..., :, None] * outs[1][..., None, :]
             + shift[..., None, :] * outs[1][..., :, None]
             + shift[..., :, None] * shift[..., None, :]
-            * outs[0][..., None, None])
-    if not np.all(np.isfinite(out)):
+            * outs[0][..., None, None]))
+    if not all(np.all(np.isfinite(order)) for order in jet):
         raise NumericalFailure("theta value is not finite: the argument is "
                                "too far from the fundamental cell")
-    return out
+    return jet
 
 
 def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
-    """Evaluate theta (or its first/second z-derivatives) at many points.
+    """Theta and its z-derivatives up to order ``deriv`` at many points.
 
-    Returns (values, radius, tail_bound); values shaped (N,), (N, g) or
-    (N, g, g) according to ``deriv``.  Exact quasi-periodic reduction is
-    applied internally, so the returned values correspond to the raw
-    (unreduced) arguments.
+    Returns (jet, radius, tail_bound): jet is a tuple of deriv + 1 arrays,
+    the values (N,), gradients (N, g) and Hessians (N, g, g), all from one
+    pass over the lattice points; a single point Z of shape (g,) drops the
+    leading axis.  Exact quasi-periodic reduction is applied internally, so
+    the jet is that of the raw (unreduced) arguments.  tail_bound bounds
+    the truncation error of every order at the reduced arguments.
     """
-    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol)
+    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol, deriv)
     char = char or HalfCharacteristic.zero(rm.g)
     if char.g != rm.g:
         raise InvalidInput("characteristic length does not match genus")
     a, b = char.a, char.b
     outs, radius, tail = _series(rm, Z_red, a, b, tol, deriv)
-    out = _unreduce(rm, a, b, m, p, Z_red, outs, deriv)[:, 0]
-    return (out[0] if squeeze else out), radius, tail
-
-
-def theta(tau, z, char=None, tol=DEFAULT_THETA_TOL):
-    """Riemann theta with half-integer characteristic at a single point."""
-    vals, radius, tail = theta_batch(tau, z, char, tol, deriv=0)
-    return ThetaValue(value=complex(vals), truncation_radius=float(radius),
-                      bound_on_tail=float(tail))
-
-
-def theta_gradient(tau, z, char=None, tol=DEFAULT_THETA_TOL):
-    """Gradient of theta in the z variables, same tail-bound discipline."""
-    vals, _, _ = theta_batch(tau, z, char, tol, deriv=1)
-    return vals
-
-
-def theta_hessian(tau, z, char=None, tol=DEFAULT_THETA_TOL):
-    """Hessian of theta in the z variables; symmetric by construction."""
-    vals, _, _ = theta_batch(tau, z, char, tol, deriv=2)
-    return 0.5 * (vals + np.swapaxes(vals, -1, -2))
+    jet = _unreduce(rm, a, b, m, p, Z_red, outs)
+    return tuple(o[0, 0] if squeeze else o[:, 0] for o in jet), radius, tail
 
 
 def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
-    """All 2^g second-order theta values at each point, in the fixed eps order.
+    """All 2^g second-order theta values at each point, in the fixed eps
+    order, with their z-derivatives up to order ``deriv``.
 
     theta[eps/2, 0](2 tau, 2 z) is the sum of exp(i pi m^T tau m / 2
     + 2 pi i m^T z) over m = eps (mod 2), so the 2^g functions sum to
@@ -365,14 +348,14 @@ def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     grouped by m mod 2.  Z is reduced modulo the tau lattice (not the tau/2
     lattice, whose odd shifts would permute the classes) and the exact
     prefactor reapplied, so values and derivatives hold at any argument.
-    deriv=0 returns (N, 2^g) values, deriv=1 (N, 2^g, g) gradients and
-    deriv=2 (N, 2^g, g, g) Hessians.
+    Returns (jet, radius, tail_bound) like theta_batch, with the values
+    (N, 2^g), gradients (N, 2^g, g) and Hessians (N, 2^g, g, g).
     """
-    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol)
+    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol, deriv)
     if rm._half is None:
         rm._half = RiemannMatrix(rm.entries / 2.0)
     zero = np.zeros(rm.g)
-    outs, _, _ = _series(rm._half, Z_red, zero, zero, tol, deriv,
-                         by_parity=True)
-    out = _unreduce(rm._half, zero, zero, m, 2.0 * p, Z_red, outs, deriv)
-    return out[0] if squeeze else out
+    outs, radius, tail = _series(rm._half, Z_red, zero, zero, tol, deriv,
+                                 by_parity=True)
+    jet = _unreduce(rm._half, zero, zero, m, 2.0 * p, Z_red, outs)
+    return tuple(o[0] if squeeze else o for o in jet), radius, tail

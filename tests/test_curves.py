@@ -35,8 +35,8 @@ def half_period_search(curve, periods):
         d = cv.random_effective_divisor(curve, g - 1, rng)
         pts = cv.abel_jacobi_divisor(curve, d, periods).z[None, :] \
             - kappas[alive]
-        vals, _, _ = theta_batch(periods.tau, pts, tol=1e-10)
-        grads, _, _ = theta_batch(periods.tau, pts, tol=1e-10, deriv=1)
+        (vals, grads), _, _ = theta_batch(periods.tau, pts, tol=1e-10,
+                                          deriv=1)
         newt = np.abs(vals) / np.maximum(np.linalg.norm(grads, axis=1),
                                          1e-300)
         alive = alive[newt < 1e-7]
@@ -209,8 +209,7 @@ class TestRiemannConstant:
         for _ in range(20):
             d = cv.random_effective_divisor(curve, g - 1, rng)
             z = (cv.abel_jacobi_divisor(curve, d, periods) - kappa).z
-            val, _, _ = theta_batch(periods.tau, z)
-            grad, _, _ = theta_batch(periods.tau, z, deriv=1)
+            (val, grad), _, _ = theta_batch(periods.tau, z, deriv=1)
             assert abs(complex(val)) / np.linalg.norm(grad) < 1e-7
 
     def test_kappa_is_half_period(self, jac3):

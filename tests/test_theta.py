@@ -1,12 +1,13 @@
+import itertools
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
 from trisect.errors import InvalidInput
-from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta,
-                           theta_batch, theta_gradient, theta_hessian,
+from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps)
 
@@ -57,8 +58,8 @@ class TestAgainstBruteForce:
         z = rng.standard_normal(len(tau)) * 0.4 \
             + 0.2j * rng.standard_normal(len(tau))
         expected = brute_theta(tau, z)
-        got = theta(tau, z, tol=1e-12)
-        assert abs(got.value - expected) < 1e-11 * max(abs(expected), 1.0)
+        (got,), _, _ = theta_batch(tau, z, tol=1e-12)
+        assert abs(got - expected) < 1e-11 * max(abs(expected), 1.0)
 
     def test_characteristics_match_box_sum(self):
         rng = np.random.default_rng(7)
@@ -67,23 +68,23 @@ class TestAgainstBruteForce:
             for eps_pp in all_epsilons(2):
                 char = HalfCharacteristic(eps_p, eps_pp)
                 expected = brute_theta(TAU2, z, a=char.a, b=char.b)
-                got = theta(TAU2, z, char=char, tol=1e-12)
-                assert abs(got.value - expected) < 1e-10
+                (got,), _, _ = theta_batch(TAU2, z, char=char, tol=1e-12)
+                assert abs(got - expected) < 1e-10
 
     def test_known_value_lemniscatic(self):
         # theta(0; tau=i) = pi^(1/4) / Gamma(3/4)
         expected = np.pi ** 0.25 / gamma_fn(0.75)
-        got = theta(TAU1, [0.0], tol=1e-13)
-        assert got.value == pytest.approx(expected, abs=1e-12)
+        (got,), _, _ = theta_batch(TAU1, [0.0], tol=1e-13)
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_far_argument_reduced_exactly(self):
         z = np.array([0.13 + 0.07j, -0.2 + 0.11j])
         m = np.array([2.0, -3.0])
         p = np.array([1.0, 2.0])
         shift = m + TAU2 @ p
-        direct = theta(TAU2, z + shift, tol=1e-12).value
+        (direct,), _, _ = theta_batch(TAU2, z + shift, tol=1e-12)
         factor = np.exp(-1j * np.pi * (p @ TAU2 @ p) - 2j * np.pi * (p @ z))
-        base = theta(TAU2, z, tol=1e-12).value
+        (base,), _, _ = theta_batch(TAU2, z, tol=1e-12)
         assert abs(direct - factor * base) < 1e-12 * abs(factor * base)
 
 
@@ -98,12 +99,12 @@ class TestParityAndIdentities:
         for eps_p in all_epsilons(g):
             for eps_pp in all_epsilons(g):
                 char = HalfCharacteristic(eps_p, eps_pp)
-                vp, _, _ = theta_batch(tau, z, char=char)
-                vm, _, _ = theta_batch(tau, -z, char=char)
+                (vp,), _, _ = theta_batch(tau, z, char=char)
+                (vm,), _, _ = theta_batch(tau, -z, char=char)
                 sign = (-1.0) ** char.parity
                 assert abs(vm - sign * vp) < 1e-9 * max(abs(vp), 1e-6)
                 if char.parity == 1:
-                    v0, _, _ = theta_batch(tau, origin, char=char)
+                    (v0,), _, _ = theta_batch(tau, origin, char=char)
                     assert abs(v0) < 1e-10
 
     def test_addition_formula(self):
@@ -111,10 +112,11 @@ class TestParityAndIdentities:
         rm = RiemannMatrix(TAU3)
         Z = rng.standard_normal((30, 3)) + 0.2j * rng.standard_normal((30, 3))
         W = rng.standard_normal((30, 3)) + 0.2j * rng.standard_normal((30, 3))
-        lhs = np.einsum("ne,ne->n", second_order_basis(rm, Z),
-                        second_order_basis(rm, W))
-        tp, _, _ = theta_batch(rm, Z + W)
-        tm, _, _ = theta_batch(rm, Z - W)
+        (bz,), _, _ = second_order_basis(rm, Z)
+        (bw,), _, _ = second_order_basis(rm, W)
+        lhs = np.einsum("ne,ne->n", bz, bw)
+        (tp,), _, _ = theta_batch(rm, Z + W)
+        (tm,), _, _ = theta_batch(rm, Z - W)
         assert np.max(np.abs(lhs - tp * tm) / np.abs(tp * tm)) < 1e-9
 
     @pytest.mark.parametrize("deriv", [0, 2])
@@ -128,7 +130,7 @@ class TestParityAndIdentities:
         # a tau/2-lattice reduction would permute the parity classes at the
         # half-period shift, whose tau/2 coordinates p are odd
         for arg in (z, z + m + tau @ p, z + tau @ p / 2.0):
-            basis = second_order_basis(tau, arg, deriv=deriv)
+            basis = second_order_basis(tau, arg, deriv=deriv)[0][deriv]
             expected = np.array([second_order_theta(tau, arg, eps, deriv)
                                  for eps in all_epsilons(g)])
             assert np.max(np.abs(basis - expected)) \
@@ -142,25 +144,27 @@ class TestDerivatives:
         h = 1e-5
         for _ in range(5):
             z = rng.standard_normal(2) * 0.4 + 0.2j * rng.standard_normal(2)
-            grad = theta_gradient(TAU2, z)
+            (_, grad), _, _ = theta_batch(TAU2, z, deriv=1)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (theta(TAU2, z + e).value
-                      - theta(TAU2, z - e).value) / (2 * h)
+                (vp,), _, _ = theta_batch(TAU2, z + e)
+                (vm,), _, _ = theta_batch(TAU2, z - e)
+                fd = (vp - vm) / (2 * h)
                 assert abs(fd - grad[i]) < 1e-8 * max(abs(grad[i]), 1.0)
 
     def test_hessian_vs_gradient_differences(self):
         rng = np.random.default_rng(6)
         h = 1e-5
         z = rng.standard_normal(2) * 0.4 + 0.2j * rng.standard_normal(2)
-        hess = theta_hessian(TAU2, z)
+        (_, _, hess), _, _ = theta_batch(TAU2, z, deriv=2)
         assert np.allclose(hess, hess.T)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (theta_gradient(TAU2, z + e)
-                  - theta_gradient(TAU2, z - e)) / (2 * h)
+            (_, gp), _, _ = theta_batch(TAU2, z + e, deriv=1)
+            (_, gm), _, _ = theta_batch(TAU2, z - e, deriv=1)
+            fd = (gp - gm) / (2 * h)
             assert np.max(np.abs(fd - hess[i])) \
                 < 1e-7 * max(np.max(np.abs(hess[i])), 1.0)
 
@@ -170,12 +174,13 @@ class TestDerivatives:
         p = np.array([0.0, 1.0])
         shift = TAU2 @ p
         h = 1e-6
-        grad = theta_gradient(TAU2, z + shift)
+        (_, grad), _, _ = theta_batch(TAU2, z + shift, deriv=1)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (theta(TAU2, z + shift + e).value
-                  - theta(TAU2, z + shift - e).value) / (2 * h)
+            (vp,), _, _ = theta_batch(TAU2, z + shift + e)
+            (vm,), _, _ = theta_batch(TAU2, z + shift - e)
+            fd = (vp - vm) / (2 * h)
             assert abs(fd - grad[i]) < 1e-6 * max(abs(grad[i]), 1.0)
 
 
@@ -185,17 +190,18 @@ class TestErrorControl:
         rng = np.random.default_rng(9)
         for _ in range(10):
             z = rng.standard_normal(3) * 0.5 + 0.3j * rng.standard_normal(3)
-            loose = theta(TAU3, z, tol=1e-6)
-            tight = theta(TAU3, z, tol=1e-13)
-            assert abs(loose.value - tight.value) <= loose.bound_on_tail \
-                + 1e-13 * abs(tight.value)
-            assert loose.bound_on_tail < 1e-6
+            (loose,), _, loose_tail = theta_batch(TAU3, z, tol=1e-6)
+            (tight,), _, _ = theta_batch(TAU3, z, tol=1e-13)
+            assert abs(loose - tight) <= loose_tail + 1e-13 * abs(tight)
+            assert loose_tail < 1e-6
 
     def test_tolerance_validation(self):
         with pytest.raises(InvalidInput):
-            theta(TAU2, [0.0, 0.0], tol=1e-20)
+            theta_batch(TAU2, [0.0, 0.0], tol=1e-20)
         with pytest.raises(InvalidInput):
-            theta(TAU2, [0.0, 0.0], tol=0.5)
+            theta_batch(TAU2, [0.0, 0.0], tol=0.5)
+        with pytest.raises(InvalidInput):
+            theta_batch(TAU2, [0.0, 0.0], deriv=3)
 
     def test_riemann_matrix_validation(self):
         with pytest.raises(InvalidInput):
@@ -203,7 +209,7 @@ class TestErrorControl:
         with pytest.raises(InvalidInput):
             RiemannMatrix(np.array([[-1.0j]]))
         with pytest.raises(InvalidInput):
-            theta(TAU2, [0.0, 0.0, 0.0])
+            theta_batch(TAU2, [0.0, 0.0, 0.0])
         for bad in ([np.nan, 0.0], [np.inf, 0.0]):
             with pytest.raises(InvalidInput):
                 second_order_basis(TAU2, bad)
@@ -224,14 +230,14 @@ class TestErrorControl:
         rng = np.random.default_rng(7)
         Z = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         points = RiemannMatrix(TAU3).lattice_points(3.0)
-        whole = (theta_batch(TAU3, Z, deriv=deriv)[0],
-                 second_order_basis(TAU3, Z, deriv=deriv))
+        whole = theta_batch(TAU3, Z, deriv=deriv)[0] \
+            + second_order_basis(TAU3, Z, deriv=deriv)[0]
         theta_module = sys.modules[RiemannMatrix.__module__]
         monkeypatch.setattr(theta_module, "_BLOCK", 40)
         np.testing.assert_array_equal(
             RiemannMatrix(TAU3).lattice_points(3.0), points)
-        blocked = (theta_batch(TAU3, Z, deriv=deriv)[0],
-                   second_order_basis(TAU3, Z, deriv=deriv))
+        blocked = theta_batch(TAU3, Z, deriv=deriv)[0] \
+            + second_order_basis(TAU3, Z, deriv=deriv)[0]
         for got, want in zip(blocked, whole):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want)))
@@ -266,10 +272,87 @@ class TestSkewedTau:
         U = np.asarray(U)
         rng = np.random.default_rng(5)
         Z = rng.standard_normal((6, 2)) + 0.4j * rng.standard_normal((6, 2))
-        want, _, tail = theta_batch(tau, Z)
-        got, _, tail_skewed = theta_batch(U.T @ tau @ U, Z @ U)
+        (want,), _, tail = theta_batch(tau, Z)
+        (got,), _, tail_skewed = theta_batch(U.T @ tau @ U, Z @ U)
         rounding = 1e-13 * np.max(np.abs(want))
         assert np.all(np.abs(got - want) <= tail + tail_skewed + rounding)
+
+
+#: terms below exp(-R2) of the largest one lie outside the oracle's box
+R2 = 80.0
+
+
+def mp_theta_jet(tau, z, a, b):
+    """(value, gradient, Hessian) of theta[a; b](z; tau) as complex numpy,
+    summed with mpmath at 30 digits."""
+    tau = np.asarray(tau, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    g = len(z)
+    Y = tau.imag
+    # |term n| = exp(-pi (n + a - c)^T Y (n + a - c)) up to a common factor
+    center = -np.linalg.solve(Y, z.imag) - a
+    half = np.sqrt(R2 / np.pi * np.diag(np.linalg.inv(Y)))
+    ranges = [range(int(np.floor(c - h)), int(np.ceil(c + h)) + 1)
+              for c, h in zip(center, half)]
+    with mpmath.workdps(30):
+        T = [[mpmath.mpc(complex(tau[i, j])) for j in range(g)]
+             for i in range(g)]
+        w = [mpmath.mpc(complex(z[i])) + mpmath.mpf(b[i]) for i in range(g)]
+        ipi = mpmath.mpc(0, 1) * mpmath.pi
+        value = mpmath.mpc(0)
+        grad = [mpmath.mpc(0)] * g
+        hess = [[mpmath.mpc(0)] * g for _ in range(g)]
+        for n in itertools.product(*ranges):
+            x = [mpmath.mpf(n[i]) + mpmath.mpf(a[i]) for i in range(g)]
+            quad = sum(x[i] * T[i][j] * x[j]
+                       for i in range(g) for j in range(g))
+            term = mpmath.exp(ipi * (quad + 2 * sum(x[i] * w[i]
+                                                    for i in range(g))))
+            value += term
+            for i in range(g):
+                grad[i] += term * x[i]
+                for j in range(g):
+                    hess[i][j] += term * x[i] * x[j]
+        two_pi_i = 2 * ipi
+        return (complex(value),
+                np.array([complex(two_pi_i * v) for v in grad]),
+                np.array([[complex(two_pi_i ** 2 * v) for v in row]
+                          for row in hess]))
+
+
+#: (tau, a characteristic other than zero) per genus
+CASES = {
+    "g1": (TAU1, ((1,), (1,))),
+    "g2": (TAU2, ((1, 0), (1, 1))),
+    "g3": (TAU3, ((1, 0, 1), (0, 1, 1))),
+    "g2-skewed": (np.asarray(UNIMODULAR[0]).T @ TAU2
+                  @ np.asarray(UNIMODULAR[0]), ((0, 1), (1, 0))),
+}
+
+
+class TestMpmathOracle:
+    """theta_batch against mp_theta_jet, which shares no code with it."""
+
+    @pytest.mark.parametrize("nonzero", [False, True], ids=["zero", "char"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_jet_matches_mpmath_box_sum(self, case, nonzero):
+        tau, bits = CASES[case]
+        g = len(tau)
+        char = HalfCharacteristic(*bits) if nonzero \
+            else HalfCharacteristic.zero(g)
+        rng = np.random.default_rng(g)
+        z = rng.uniform(-0.5, 0.5, g) + 0.3j * rng.standard_normal(g)
+        m = np.array([2.0, -1.0, 3.0])[:g]
+        p = np.array([1.0, -1.0, 1.0])[:g]
+        # one reduced argument and one far one, z + m + tau p, in one call
+        Z = np.stack([z, z + m + tau @ p])
+        jet, _, tail = theta_batch(tau, Z, char=char, deriv=2)
+        oracle = [mp_theta_jet(tau, row, char.a, char.b) for row in Z]
+        for order, got in enumerate(jet):
+            for k, want in enumerate(o[order] for o in oracle):
+                assert got[k].shape == np.shape(want)
+                assert np.max(np.abs(got[k] - want)) \
+                    <= tail + 1e-13 * np.max(np.abs(want))
 
 
 class TestCharacteristicIndexing:
@@ -287,3 +370,9 @@ class TestCharacteristicIndexing:
             HalfCharacteristic((0, 2), (0, 0))
         with pytest.raises(InvalidInput):
             HalfCharacteristic((0, 1), (0,))
+
+
+def test_theta_module_import_is_the_module():
+    # the package once exported a function named theta, which this binds
+    import trisect.theta as th
+    assert th.theta_batch is theta_batch
