@@ -96,7 +96,7 @@ def _cmd_periods(args):
 def _parse_z(text):
     try:
         return np.asarray([complex(re_, im_) for re_, im_ in json.loads(text)])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise InvalidInput("--z must be a JSON list of [re, im] pairs",
                            reason=str(exc))
 
@@ -324,8 +324,24 @@ def _cmd_selftest(args):
                    {}, {"total": time.time() - t0}, report["pass"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidInput, so they
+    are reported as JSON with exit code 2 like every other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return seed
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trisect",
         description="trisecants and multisecants of theta divisors of "
                     "hyperelliptic Jacobians, with numerical certificates")
@@ -338,7 +354,7 @@ def build_parser():
             p.add_argument("--curve", required=True,
                            help="JSON file with ascending f_coeffs")
         if extra.get("seed"):
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
         if extra.get("rank_tol"):
             p.add_argument("--rank-tol", dest="rank_tol", type=float,
                            default=DEFAULT_RANK_TOL)
@@ -381,7 +397,9 @@ def run(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except InvalidInput as exc:
+        return _print_error(exc, 2)
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     try:
         report = args.func(args)

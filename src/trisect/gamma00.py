@@ -123,19 +123,23 @@ def gamma00_combination(tau, x1, x2, tol=1e-6, theta_tol=DEFAULT_THETA_TOL):
     Returns (section, lambda, gamma, conditions).
     """
     rm = _as_rm(tau)
-    v1 = _as_vector(x1, rm.g)
-    v2 = _as_vector(x2, rm.g)
-    (_, (g1, g2)), _, _ = theta_batch(rm, np.stack([v1, v2]), tol=theta_tol,
-                                      deriv=1)
+    X = np.stack([_as_vector(x1, rm.g), _as_vector(x2, rm.g)])
+    (_, grads), _, _ = theta_batch(rm, X, tol=theta_tol, deriv=1)
+    (sections,), _, _ = second_order_basis(rm, X, tol=theta_tol)
+    return _combination(rm, grads, sections, tol, theta_tol)
+
+
+def _combination(rm, grads, sections, tol, theta_tol):
+    """gamma00_combination from the theta gradients (2, g) and the
+    sections (2, 2^g) of its two points."""
+    g1, g2 = grads
     angle = projective_angle(g1, g2)
     if angle > tol:
         raise PreconditionFailed("points have different Gauss images",
                                  angle=float(angle))
     gamma = complex(np.sum(g2 * g1) / np.sum(g2 * g2))
     lam = gamma ** 2
-    s1 = section_from_point(rm, v1, tol=theta_tol)
-    s2 = section_from_point(rm, v2, tol=theta_tol)
-    combo = SectionCoefficients(coeffs=s1.coeffs - lam * s2.coeffs)
+    combo = SectionCoefficients(coeffs=sections[0] - lam * sections[1])
     conds = taylor_conditions(rm, combo, tol=theta_tol)
     return combo, lam, gamma, conds
 
@@ -148,11 +152,9 @@ def trisecant_gamma00_test(tau, x1, x2, x3, tol=DEFAULT_RANK_TOL,
     Returns (dimension, {"span_rank", "degenerate_span", ...}).
     """
     rm = _as_rm(tau)
-    cols = []
-    for x in (x1, x2, x3):
-        c = section_from_point(rm, x, tol=theta_tol).coeffs
-        cols.append(c / np.linalg.norm(c))
-    S = np.stack(cols, axis=1)                          # (2^g, 3)
+    X = np.stack([_as_vector(x, rm.g) for x in (x1, x2, x3)])
+    (sections,), _, _ = second_order_basis(rm, X, tol=theta_tol)
+    S = (sections / np.linalg.norm(sections, axis=1, keepdims=True)).T
     _, normalized = _condition_data(rm, tol=theta_tol)
     span_cert = numerical_rank(S, tol=tol)
     ms_cert = numerical_rank(normalized @ S, tol=tol)
@@ -191,16 +193,22 @@ def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,
         else:
             smooth_lifts.append(lift)
 
+    # every section from one call, every smooth gradient from another
+    n_smooth = len(smooth_lifts)
+    (sections,), _, _ = second_order_basis(
+        rm, np.stack([_as_vector(x, g) for x in smooth_lifts + special_lifts]),
+        tol=theta_tol)
+    norms = np.linalg.norm(sections, axis=1)
     combos = []
-    base = smooth_lifts[0] if smooth_lifts else None
-    for other in smooth_lifts[1:]:
-        combo, lam, _, _ = gamma00_combination(rm, base, other,
-                                               theta_tol=theta_tol)
-        scale = max(np.linalg.norm(section_from_point(rm, base).coeffs),
-                    abs(lam) * np.linalg.norm(
-                        section_from_point(rm, other).coeffs))
+    if n_smooth > 1:
+        (_, grads), _, _ = theta_batch(
+            rm, np.stack([_as_vector(x, g) for x in smooth_lifts]),
+            tol=theta_tol, deriv=1)
+    for k in range(1, n_smooth):
+        combo, lam, _, _ = _combination(rm, grads[[0, k]], sections[[0, k]],
+                                        1e-6, theta_tol)
         norm = np.linalg.norm(combo.coeffs)
-        if norm < 1e-6 * scale:
+        if norm < 1e-6 * max(norms[0], abs(lam) * norms[k]):
             # the two sections were proportional (e.g. the fiber point
             # opposite to the base); the combination is trivially zero
             continue
@@ -209,10 +217,7 @@ def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,
     if combos:
         dim_inner = numerical_rank(np.stack(combos), tol=tol).decided_rank
 
-    outer_rows = list(combos)
-    for lift in special_lifts:
-        c = section_from_point(rm, lift, tol=theta_tol).coeffs
-        outer_rows.append(c / np.linalg.norm(c))
+    outer_rows = combos + list(sections[n_smooth:] / norms[n_smooth:, None])
     dim_outer = 0
     if outer_rows:
         dim_outer = numerical_rank(np.stack(outer_rows), tol=tol).decided_rank

@@ -16,8 +16,14 @@ margin, since the polynomial prefactors grow slower than the Gaussian decays.
 
 The second-order basis theta[eps/2, 0](2 tau, 2 z) is the part of
 theta(z; tau/2) summed over m = eps (mod 2): one series on tau/2 grouped by
-parity.  Its arguments are reduced modulo the tau lattice, whose shifts are
-even on the tau/2 lattice and so keep every class in place.
+parity.  Its arguments are reduced modulo the tau/2 lattice.  A shift by
+(tau/2) q maps class eps to class eps + q (mod 2) with the exact prefactor
+of the whole series (the half-period action, Mumford, Tata Lectures on
+Theta I, Ch. II 1), so the classes are relabelled after the sum.
+
+Returned tail bounds hold at the raw arguments: the bound at the reduced
+arguments is scaled by the largest quasi-periodic prefactor and by its
+product-rule growth for derivatives.
 
 Characteristic ordering convention: eps in {0,1}^g is indexed
 lexicographically with eps_1 most significant.  Every other module and the
@@ -84,6 +90,7 @@ class RiemannMatrix:
         self._chol_inv = np.linalg.inv(self._chol)
         self._points = np.zeros((0, self.g), dtype=np.int16)  # by ||T n||
         self._point_norms = np.zeros(0)
+        self._quad = np.zeros(0, dtype=complex)  # i pi n^T tau n per point
         self._points_radius = -1.0  # _points is complete up to this norm
         self._classes = []  # indices into _points by n mod 2
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
@@ -99,26 +106,32 @@ class RiemannMatrix:
     def lattice_points(self, radius):
         """Integer points n (int16) with ||T n|| <= radius (rounded up to a
         quarter step), sorted by ||T n||: a prefix of the one cached point set,
-        which only a larger radius re-enumerates.
+        which only a larger radius re-enumerates.  The quadratic form
+        i pi n^T tau n of every point is rebuilt with the set, in _quad.
         """
         key = float(np.ceil(radius * 4.0) / 4.0)
         if key > self._points_radius:
             widths = np.floor(key * np.linalg.norm(self._chol_inv, axis=1))
-            pts, norms = [], []
+            pts, norms, quads = [], [], []
             for lo in range(0, int(np.prod(2 * widths + 1)), _BLOCK):
                 slab = _box(widths, lo, lo + _BLOCK)
                 slab_norms = np.linalg.norm(slab @ self._chol.T, axis=1)
                 keep = slab_norms <= key + 1e-12
-                pts.append(slab[keep].astype(np.int16))
-                norms.append(slab_norms[keep])
+                kept, kept_norms = slab[keep], slab_norms[keep]
+                pts.append(kept.astype(np.int16))
+                norms.append(kept_norms)
+                # Re(i pi n^T tau n) = -pi n^T Im(tau) n = -||T n||^2
+                quads.append(-kept_norms ** 2 + 1j * np.pi * np.einsum(
+                    "tg,gh,th->t", kept, self.entries.real, kept))
             pts, norms = np.concatenate(pts), np.concatenate(norms)
             order = np.argsort(norms, kind="stable")
             self._points = pts[order]
             self._points.setflags(write=False)
             self._point_norms = norms[order]
-            del pts, norms, order  # before the class indices are built
+            self._quad = np.concatenate(quads)[order]
+            del pts, norms, quads, order  # before the class indices are built
             self._points_radius = key
-            parity = (self._points % 2) @ (1 << np.arange(self.g)[::-1])
+            parity = _class_index(self._points)
             self._classes = [np.flatnonzero(parity == c).astype(np.int32)
                              for c in range(2 ** self.g)]
         stop = np.searchsorted(self._point_norms, key + 1e-12, side="right")
@@ -134,6 +147,8 @@ class RiemannMatrix:
         offset from the nearest lattice point whenever that offset is
         shorter than 1 / (2 ||B^-1||), B the real basis [[I, X], [0, Y]] of
         the lattice, and the offset from some lattice point otherwise.
+        Raises NumericalFailure when Z is too large for floating point to
+        shift it into the cell.
         """
         Z = np.asarray(Z, dtype=complex)
         if Z.ndim not in (1, 2) or Z.shape[-1] != self.g:
@@ -142,9 +157,18 @@ class RiemannMatrix:
                                genus=self.g)
         if not np.all(np.isfinite(Z)):
             raise InvalidInput("non-finite argument")
-        p = np.round(Z.imag @ self._imag_inv.T)
-        m = np.round(Z.real - p @ self.entries.real.T)
-        return Z - m - p @ self.entries.T, m, p
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.round(Z.imag @ self._imag_inv.T)
+            m = np.round(Z.real - p @ self.entries.real.T)
+            Z_red = Z - m - p @ self.entries.T
+            # rounding leaves both coordinates in [-1/2, 1/2]; past that,
+            # the argument is too large for its shift to be exact
+            cell = np.maximum(np.abs(Z_red.real),
+                              np.abs(Z_red.imag @ self._imag_inv.T))
+        if not np.all(cell <= 0.5 + 1e-6):
+            raise NumericalFailure("argument is too far from the "
+                                   "fundamental cell to reduce exactly")
+        return Z_red, m, p
 
 
 @dataclass(frozen=True)
@@ -197,9 +221,14 @@ def all_epsilons(g):
     return [eps_from_index(i, g) for i in range(2 ** g)]
 
 
+def _class_index(n):
+    """index_from_eps(n mod 2) of every row of the integer-valued n."""
+    return np.mod(n, 2).astype(int) @ (1 << np.arange(n.shape[-1])[::-1])
+
+
 def _prepare(tau, Z, tol, deriv):
-    """Validated RiemannMatrix, the (N, g) arguments reduced as
-    (Z_reduced, m, p) by RiemannMatrix.reduce, and whether Z was one point."""
+    """Validated RiemannMatrix, the arguments as (N, g) and whether Z was
+    one point."""
     rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
     if not TOL_FLOOR < tol < TOL_CEIL:
         raise InvalidInput("theta tolerance must lie in (1e-15, 1e-3)",
@@ -207,7 +236,7 @@ def _prepare(tau, Z, tol, deriv):
     if deriv not in (0, 1, 2):
         raise InvalidInput("derivative order must be 0, 1 or 2", got=deriv)
     Z = np.asarray(Z, dtype=complex)
-    return rm, rm.reduce(np.atleast_2d(Z)), Z.ndim == 1
+    return rm, np.atleast_2d(Z), Z.ndim == 1
 
 
 def _tail_bound(rm, radius, offset, deriv_order):
@@ -254,16 +283,19 @@ def _series(rm, Z_red, a, b, tol, deriv, by_parity=False):
     n_rows, g = Z_red.shape
     # index arrays of the classes of the points, or one slice of them all
     groups = [idx[:np.searchsorted(idx, len(pts))] for idx in rm._classes] \
-        if by_parity else [slice(None)]
+        if by_parity else [slice(len(pts))]
+    # (n + a)^T tau (n + a) = n^T tau n + 2 n^T tau a + a^T tau a
+    tau_a = tau @ a
+    quad_a = 1j * np.pi * (a @ tau_a)
     n_weights = 1 + (deriv >= 1) * g + (deriv >= 2) * g * g
     step = max(_BLOCK // (min(n_rows, 128) + n_weights), 1)
     sums = np.zeros((n_rows, len(groups), n_weights), dtype=complex)
     for c, group in enumerate(groups):
-        members = pts[group]
+        members, quads = pts[group], rm._quad[group]
         for lo in range(0, len(members), step):
             shifted = members[lo:lo + step] + a[None, :]
-            quad = 1j * np.pi * np.einsum("tg,gh,th->t", shifted, tau,
-                                          shifted)
+            quad = quads[lo:lo + step] + quad_a \
+                + _TWO_PI_I * (members[lo:lo + step] @ tau_a)
             # weights 1, n_k and n_k n_l of the value, gradient, Hessian terms
             weights = [np.ones((1, len(shifted)))]
             if deriv >= 1:
@@ -288,13 +320,17 @@ def _series(rm, Z_red, a, b, tol, deriv, by_parity=False):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _unreduce(rm, a, b, m, p, Z_red, outs):
-    """The jet of theta at Z = Z_red + m + tau p from _series output.
+def _unreduce(rm, a, b, m, p, Z_red, outs, tail):
+    """The jet of theta at Z = Z_red + m + tau p from _series output, and
+    its tail bound.
 
     Applies the quasi-periodicity factor to every order, with the
-    product-rule terms of its z-dependence for the derivatives.  Returns a
-    list of the shapes of ``outs``.  Raises NumericalFailure, and issues no
-    floating-point warning, when any entry overflows.
+    product-rule terms of its z-dependence for the derivatives.  Each
+    product-rule term multiplies an order whose error is below ``tail`` by
+    entries of -2 pi i p, so the error of the jet at Z is below
+    |prefactor| (1 + 2 pi ||p||)^deriv tail.  Returns (jet, tail_bound),
+    jet a list of the shapes of ``outs``.  Raises NumericalFailure, and
+    issues no floating-point warning, when any entry overflows.
     """
     tau = rm.entries
     quad = np.einsum("ng,gh,nh->n", p, tau, p)
@@ -312,10 +348,14 @@ def _unreduce(rm, a, b, m, p, Z_red, outs):
             + shift[..., None, :] * outs[1][..., :, None]
             + shift[..., :, None] * shift[..., None, :]
             * outs[0][..., None, None]))
-    if not all(np.all(np.isfinite(order)) for order in jet):
+    growth = np.abs(pre[:, 0]) * (1.0 + 2.0 * np.pi * np.linalg.norm(
+        p, axis=1)) ** (len(outs) - 1)
+    tail = tail * float(np.max(growth))
+    if not (np.isfinite(tail)
+            and all(np.all(np.isfinite(order)) for order in jet)):
         raise NumericalFailure("theta value is not finite: the argument is "
                                "too far from the fundamental cell")
-    return jet
+    return jet, tail
 
 
 def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
@@ -326,15 +366,17 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
     pass over the lattice points; a single point Z of shape (g,) drops the
     leading axis.  Exact quasi-periodic reduction is applied internally, so
     the jet is that of the raw (unreduced) arguments.  tail_bound bounds
-    the truncation error of every order at the reduced arguments.
+    the truncation error of every entry of every order at the raw
+    arguments.
     """
-    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol, deriv)
+    rm, Z, squeeze = _prepare(tau, Z, tol, deriv)
+    Z_red, m, p = rm.reduce(Z)
     char = char or HalfCharacteristic.zero(rm.g)
     if char.g != rm.g:
         raise InvalidInput("characteristic length does not match genus")
     a, b = char.a, char.b
     outs, radius, tail = _series(rm, Z_red, a, b, tol, deriv)
-    jet = _unreduce(rm, a, b, m, p, Z_red, outs)
+    jet, tail = _unreduce(rm, a, b, m, p, Z_red, outs, tail)
     return tuple(o[0, 0] if squeeze else o[:, 0] for o in jet), radius, tail
 
 
@@ -345,17 +387,28 @@ def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     theta[eps/2, 0](2 tau, 2 z) is the sum of exp(i pi m^T tau m / 2
     + 2 pi i m^T z) over m = eps (mod 2), so the 2^g functions sum to
     theta(z; tau/2) and are computed as that one theta series, its terms
-    grouped by m mod 2.  Z is reduced modulo the tau lattice (not the tau/2
-    lattice, whose odd shifts would permute the classes) and the exact
-    prefactor reapplied, so values and derivatives hold at any argument.
-    Returns (jet, radius, tail_bound) like theta_batch, with the values
-    (N, 2^g), gradients (N, 2^g, g) and Hessians (N, 2^g, g, g).
+    grouped by m mod 2.  Z is reduced modulo the tau/2 lattice,
+    Z = Z_red + m + (tau/2) q.  Substituting m -> n - q in the series gives
+
+        theta_eps(Z) = exp(-i pi q^T (tau/2) q - 2 pi i q^T Z_red)
+                       * theta_{eps + q mod 2}(Z_red),
+
+    so the classes summed at Z_red are relabelled by q mod 2 and the
+    exact prefactor reapplied: values and derivatives hold at any
+    argument.  Returns (jet, radius, tail_bound) like theta_batch, with
+    the values (N, 2^g), gradients (N, 2^g, g) and Hessians
+    (N, 2^g, g, g).
     """
-    rm, (Z_red, m, p), squeeze = _prepare(tau, Z, tol, deriv)
+    rm, Z, squeeze = _prepare(tau, Z, tol, deriv)
     if rm._half is None:
         rm._half = RiemannMatrix(rm.entries / 2.0)
+    Z_red, m, q = rm._half.reduce(Z)
     zero = np.zeros(rm.g)
     outs, radius, tail = _series(rm._half, Z_red, zero, zero, tol, deriv,
                                  by_parity=True)
-    jet = _unreduce(rm._half, zero, zero, m, 2.0 * p, Z_red, outs)
+    # class eps at Z is class eps XOR (q mod 2) at Z_red
+    classes = np.arange(2 ** rm.g)[None, :] ^ _class_index(q)[:, None]
+    rows = np.arange(len(Z))[:, None]
+    outs = [o[rows, classes] for o in outs]
+    jet, tail = _unreduce(rm._half, zero, zero, m, q, Z_red, outs, tail)
     return tuple(o[0] if squeeze else o for o in jet), radius, tail

@@ -1,18 +1,32 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trisect.cli import run
 from conftest import reference_curve
 
 
-@pytest.fixture(scope="module")
-def curve_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("curves") / "g3.json"
-    coeffs = [float(c) for c in np.poly(range(7))[::-1]]
+def write_curve(tmp_path_factory, genus):
+    """A curve file with roots 0, 1, ..., 2 genus."""
+    path = tmp_path_factory.mktemp("curves") / f"g{genus}.json"
+    coeffs = [float(c) for c in np.poly(range(2 * genus + 1))[::-1]]
     path.write_text(json.dumps({"f_coeffs": coeffs}))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def curve_file(tmp_path_factory):
+    return write_curve(tmp_path_factory, 3)
+
+
+@pytest.fixture(scope="module")
+def curve2_file(tmp_path_factory):
+    return write_curve(tmp_path_factory, 2)
 
 
 def run_json(capsys, argv):
@@ -135,8 +149,12 @@ class TestErrorPaths:
         (["periods", "--tol", "-1"], 2),
         (["theta", "--z", "[[1e300,0],[0,1e3],[0,0]]"], 3),
         (["theta", "--z", "[[0,0],[0,0],[0,0]]", "--tol", "nan"], 2),
+        (["theta", "--z", "[[0,0],[0,1e17],[0,0]]"], 3),
+        (["fay", "--seed", "-1"], 2),
+        (["fay", "--seed", "x"], 2),
     ], ids=["z-not-json", "negative-period-tol", "non-finite-theta",
-            "nan-theta-tol"])
+            "nan-theta-tol", "unreducible-theta-argument", "negative-seed",
+            "malformed-seed"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_contract(self, capsys, curve_file, argv, code):
         assert run(argv + ["--curve", curve_file]) == code
@@ -159,3 +177,57 @@ class TestSelftestCommand:
         assert report["results"]["summary"] == {"elliptic-periods": "PASS"}
         crit = report["results"]["criteria"]["elliptic-periods"]
         assert crit["passed"] is True
+
+
+#: numbers as text, well-formed or not, from tiny to beyond float range
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "1e-320", "1e308", "",
+                     "0x10", "1_0", " 3 "]),
+    st.text(max_size=8),
+)
+#: JSON numbers, non-finite and beyond float range included
+JSON_NUMBERS = st.one_of(st.floats(), st.integers(-10 ** 400, 10 ** 400))
+Z_TEXT = st.one_of(
+    st.lists(st.tuples(JSON_NUMBERS, JSON_NUMBERS),
+             max_size=3).map(json.dumps),
+    st.lists(st.lists(JSON_NUMBERS, max_size=3), max_size=3).map(json.dumps),
+    st.text(max_size=20),
+)
+#: the options each command takes; others are drawn now and then too
+OPTIONS = {"periods": ["--tol"], "theta": ["--z", "--tol"],
+           "fay": ["--seed"], "trisecant": ["--seed"],
+           "multisecant": ["--seed", "--ell"], "gamma00-dim": [],
+           "gamma00-trisecant": ["--seed"], "span": ["--seed", "--ell"]}
+VALUES = {"--z": Z_TEXT, "--tol": NUMBER_TEXT, "--seed": NUMBER_TEXT,
+          "--ell": NUMBER_TEXT}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    names = [name for name in VALUES if name in OPTIONS[command]
+             and (name == "--z" or draw(st.booleans()))]
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(sorted(VALUES))))
+    return [command] + [item for name in names
+                        for item in (name, draw(VALUES[name]))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_exit_contract_fuzz(curve2_file, argv):
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run(argv + ["--curve", curve2_file])
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue(), parse_constant=_reject_non_finite)
+    if code in (0, 1):
+        assert report["pass"] is (code == 0)
+    else:
+        assert report["error"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -21,7 +21,8 @@ TAU3 = np.array([[1.2j, 0.2 + 0.1j, -0.1],
 def brute_theta(tau, z, a=None, b=None, box=12, deriv=0):
     """Independent oracle: direct box sum over the integer lattice.
 
-    deriv=2 gives the z-Hessian, the sum weighted by (2 pi i)^2 n n^T.
+    deriv=1 gives the z-gradient, the sum weighted by 2 pi i n, and deriv=2
+    the z-Hessian, the sum weighted by (2 pi i)^2 n n^T.
     """
     tau = np.asarray(tau, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -34,6 +35,8 @@ def brute_theta(tau, z, a=None, b=None, box=12, deriv=0):
     expo = (1j * np.pi * np.einsum("tg,gh,th->t", n, tau, n)
             + 2j * np.pi * n @ (z + b))
     terms = np.exp(expo)
+    if deriv == 1:
+        return 2j * np.pi * terms @ n
     if deriv == 2:
         return (2j * np.pi) ** 2 * np.einsum("t,tg,th->gh", terms, n, n)
     return complex(np.sum(terms))
@@ -42,11 +45,12 @@ def brute_theta(tau, z, a=None, b=None, box=12, deriv=0):
 def second_order_theta(tau, z, eps, deriv=0):
     """Oracle: theta[eps/2, 0](2 tau, 2 z) as a box sum on the matrix 2 tau.
 
-    deriv=2 gives its z-Hessian, 4 x the Hessian of theta(2 tau) at 2 z.
+    deriv=1 and 2 give its z-gradient and z-Hessian, 2^deriv x those of
+    theta(2 tau) at 2 z.
     """
     value = brute_theta(2.0 * np.asarray(tau), 2.0 * np.asarray(z),
                         a=np.asarray(eps) / 2.0, deriv=deriv)
-    return value if deriv == 0 else 4.0 * value
+    return 2.0 ** deriv * value
 
 
 class TestAgainstBruteForce:
@@ -127,14 +131,63 @@ class TestParityAndIdentities:
         z = rng.standard_normal(g) * 0.3 + 0.2j * rng.standard_normal(g)
         m = np.array([2.0, -1.0, 3.0])[:g]
         p = np.array([1.0, -2.0, -1.0])[:g]
-        # a tau/2-lattice reduction would permute the parity classes at the
-        # half-period shift, whose tau/2 coordinates p are odd
+        # z + tau p / 2 has odd tau/2 coordinates p: its reduction modulo
+        # tau/2 relabels the parity classes
         for arg in (z, z + m + tau @ p, z + tau @ p / 2.0):
             basis = second_order_basis(tau, arg, deriv=deriv)[0][deriv]
             expected = np.array([second_order_theta(tau, arg, eps, deriv)
                                  for eps in all_epsilons(g)])
             assert np.max(np.abs(basis - expected)) \
                 < 1e-10 * np.max(np.abs(expected))
+
+
+def half_period_arguments(tau, seed):
+    """(q, z + tau q / 2, z + tau q / 2 + m + tau p) for a small z and
+    every q in {0,1}^g."""
+    g = len(tau)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-0.2, 0.2, g) + 0.1j * rng.uniform(-1.0, 1.0, g)
+    m = np.array([2.0, -1.0, 3.0])[:g]
+    p = np.array([1.0, -2.0, -1.0])[:g]
+    for q in itertools.product((0.0, 1.0), repeat=g):
+        half = z + tau @ np.asarray(q) / 2.0
+        yield q, z, half, half + m + tau @ p
+
+
+class TestHalfPeriodReduction:
+    """second_order_basis reduces modulo tau/2 and relabels the classes."""
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("tau", [TAU2, TAU3], ids=["g2", "g3"])
+    def test_relabelled_classes_match_box_sum(self, tau, deriv):
+        g = len(tau)
+        for q, _, half, far in half_period_arguments(tau, 4):
+            for arg in (half, far):
+                basis = second_order_basis(tau, arg, deriv=deriv)[0][deriv]
+                expected = np.array([second_order_theta(tau, arg, eps, deriv)
+                                     for eps in all_epsilons(g)])
+                assert np.max(np.abs(basis - expected)) \
+                    < 1e-10 * np.max(np.abs(expected)), q
+
+    @pytest.mark.parametrize("tau", [TAU2, TAU3], ids=["g2", "g3"])
+    def test_radius_does_not_grow_with_the_cell(self, tau):
+        for q, z, _, far in half_period_arguments(tau, 5):
+            _, radius, _ = second_order_basis(tau, z, deriv=2)
+            _, far_radius, _ = second_order_basis(tau, far, deriv=2)
+            assert far_radius == pytest.approx(radius, abs=1e-9), q
+
+    def test_quadratic_form_cache_follows_reenumeration(self):
+        rm = RiemannMatrix(TAU3)
+        char = HalfCharacteristic((1, 0, 1), (0, 1, 1))
+        z = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.3 - 0.1j])
+        theta_batch(rm, z, char=char)
+        radius = rm._points_radius
+        # a tighter tolerance and a Hessian need a larger point set
+        theta_batch(rm, z, char=char, tol=1e-14, deriv=2)
+        assert rm._points_radius > radius
+        (got,), _, _ = theta_batch(rm, z, char=char)
+        (want,), _, _ = theta_batch(RiemannMatrix(TAU3), z, char=char)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestDerivatives:
@@ -353,6 +406,18 @@ class TestMpmathOracle:
                 assert got[k].shape == np.shape(want)
                 assert np.max(np.abs(got[k] - want)) \
                     <= tail + 1e-13 * np.max(np.abs(want))
+
+
+    def test_tail_bound_holds_at_far_argument(self):
+        # z + m + tau p with p = (1, -1): the quasi-periodic prefactor
+        # scales the value, 1.2e5 here, and its errors by about 1e5
+        z = np.array([-0.23838787 - 0.12391906j, -0.20150886 - 0.73244021j])
+        Z = z + np.array([2.0, -1.0]) + TAU2 @ np.array([1.0, -1.0])
+        char = HalfCharacteristic.zero(2)
+        jet, _, tail = theta_batch(TAU2, Z, deriv=2)
+        oracle = mp_theta_jet(TAU2, Z, char.a, char.b)
+        for got, want in zip(jet, oracle):
+            assert np.max(np.abs(got - want)) <= tail
 
 
 class TestCharacteristicIndexing:
