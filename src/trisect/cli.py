@@ -1,8 +1,10 @@
 """Command line front end: curve ingestion, experiment orchestration and
 JSON certificate reports.
 
-Every command prints exactly one JSON document.  Exit codes: 0 the claim
-passed, 1 certified failure, 2 invalid input, 3 numerical failure.
+Every command prints exactly one JSON document, assembled and timed by
+`run` from the (inputs, results, tolerances, passed) its function returns.
+Exit codes: 0 the claim passed, 1 certified failure, 2 invalid input,
+3 numerical failure.
 Complex numbers are serialized as [re, im] pairs; second-order theta
 coordinates follow the lexicographic epsilon order with the first entry
 most significant.
@@ -57,26 +59,12 @@ def _load_curve(path):
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read curve file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"curve file is not valid JSON: {exc}")
     return cv.HyperellipticCurve.from_json_dict(data), data
 
 
-def _report(args, inputs, results, tolerances, timings, passed):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs_digest": _digest(_c2j(inputs)),
-        "seed": getattr(args, "seed", None),
-        "tolerances": tolerances,
-        "timings_ms": {k: int(v * 1000) for k, v in timings.items()},
-        "results": _c2j(results),
-        "pass": bool(passed),
-    }
-
-
 def _cmd_periods(args):
-    t0 = time.time()
     curve, raw = _load_curve(args.curve)
     periods = cv.period_matrix(curve, tol=args.tol)
     residual = periods.bilinear_residual()
@@ -88,21 +76,22 @@ def _cmd_periods(args):
             float(np.linalg.eigvalsh(periods.tau.entries.imag).min()),
     }
     passed = residual < 1e-9
-    return _report(args, {"curve": raw, "tol": args.tol}, results,
-                   {"period_tol": args.tol},
-                   {"total": time.time() - t0}, passed)
+    return ({"curve": raw, "tol": args.tol}, results,
+            {"period_tol": args.tol}, passed)
 
 
 def _parse_z(text):
     try:
-        return np.asarray([complex(re_, im_) for re_, im_ in json.loads(text)])
+        pairs = json.loads(text)
+        if any(isinstance(v, bool) for pair in pairs for v in pair):
+            raise TypeError("true and false are not numbers")
+        return np.asarray([complex(re_, im_) for re_, im_ in pairs])
     except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise InvalidInput("--z must be a JSON list of [re, im] pairs",
                            reason=str(exc))
 
 
 def _cmd_theta(args):
-    t0 = time.time()
     curve, raw = _load_curve(args.curve)
     periods = cv.period_matrix(curve)
     z = _parse_z(args.z)
@@ -120,33 +109,23 @@ def _cmd_theta(args):
         "truncation_radius": float(radius),
         "bound_on_tail": float(tail),
     }
-    return _report(args, {"curve": raw, "z": args.z, "char": args.char},
-                   results, {"theta_tol": args.tol},
-                   {"total": time.time() - t0}, True)
+    return ({"curve": raw, "z": args.z, "char": args.char}, results,
+            {"theta_tol": args.tol}, True)
 
 
 def _cmd_fay(args):
-    t0 = time.time()
     curve, raw = _load_curve(args.curve)
     periods = cv.period_matrix(curve)
-    rng = np.random.default_rng(args.seed)
-    pts = []
-    while len(pts) < 4:
-        x = (rng.uniform(curve.roots[0] + 0.3, curve.roots[-1] - 0.3)
-             + 1j * rng.uniform(0.3, 0.3 * curve.span))
-        if all(abs(x - p.x) > 1e-6 for p in pts):
-            pts.append(curve.point(x, 1 if rng.integers(2) == 0 else -1))
-    triple = se.fay_construct(curve, periods, *pts)
-    cert = se.certify_secant(periods.tau, triple.lifts,
-                             expect_on_theta=False, rank_tol=args.rank_tol)
+    triple, cert = se.fay_trisecant(curve, periods,
+                                    np.random.default_rng(args.seed),
+                                    rank_tol=args.rank_tol)
     results = {
-        "points_x": [p.x for p in pts],
+        "points_x": [p.x for p in triple.data["points"]],
         "lifts": [l.z for l in triple.lifts],
         "certificate": cert.to_dict(),
     }
-    return _report(args, {"curve": raw, "seed": args.seed}, results,
-                   {"rank_tol": args.rank_tol},
-                   {"total": time.time() - t0}, cert.passes)
+    return ({"curve": raw, "seed": args.seed}, results,
+            {"rank_tol": args.rank_tol}, cert.passes)
 
 
 def _theta_divisor_setup(args, ell):
@@ -165,13 +144,9 @@ def _theta_divisor_setup(args, ell):
 
 
 def _cmd_trisecant(args):
-    t0 = time.time()
     curve, raw, periods, kappa, sample = _theta_divisor_setup(args, 3)
-    triple = se.theta_trisecant_construct(curve, periods, sample, kappa)
-    cert = se.certify_secant(periods.tau, triple.lifts,
-                             rank_tol=args.rank_tol)
-    zp, zq, zr, zs = triple.data["zetas"]
-    halving = (2.0 * triple.a - (zp - zq - zr + zs)).lattice_distance()
+    triple, cert, halving = se.theta_trisecant(curve, periods, sample, kappa,
+                                               rank_tol=args.rank_tol)
     results = {
         "lifts": [l.z for l in triple.lifts],
         "certificate": cert.to_dict(),
@@ -179,38 +154,24 @@ def _cmd_trisecant(args):
     }
     passed = cert.passes and max(cert.theta_residuals) < 1e-7 \
         and halving < 1e-7
-    return _report(args, {"curve": raw, "seed": args.seed}, results,
-                   {"rank_tol": args.rank_tol},
-                   {"total": time.time() - t0}, passed)
+    return ({"curve": raw, "seed": args.seed}, results,
+            {"rank_tol": args.rank_tol}, passed)
 
 
 def _cmd_multisecant(args):
-    t0 = time.time()
-    ell = args.ell
-    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, ell)
-    seen = []
-    partitions = se.all_partitions(sample)
-    certs = []
-    passed = True
-    for part in partitions:
-        lifts, cert = se.multisecant_from_Bl(curve, periods, sample,
-                                             kappa, part,
-                                             rank_tol=args.rank_tol)
-        certs.append(cert.to_dict())
-        passed = passed and cert.passes \
-            and max(cert.theta_residuals) < 1e-6
-        for lift in lifts:
-            if not any(lift.lattice_distance(o) < 1e-6 for o in seen):
-                seen.append(lift)
+    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, args.ell)
+    certs, distinct = se.multisecant_sweep(curve, periods, sample, kappa,
+                                           rank_tol=args.rank_tol)
+    passed = all(cert.passes and max(cert.theta_residuals) < 1e-6
+                 for cert in certs)
     results = {
-        "ell": ell,
-        "n_partitions": len(partitions),
-        "distinct_points": len(seen),
-        "certificates": certs,
+        "ell": args.ell,
+        "n_partitions": len(certs),
+        "distinct_points": len(distinct),
+        "certificates": [cert.to_dict() for cert in certs],
     }
-    return _report(args, {"curve": raw, "seed": args.seed, "ell": ell},
-                   results, {"rank_tol": args.rank_tol},
-                   {"total": time.time() - t0}, passed)
+    return ({"curve": raw, "seed": args.seed, "ell": args.ell}, results,
+            {"rank_tol": args.rank_tol}, passed)
 
 
 _K0_TERM = re.compile(r"^(\d+)([A-Za-z]\w*)$")
@@ -234,7 +195,6 @@ def _parse_k0(text):
 
 
 def _cmd_fiber(args):
-    t0 = time.time()
     labels, mults = _parse_k0(args.k0)
     entries = ge.gauss_fiber_enumerate(mults, genus=args.genus)
     results = {
@@ -247,39 +207,32 @@ def _cmd_fiber(args):
         ],
         "total_multiplicity": ge.fiber_total_multiplicity(entries),
     }
-    return _report(args, {"k0": args.k0, "genus": args.genus}, results,
-                   {}, {"total": time.time() - t0}, True)
+    return {"k0": args.k0, "genus": args.genus}, results, {}, True
 
 
 def _cmd_gamma00_dim(args):
-    t0 = time.time()
     curve, raw = _load_curve(args.curve)
     periods = cv.period_matrix(curve)
     dim, _, cert = g00.gamma00_dimension(periods.tau, tol=args.rank_tol)
-    g = curve.genus
-    expected = 2 ** g - g * (g + 1) // 2 - 1
+    expected = g00.expected_gamma00_dimension(curve.genus)
     results = {
         "dimension": dim,
         "expected": expected,
         "rank_certificate": cert.to_dict(),
     }
-    return _report(args, {"curve": raw}, results,
-                   {"rank_tol": args.rank_tol},
-                   {"total": time.time() - t0}, dim == expected)
+    return ({"curve": raw}, results, {"rank_tol": args.rank_tol},
+            dim == expected)
 
 
 def _cmd_gamma00_trisecant(args):
-    t0 = time.time()
     curve, raw, periods, kappa, sample = _theta_divisor_setup(args, 3)
     triple = se.theta_trisecant_construct(curve, periods, sample, kappa)
     dim, info = g00.trisecant_gamma00_test(
         periods.tau, triple.a.z, triple.b.z, triple.c.z,
         tol=args.rank_tol)
-    rng = np.random.default_rng(args.seed + 1)
-    control_pts = [ge.theta_divisor_point(periods.tau, rng)
-                   for _ in range(3)]
-    dim_control, _ = g00.trisecant_gamma00_test(periods.tau, *control_pts,
-                                                tol=args.rank_tol)
+    (dim_control,) = g00.gamma00_controls(
+        periods.tau, np.random.default_rng(args.seed + 1), 1,
+        tol=args.rank_tol)
     results = {
         "trisecant_dimension": dim,
         "control_dimension": dim_control,
@@ -287,13 +240,11 @@ def _cmd_gamma00_trisecant(args):
         "degenerate_span": info["degenerate_span"],
     }
     passed = dim == 1 and dim_control == 0
-    return _report(args, {"curve": raw, "seed": args.seed}, results,
-                   {"rank_tol": args.rank_tol},
-                   {"total": time.time() - t0}, passed)
+    return ({"curve": raw, "seed": args.seed}, results,
+            {"rank_tol": args.rank_tol}, passed)
 
 
 def _cmd_span(args):
-    t0 = time.time()
     curve, raw, periods, kappa, sample = _theta_divisor_setup(args,
                                                               args.ell)
     dim_inner, dim_outer, dim_g00, details = g00.span_VpWp(
@@ -305,14 +256,11 @@ def _cmd_span(args):
         "fiber": details,
     }
     passed = dim_inner <= dim_outer <= dim_g00
-    return _report(args, {"curve": raw, "seed": args.seed,
-                          "ell": args.ell},
-                   results, {"rank_tol": args.rank_tol},
-                   {"total": time.time() - t0}, passed)
+    return ({"curve": raw, "seed": args.seed, "ell": args.ell}, results,
+            {"rank_tol": args.rank_tol}, passed)
 
 
 def _cmd_selftest(args):
-    t0 = time.time()
     report = run_selftest(seed=args.seed, only=args.only)
     results = {
         "criteria": {name: _c2j(det)
@@ -320,8 +268,7 @@ def _cmd_selftest(args):
         "summary": {name: ("PASS" if det["passed"] else "FAIL")
                     for name, det in report["criteria"].items()},
     }
-    return _report(args, {"seed": args.seed, "only": args.only}, results,
-                   {}, {"total": time.time() - t0}, report["pass"])
+    return {"seed": args.seed, "only": args.only}, results, {}, report["pass"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,12 +348,23 @@ def run(argv=None):
         return _print_error(exc, 2)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    t0 = time.time()
     try:
-        report = args.func(args)
+        inputs, results, tolerances, passed = args.func(args)
     except InvalidInput as exc:
         return _print_error(exc, 2)
     except TrisectError as exc:
         return _print_error(exc, 3)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs_digest": _digest(_c2j(inputs)),
+        "seed": getattr(args, "seed", None),
+        "tolerances": tolerances,
+        "timings_ms": {"total": int((time.time() - t0) * 1000)},
+        "results": _c2j(results),
+        "pass": bool(passed),
+    }
     try:
         text = json.dumps(report, indent=2, allow_nan=False)
     except ValueError as exc:

@@ -125,9 +125,14 @@ class HyperellipticCurve:
 
     @classmethod
     def from_json_dict(cls, data):
-        if not isinstance(data, dict) or "f_coeffs" not in data:
-            raise InvalidInput("curve JSON must contain 'f_coeffs'")
-        return cls(data["f_coeffs"])
+        coeffs = data.get("f_coeffs") if isinstance(data, dict) else None
+        # JSON true/false are Python bools, which numpy reads as 1 and 0
+        if not isinstance(coeffs, list) or not all(
+                type(c) in (int, float) and abs(c) <= np.finfo(float).max
+                for c in coeffs):
+            raise InvalidInput(
+                "curve JSON must hold 'f_coeffs', a list of finite numbers")
+        return cls(coeffs)
 
     def f(self, x):
         # product form over the computed roots: stable near branch points,
@@ -242,30 +247,48 @@ class PeriodData:
                                           @ self.omega_b.T), 1e-300))
 
 
-def _segment_integrals(curve, lo, hi, tol):
-    """Integrals of x^{k-1}/y_+ over [lo, hi] between consecutive roots.
+_LEGGAUSS_CACHE = {}
 
-    Gauss-Chebyshev nodes absorb the inverse-square-root endpoint
-    singularities; node count doubles until two successive estimates agree.
-    """
-    g = curve.genus
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+
+def _leggauss01(n):
+    if n not in _LEGGAUSS_CACHE:
+        t, w = np.polynomial.legendre.leggauss(n)
+        _LEGGAUSS_CACHE[n] = (0.5 * (t + 1.0), 0.5 * w)
+    return _LEGGAUSS_CACHE[n]
+
+
+def _node_doubling(func, tol, rule=_leggauss01):
+    """Quadrature of func(t) (vector-valued) with the nodes and weights
+    rule(n); n doubles from 32 until two successive estimates agree."""
     prev = None
     n = 32
     while n <= _MAX_NODES:
-        t, w = quadrature_nodes(n)
-        x = mid + half * t
-        y = curve.y_branch(x)
-        smooth = np.sqrt(1.0 - t * t) / y
-        vand = x[None, :] ** np.arange(g)[:, None]
-        est = half * (vand * smooth[None, :]) @ w
+        t, w = rule(n)
+        est = func(t) @ w
         if prev is not None and np.max(np.abs(est - prev)) \
                 < tol * max(1.0, float(np.max(np.abs(est)))):
             return est
         prev = est
         n *= 2
-    raise NumericalFailure("period quadrature did not converge", tol=tol)
+    raise NumericalFailure("quadrature did not converge", tol=tol)
+
+
+def _segment_integrals(curve, lo, hi, tol):
+    """Integrals of x^{k-1}/y_+ over [lo, hi] between consecutive roots.
+
+    Gauss-Chebyshev nodes absorb the inverse-square-root endpoint
+    singularities.
+    """
+    g = curve.genus
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+
+    def integrand(t):
+        x = mid + half * t
+        smooth = np.sqrt(1.0 - t * t) / curve.y_branch(x)
+        return half * (x[None, :] ** np.arange(g)[:, None] * smooth[None, :])
+
+    return _node_doubling(integrand, tol, quadrature_nodes)
 
 
 def period_matrix(curve, tol=1e-11):
@@ -316,32 +339,6 @@ def period_matrix(curve, tol=1e-11):
     return periods
 
 
-_LEGGAUSS_CACHE = {}
-
-
-def _leggauss01(n):
-    if n not in _LEGGAUSS_CACHE:
-        t, w = np.polynomial.legendre.leggauss(n)
-        _LEGGAUSS_CACHE[n] = (0.5 * (t + 1.0), 0.5 * w)
-    return _LEGGAUSS_CACHE[n]
-
-
-def _gauss_legendre_converge(func, tol, n0=32):
-    """Integrate func(t) (vector-valued) over [0, 1] with node doubling."""
-    prev = None
-    n = n0
-    while n <= _MAX_NODES:
-        t, w = _leggauss01(n)
-        vals = func(t)
-        est = vals @ w
-        if prev is not None and np.max(np.abs(est - prev)) \
-                < tol * max(1.0, float(np.max(np.abs(est)))):
-            return est
-        prev = est
-        n *= 2
-    raise NumericalFailure("path quadrature did not converge", tol=tol)
-
-
 def _integral_to_anchor(curve, anchor, tol):
     """Integral of x^{k-1} dx / y_+ from infinity to the anchor along the
     real axis (substitution x = anchor / v^2 regularizes the tail)."""
@@ -353,7 +350,7 @@ def _integral_to_anchor(curve, anchor, tol):
         vand = x[None, :] ** np.arange(g)[:, None]
         return vand * (-2.0 * anchor / (v ** 3 * y))[None, :]
 
-    return _gauss_legendre_converge(integrand, tol)
+    return _node_doubling(integrand, tol)
 
 
 def _sheet_flip_vector(curve, anchor, tol):
@@ -369,7 +366,7 @@ def _sheet_flip_vector(curve, anchor, tol):
         vand = x[None, :] ** np.arange(g)[:, None]
         return vand * (2.0 * c * u / y)[None, :]
 
-    return -2.0 * _gauss_legendre_converge(integrand, tol)
+    return -2.0 * _node_doubling(integrand, tol)
 
 
 def _tracked_branch(curve, xs, y_start):
@@ -429,7 +426,7 @@ def _segment_quadrature(curve, x_from, x_to, y_start, tol, endpoint_branch):
         vand = xs[None, :] ** np.arange(g)[:, None]
         return vand * (delta * jac / ys)[None, :]
 
-    est = _gauss_legendre_converge(integrand, tol)
+    est = _node_doubling(integrand, tol)
     return est, state["y_end"]
 
 
@@ -480,6 +477,14 @@ def abel_jacobi_divisor(curve, divisor, periods, tol=1e-10):
     for point, mult in divisor.terms:
         z = z + mult * abel_jacobi(curve, point, periods, tol).z
     return JacobianLift(z, periods.tau)
+
+
+def random_curve_point(curve, rng):
+    """A curve point over a random x in the upper half plane, on a random
+    sheet (x is drawn first, then the sheet)."""
+    x = (rng.uniform(curve.roots[0] + 0.3, curve.roots[-1] - 0.3)
+         + 1j * rng.uniform(0.3, 0.3 * curve.span))
+    return curve.point(x, 1 if rng.integers(2) == 0 else -1)
 
 
 def random_effective_divisor(curve, degree, rng):

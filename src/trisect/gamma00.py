@@ -14,7 +14,8 @@ import numpy as np
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
-from .geometry import _as_rm, _as_vector, gauss_fiber_enumerate
+from .geometry import (_as_rm, _as_vector, gauss_fiber_enumerate,
+                       theta_divisor_point)
 from .curves import abel_jacobi_divisor
 
 
@@ -94,6 +95,12 @@ def taylor_conditions(tau, section, tol=DEFAULT_THETA_TOL):
     return TaylorConditions(values=values, relative_residual=rel)
 
 
+def expected_gamma00_dimension(g):
+    """2^g - g(g+1)/2 - 1: the order-4 space when its 1 + g(g+1)/2
+    conditions are independent."""
+    return 2 ** g - g * (g + 1) // 2 - 1
+
+
 def gamma00_dimension(tau, tol=DEFAULT_RANK_TOL, theta_tol=DEFAULT_THETA_TOL):
     """Dimension of the order-4 subspace as the nullity of the condition
     matrix, with a nullspace basis and the rank certificate.
@@ -167,6 +174,17 @@ def trisecant_gamma00_test(tau, x1, x2, x3, tol=DEFAULT_RANK_TOL,
         "conditions_cert": ms_cert,
     }
     return dimension, info
+
+
+def gamma00_controls(tau, rng, n_triples, tol=DEFAULT_RANK_TOL):
+    """trisecant_gamma00_test dimensions of n_triples triples of random
+    theta-divisor points, drawn from rng triple by triple; a non-trisecant
+    triple gives 0."""
+    dims = []
+    for _ in range(n_triples):
+        pts = [theta_divisor_point(tau, rng) for _ in range(3)]
+        dims.append(trisecant_gamma00_test(tau, *pts, tol=tol)[0])
+    return dims
 
 
 def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,

@@ -20,7 +20,7 @@ from .geometry import (_as_rm, _on_theta, _theta_scales, kummer_map,
                        canonical_direction, hyperplane_residual,
                        SMOOTHNESS_THRESHOLD, DEFAULT_ON_THETA_TOL)
 from .curves import (JacobianLift, Divisor, abel_jacobi,
-                     abel_jacobi_divisor)
+                     abel_jacobi_divisor, random_curve_point)
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,20 @@ def fay_construct(curve, periods, p, q, r, s, tol=1e-10):
                            data={"points": (p, q, r, s)})
 
 
+def fay_trisecant(curve, periods, rng, rank_tol=DEFAULT_RANK_TOL):
+    """The Fay trisecant of four random curve points with distinct x and
+    its certificate (off the theta divisor).  Returns (triple, cert)."""
+    pts = []
+    while len(pts) < 4:
+        pt = random_curve_point(curve, rng)
+        if all(abs(pt.x - other.x) > 1e-6 for other in pts):
+            pts.append(pt)
+    triple = fay_construct(curve, periods, *pts)
+    cert = certify_secant(periods.tau, triple.lifts, expect_on_theta=False,
+                          rank_tol=rank_tol)
+    return triple, cert
+
+
 def theta_trisecant_construct(curve, periods, sample, kappa, tol=1e-10):
     """Trisecant through three theta-divisor points from a B3 canonical
     divisor K0 = p+q+r+s+2D.
@@ -111,6 +125,21 @@ def theta_trisecant_construct(curve, periods, sample, kappa, tol=1e-10):
     return TrisecantTriple(a=a, b=b, c=c, source="theta",
                            data={"sample": sample,
                                  "zetas": (zp, zq, zr, zs)})
+
+
+def theta_trisecant(curve, periods, sample, kappa,
+                    rank_tol=DEFAULT_RANK_TOL):
+    """The theta-divisor trisecant of a B3 sample, its certificate and its
+    halving residual: the lattice distance of 2a from z(p)-z(q)-z(r)+z(s),
+    which is AJ(K0) - 2 kappa and so vanishes modulo the lattice.
+
+    Returns (triple, cert, halving residual).
+    """
+    triple = theta_trisecant_construct(curve, periods, sample, kappa)
+    cert = certify_secant(periods.tau, triple.lifts, rank_tol=rank_tol)
+    zp, zq, zr, zs = triple.data["zetas"]
+    halving = (2.0 * triple.a - (zp - zq - zr + zs)).lattice_distance()
+    return triple, cert, halving
 
 
 def _lift_array(lifts, g):
@@ -245,6 +274,26 @@ def all_partitions(sample):
     """Every admissible p-selection of the 2l-2 simple points."""
     n = len(sample.simple_points)
     return list(combinations(range(n), sample.ell))
+
+
+def multisecant_sweep(curve, periods, sample, kappa,
+                      rank_tol=DEFAULT_RANK_TOL):
+    """multisecant_from_Bl over every partition of the sample.
+
+    Returns the certificates in all_partitions order and the distinct
+    points among all lifts: a lift within 1e-6 of an earlier one modulo
+    the lattice counts once.
+    """
+    certs = []
+    distinct = []
+    for part in all_partitions(sample):
+        lifts, cert = multisecant_from_Bl(curve, periods, sample, kappa,
+                                          part, rank_tol=rank_tol)
+        certs.append(cert)
+        for lift in lifts:
+            if not any(lift.lattice_distance(o) < 1e-6 for o in distinct):
+                distinct.append(lift)
+    return certs, distinct
 
 
 def igusa_span_check(gradients, tol=DEFAULT_RANK_TOL):

@@ -17,7 +17,6 @@ from . import geometry as ge
 from . import secants as se
 from . import gamma00 as g00
 from .errors import InvalidInput
-from .numeric import projective_angle, numerical_rank
 from .theta import (theta_batch, second_order_basis, all_epsilons,
                     HalfCharacteristic)
 
@@ -31,17 +30,15 @@ def reference_curve(genus):
 
 
 class Context:
-    """Lazy per-genus cache of curve, periods and theta characteristic."""
+    """Lazy per-genus cache of periods and Riemann constant of the
+    reference curves."""
 
     def __init__(self):
-        self._curves = {}
         self._periods = {}
         self._kappa = {}
 
     def curve(self, g):
-        if g not in self._curves:
-            self._curves[g] = reference_curve(g)
-        return self._curves[g]
+        return reference_curve(g)
 
     def periods(self, g):
         if g not in self._periods:
@@ -53,12 +50,6 @@ class Context:
             self._kappa[g] = cv.riemann_constant(self.curve(g),
                                                  self.periods(g))[0]
         return self._kappa[g]
-
-    def random_point(self, g, rng):
-        curve = self.curve(g)
-        x = (rng.uniform(curve.roots[0] + 0.3, curve.roots[-1] - 0.3)
-             + 1j * rng.uniform(0.3, 0.3 * curve.span))
-        return curve.point(x, 1 if rng.integers(2) == 0 else -1)
 
 
 def _agm(a, b):
@@ -190,10 +181,7 @@ def criterion_fay(ctx, seed):
         curve = ctx.curve(g)
         periods = ctx.periods(g)
         for _ in range(10):
-            pts = [ctx.random_point(g, rng) for _ in range(4)]
-            tri = se.fay_construct(curve, periods, *pts)
-            cert = se.certify_secant(periods.tau, tri.lifts,
-                                     expect_on_theta=False)
+            _, cert = se.fay_trisecant(curve, periods, rng)
             if not (cert.rank_cert.decided_rank <= 2
                     and all(cert.general_position)):
                 return {"passed": False, "failed_at": ("fay", g)}
@@ -213,13 +201,9 @@ def criterion_fay(ctx, seed):
 
 def _theta_trisecant_report(ctx, g, seed):
     curve = ctx.curve(g)
-    periods = ctx.periods(g)
-    kappa = ctx.kappa(g)
     sample = cv.sample_B_ell(curve, 3, seed=seed)
-    tri = se.theta_trisecant_construct(curve, periods, sample, kappa)
-    cert = se.certify_secant(periods.tau, tri.lifts)
-    zp, zq, zr, zs = tri.data["zetas"]
-    halving = (2.0 * tri.a - (zp - zq - zr + zs)).lattice_distance()
+    tri, cert, halving = se.theta_trisecant(curve, ctx.periods(g), sample,
+                                            ctx.kappa(g))
     dists = [u.lattice_distance(v)
              for u, v in combinations(tri.lifts, 2)]
     return tri, cert, {
@@ -258,9 +242,8 @@ def criterion_gauss_hyperplane(ctx, seed):
     for g in (3, 4):
         curve = ctx.curve(g)
         periods = ctx.periods(g)
-        kappa = ctx.kappa(g)
-        sample = cv.sample_B_ell(curve, 3, seed=seed + g)
-        tri = se.theta_trisecant_construct(curve, periods, sample, kappa)
+        tri, _, _ = _theta_trisecant_report(ctx, g, seed + g)
+        sample = tri.data["sample"]
         p, q, r, s = sample.labeled_pqrs
         supports = {"a": (p, s), "b": (p, r)}
         for name, lift in (("a", tri.a), ("b", tri.b)):
@@ -312,33 +295,22 @@ def criterion_multisecant(ctx, seed):
     periods = ctx.periods(g)
     kappa = ctx.kappa(g)
     rng = np.random.default_rng(seed)
-    ps = [ctx.random_point(g, rng) for _ in range(ell)]
-    qs = [ctx.random_point(g, rng) for _ in range(ell - 2)]
+    ps = [cv.random_curve_point(curve, rng) for _ in range(ell)]
+    qs = [cv.random_curve_point(curve, rng) for _ in range(ell - 2)]
     _, gcert = se.gunning_construct(curve, periods, ps, qs)
     gunning_ok = (gcert.rank_cert.decided_rank <= ell - 1
                   and gcert.rank_cert.gap_ratio < 1e-5
                   and all(gcert.general_position))
 
     sample = cv.sample_B_ell(curve, ell, seed=seed)
-    seen = []
-    worst_theta = 0.0
-    worst_gap = 0.0
-    worst_angle = 0.0
-    ranks_ok = True
-    for part in se.all_partitions(sample):
-        lifts, cert = se.multisecant_from_Bl(curve, periods, sample,
-                                             kappa, part)
-        ranks_ok = ranks_ok and cert.rank_cert.decided_rank <= ell - 1
-        worst_gap = max(worst_gap, cert.rank_cert.gap_ratio)
-        worst_theta = max(worst_theta, max(cert.theta_residuals))
-        if cert.gauss_angles:
-            worst_angle = max(worst_angle, max(cert.gauss_angles))
-        for lift in lifts:
-            if not any(lift.lattice_distance(o) < 1e-6 for o in seen):
-                seen.append(lift)
+    certs, distinct = se.multisecant_sweep(curve, periods, sample, kappa)
+    ranks_ok = all(c.rank_cert.decided_rank <= ell - 1 for c in certs)
+    worst_gap = max(c.rank_cert.gap_ratio for c in certs)
+    worst_theta = max(max(c.theta_residuals) for c in certs)
+    worst_angle = max(max(c.gauss_angles, default=0.0) for c in certs)
     runtime = time.time() - t0
     expected = comb(2 * ell - 2, ell - 1)
-    count_ok = (len(seen) == expected)
+    count_ok = (len(distinct) == expected)
     passed = (gunning_ok and ranks_ok and worst_gap < 1e-5
               and worst_theta < 1e-6 and worst_angle < 1e-5
               and count_ok and runtime < 600.0)
@@ -347,7 +319,7 @@ def criterion_multisecant(ctx, seed):
             "worst_partition_gap": float(worst_gap),
             "worst_theta_residual": float(worst_theta),
             "worst_gauss_angle": float(worst_angle),
-            "distinct_points": len(seen),
+            "distinct_points": len(distinct),
             "expected_distinct": expected,
             "count_ok": bool(count_ok),
             "runtime_s": runtime}
@@ -361,7 +333,7 @@ def criterion_gamma00_dimension(ctx, seed):
     for g in (2, 3, 4):
         rm = ctx.periods(g).tau
         dim, _, cert = g00.gamma00_dimension(rm)
-        expected = 2 ** g - g * (g + 1) // 2 - 1
+        expected = g00.expected_gamma00_dimension(g)
         dims[f"g{g}"] = (dim, expected)
         ok = ok and dim == expected
         worst_gap = max(worst_gap, cert.gap_ratio)
@@ -380,13 +352,8 @@ def criterion_gamma00_trisecant(ctx, seed):
     tri4, _, _ = _theta_trisecant_report(ctx, 4, seed + 4)
     dim4, _ = g00.trisecant_gamma00_test(rm4, tri4.a.z, tri4.b.z, tri4.c.z)
 
-    rng = np.random.default_rng(seed)
-    controls_ok = True
-    for _ in range(10):
-        pts = [ge.theta_divisor_point(rm4, rng) for _ in range(3)]
-        dim_c, _ = g00.trisecant_gamma00_test(rm4, *pts)
-        if dim_c != 0:
-            controls_ok = False
+    controls_ok = all(dim == 0 for dim in g00.gamma00_controls(
+        rm4, np.random.default_rng(seed), 10))
     return {"passed": bool(combo_ok and dim4 == 1 and controls_ok),
             "combination_residual": float(conds.relative_residual),
             "trisecant_dimension": int(dim4),

@@ -26,9 +26,3 @@ def jac4():
     periods = cv.period_matrix(curve)
     kappa, _ = cv.riemann_constant(curve, periods)
     return curve, periods, kappa
-
-
-def random_curve_point(curve, rng):
-    x = (rng.uniform(curve.roots[0] + 0.3, curve.roots[-1] - 0.3)
-         + 1j * rng.uniform(0.3, 0.3 * curve.span))
-    return curve.point(x, 1 if rng.integers(2) == 0 else -1)

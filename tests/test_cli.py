@@ -7,21 +7,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trisect.curves as cv
+import trisect.gamma00 as g00
+import trisect.secants as se
 from trisect.cli import run
+from trisect.selftest import Context, DEFAULT_SEED, criterion_theta_trisecant
 from conftest import reference_curve
 
 
 def write_curve(tmp_path_factory, genus):
-    """A curve file with roots 0, 1, ..., 2 genus."""
+    """A curve file of the reference curve of this genus."""
     path = tmp_path_factory.mktemp("curves") / f"g{genus}.json"
-    coeffs = [float(c) for c in np.poly(range(2 * genus + 1))[::-1]]
+    coeffs = reference_curve(genus).f_coeffs.tolist()
     path.write_text(json.dumps({"f_coeffs": coeffs}))
     return str(path)
+
+
+def theta_divisor_setup(genus, seed, ell):
+    """Curve, periods, B_ell sample and kappa in the order the theta-divisor
+    commands compute them, so that every figure agrees to the last bit."""
+    curve = reference_curve(genus)
+    sample = cv.sample_B_ell(curve, ell, seed=seed)
+    periods = cv.period_matrix(curve)
+    kappa, _ = cv.riemann_constant(curve, periods)
+    return curve, periods, sample, kappa
 
 
 @pytest.fixture(scope="module")
 def curve_file(tmp_path_factory):
     return write_curve(tmp_path_factory, 3)
+
+
+@pytest.fixture(scope="module")
+def curve4_file(tmp_path_factory):
+    return write_curve(tmp_path_factory, 4)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +129,54 @@ class TestConstructions:
         assert report["results"]["dimension"] == 1
         assert report["results"]["expected"] == 1
 
+    def test_trisecant_reproduces_selftest(self, capsys, curve_file):
+        code, report = run_json(capsys, [
+            "trisecant", "--curve", curve_file,
+            "--seed", str(DEFAULT_SEED + 3)])
+        assert code == 0
+        g3 = criterion_theta_trisecant(Context(), DEFAULT_SEED)["g3"]
+        cert = report["results"]["certificate"]
+        assert cert["theta_residuals"] == g3["theta_residuals"]
+        assert cert["rank"]["gap_ratio"] == g3["collinearity_gap"]
+        assert cert["gauss_angles"] == g3["gauss_angles"]
+        assert report["results"]["halving_residual"] \
+            == g3["halving_residual"]
+
+    def test_multisecant(self, capsys, curve_file):
+        code, report = run_json(capsys, ["multisecant", "--curve",
+                                         curve_file, "--ell", "3",
+                                         "--seed", "2"])
+        assert code == 0
+        certs, distinct = se.multisecant_sweep(*theta_divisor_setup(3, 2, 3))
+        assert report["results"]["n_partitions"] == len(certs) == 4
+        assert report["results"]["distinct_points"] == len(distinct)
+        assert report["results"]["certificates"] == json.loads(
+            json.dumps([cert.to_dict() for cert in certs]))
+
+    def test_gamma00_trisecant(self, capsys, curve4_file):
+        code, report = run_json(capsys, ["gamma00-trisecant", "--curve",
+                                         curve4_file, "--seed", "3"])
+        assert code == 0
+        curve, periods, sample, kappa = theta_divisor_setup(4, 3, 3)
+        tri = se.theta_trisecant_construct(curve, periods, sample, kappa)
+        dim, info = g00.trisecant_gamma00_test(periods.tau, *tri.lifts)
+        controls = g00.gamma00_controls(periods.tau,
+                                        np.random.default_rng(3 + 1), 1)
+        assert report["results"] == {
+            "trisecant_dimension": dim, "control_dimension": controls[0],
+            "span_rank": info["span_rank"],
+            "degenerate_span": info["degenerate_span"]}
+
+    def test_span(self, capsys, curve4_file):
+        code, report = run_json(capsys, ["span", "--curve", curve4_file,
+                                         "--seed", "5"])
+        assert code == 0
+        inner, outer, dim, details = g00.span_VpWp(
+            *theta_divisor_setup(4, 5, 3))
+        assert report["results"] == {
+            "dim_inner_span": inner, "dim_outer_span": outer,
+            "dim_gamma00": dim, "fiber": details}
+
 
 class TestFiber:
 
@@ -144,20 +211,29 @@ class TestErrorPaths:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("argv, code", [
-        (["theta", "--z", "notjson"], 2),
-        (["periods", "--tol", "-1"], 2),
-        (["theta", "--z", "[[1e300,0],[0,1e3],[0,0]]"], 3),
-        (["theta", "--z", "[[0,0],[0,0],[0,0]]", "--tol", "nan"], 2),
-        (["theta", "--z", "[[0,0],[0,1e17],[0,0]]"], 3),
-        (["fay", "--seed", "-1"], 2),
-        (["fay", "--seed", "x"], 2),
+    @pytest.mark.parametrize("argv, code, curve", [
+        (["theta", "--z", "notjson"], 2, None),
+        (["periods", "--tol", "-1"], 2, None),
+        (["theta", "--z", "[[1e300,0],[0,1e3],[0,0]]"], 3, None),
+        (["theta", "--z", "[[0,0],[0,0],[0,0]]", "--tol", "nan"], 2, None),
+        (["theta", "--z", "[[0,0],[0,1e17],[0,0]]"], 3, None),
+        (["fay", "--seed", "-1"], 2, None),
+        (["fay", "--seed", "x"], 2, None),
+        (["periods"], 2, "[" * 100_000),
+        (["periods"], 2, '{"f_coeffs": [0, -1, 0, true]}'),
+        (["theta", "--z", "[[true,false],[0,0],[0,0]]"], 2, None),
     ], ids=["z-not-json", "negative-period-tol", "non-finite-theta",
             "nan-theta-tol", "unreducible-theta-argument", "negative-seed",
-            "malformed-seed"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_exit_contract(self, capsys, curve_file, argv, code):
-        assert run(argv + ["--curve", curve_file]) == code
+            "malformed-seed", "deeply-nested-curve", "boolean-coefficient",
+            "boolean-z"])
+    def test_exit_contract(self, capsys, tmp_path, curve_file, argv, code,
+                           curve):
+        """Each bad input exits 2 or 3 with a strict-JSON error; a curve
+        text, where given, replaces the reference curve file."""
+        if curve is not None:
+            curve_file = tmp_path / "curve.json"
+            curve_file.write_text(curve)
+        assert run(argv + ["--curve", str(curve_file)]) == code
         report = json.loads(capsys.readouterr().out,
                             parse_constant=_reject_non_finite)
         assert report["code"] == {2: "INVALID_INPUT",

@@ -3,8 +3,9 @@ import pytest
 
 import trisect.curves as cv
 from trisect.errors import AmbiguousConstant, InvalidInput, IllConditionedCurve
+from trisect.curves import random_curve_point
 from trisect.theta import theta_batch
-from conftest import reference_curve, random_curve_point
+from conftest import reference_curve
 
 
 def agm(a, b):

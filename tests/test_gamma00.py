@@ -7,7 +7,7 @@ import trisect.geometry as geo
 import trisect.secants as sec
 from trisect.errors import InvalidInput, PreconditionFailed
 from trisect.theta import RiemannMatrix, theta_batch, second_order_basis
-from conftest import random_curve_point
+from trisect.curves import random_curve_point
 
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
 

@@ -5,7 +5,7 @@ import trisect.curves as cv
 import trisect.geometry as geo
 from trisect.errors import InvalidInput, NotOnTheta
 from trisect.theta import RiemannMatrix
-from conftest import random_curve_point
+from trisect.curves import random_curve_point
 
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
 

@@ -4,7 +4,7 @@ import pytest
 import trisect.curves as cv
 import trisect.secants as sec
 from trisect.errors import InvalidInput
-from conftest import random_curve_point
+from trisect.curves import random_curve_point
 
 
 def four_points(curve, seed):
