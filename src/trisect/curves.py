@@ -257,18 +257,32 @@ def _leggauss01(n):
     return _LEGGAUSS_CACHE[n]
 
 
-def _node_doubling(func, tol, rule=_leggauss01):
-    """Quadrature of func(t) (vector-valued) with the nodes and weights
-    rule(n); n doubles from 32 until two successive estimates agree."""
+def _node_doubling(func, rows, tol, rule=_leggauss01):
+    """Quadratures of a batch of rows (vector-valued each) with the nodes
+    and weights rule(n).
+
+    func(t, idx) returns the integrand values (len(idx), g, n) of rows idx
+    at the nodes t.  n doubles from 32; a row keeps its estimate from the
+    first n at which two successive estimates agree, and only the rows
+    still pending are evaluated at the next n.
+    """
+    est = None
+    pending = np.arange(rows)
     prev = None
     n = 32
     while n <= _MAX_NODES:
         t, w = rule(n)
-        est = func(t) @ w
-        if prev is not None and np.max(np.abs(est - prev)) \
-                < tol * max(1.0, float(np.max(np.abs(est)))):
-            return est
-        prev = est
+        cur = func(t, pending) @ w
+        if est is None:
+            est = np.empty((rows, cur.shape[1]), dtype=cur.dtype)
+        if prev is not None:
+            done = np.max(np.abs(cur - prev), axis=1) < tol * np.maximum(
+                1.0, np.max(np.abs(cur), axis=1))
+            est[pending[done]] = cur[done]
+            pending, cur = pending[~done], cur[~done]
+            if not len(pending):
+                return est
+        prev = cur
         n *= 2
     raise NumericalFailure("quadrature did not converge", tol=tol)
 
@@ -283,12 +297,13 @@ def _segment_integrals(curve, lo, hi, tol):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
-    def integrand(t):
+    def integrand(t, _):
         x = mid + half * t
         smooth = np.sqrt(1.0 - t * t) / curve.y_branch(x)
-        return half * (x[None, :] ** np.arange(g)[:, None] * smooth[None, :])
+        return half * (x[None, :] ** np.arange(g)[:, None]
+                       * smooth[None, :])[None]
 
-    return _node_doubling(integrand, tol, quadrature_nodes)
+    return _node_doubling(integrand, 1, tol, quadrature_nodes)[0]
 
 
 def period_matrix(curve, tol=1e-11):
@@ -344,13 +359,13 @@ def _integral_to_anchor(curve, anchor, tol):
     real axis (substitution x = anchor / v^2 regularizes the tail)."""
     g = curve.genus
 
-    def integrand(v):
+    def integrand(v, _):
         x = anchor / (v * v)
         y = curve.y_branch(x)
         vand = x[None, :] ** np.arange(g)[:, None]
-        return vand * (-2.0 * anchor / (v ** 3 * y))[None, :]
+        return (vand * (-2.0 * anchor / (v ** 3 * y))[None, :])[None]
 
-    return _node_doubling(integrand, tol)
+    return _node_doubling(integrand, 1, tol)[0]
 
 
 def _sheet_flip_vector(curve, anchor, tol):
@@ -360,90 +375,147 @@ def _sheet_flip_vector(curve, anchor, tol):
     e = curve.roots[-1]
     c = anchor - e
 
-    def integrand(u):
+    def integrand(u, _):
         x = e + c * u * u
         y = curve.y_branch(x)
         vand = x[None, :] ** np.arange(g)[:, None]
-        return vand * (2.0 * c * u / y)[None, :]
+        return (vand * (2.0 * c * u / y)[None, :])[None]
 
-    return -2.0 * _node_doubling(integrand, tol)
+    return -2.0 * _node_doubling(integrand, 1, tol)[0]
 
 
 def _tracked_branch(curve, xs, y_start):
-    """y values along the ordered points xs with branch continuity from
-    y_start; xs[0] must be the path start."""
-    w = np.sqrt(curve.f(np.asarray(xs, dtype=complex)).astype(complex))
-    flips = np.abs(np.diff(w)) > np.abs(w[1:] + w[:-1])
-    signs = np.cumprod(np.concatenate(([1.0], np.where(flips, -1.0, 1.0))))
-    if abs(w[0] - y_start) > abs(w[0] + y_start):
-        signs = -signs
-    return signs * w
+    """y values along the ordered points of each row of xs (R, M) with
+    branch continuity from y_start (R,); xs[:, 0] must be the path start."""
+    w = np.sqrt(curve.f(xs))
+    flips = np.abs(np.diff(w, axis=1)) > np.abs(w[:, 1:] + w[:, :-1])
+    signs = np.cumprod(np.concatenate(
+        (np.ones((len(w), 1)), np.where(flips, -1.0, 1.0)), axis=1), axis=1)
+    start = np.where(np.abs(w[:, 0] - y_start) > np.abs(w[:, 0] + y_start),
+                     -1.0, 1.0)
+    return start[:, None] * signs * w
 
 
 def _segment_quadrature(curve, x_from, x_to, y_start, tol, endpoint_branch):
-    """Integrate x^{k-1} dx / y along the straight segment with continuous
-    branch; returns (integral vector, y at segment end).
+    """Integrate x^{k-1} dx / y along R straight segments x_from -> x_to,
+    each with its branch continued from y_start; returns (integrals (R, g),
+    y at each segment end).
 
+    The nodes and the dense tracking grid are shared by all segments.
     endpoint_branch=True applies the t = 2s - s^2 substitution so an
-    inverse-square-root singularity at the target is absorbed.
+    inverse-square-root singularity at each target is absorbed.
     """
     g = curve.genus
     delta = x_to - x_from
-    if delta == 0:
-        return np.zeros(g, dtype=complex), y_start
+    moving = delta != 0
 
-    # degeneracy check: distance from the segment to each root
-    for e in curve.roots:
-        t_star = np.clip(((e - x_from) / delta).real, 0.0, 1.0)
-        closest = x_from + t_star * delta
-        d = abs(closest - e)
-        if d <= 1e-8 * curve.span and not (
-                endpoint_branch and abs(x_to - e) <= 1e-8 * curve.span):
-            raise PathDegenerate("integration path passes a branch point",
-                                 root=float(e), distance=float(d))
+    # degeneracy check: distance from each segment to each root
+    roots = curve.roots[None, :]
+    t_star = np.clip(((roots - x_from[:, None])
+                      / np.where(moving, delta, 1.0)[:, None]).real, 0.0, 1.0)
+    dist = np.abs(x_from[:, None] + t_star * delta[:, None] - roots)
+    bad = moving[:, None] & (dist <= 1e-8 * curve.span)
+    if endpoint_branch:
+        bad &= np.abs(x_to[:, None] - roots) > 1e-8 * curve.span
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise PathDegenerate("integration path passes a branch point",
+                             root=float(curve.roots[j]),
+                             distance=float(dist[k, j]))
 
     dense = np.linspace(0.0, 1.0, 513)
+    y_end = y_start.copy()
+    powers = np.arange(g)[None, :, None]
 
-    def eval_at(ts):
-        # continuity tracking over the merged dense+quadrature grid
-        merged = np.unique(np.concatenate((dense, ts)))
-        xs = x_from + merged * delta
-        ys = _tracked_branch(curve, xs, y_start)
-        idx = np.searchsorted(merged, ts)
-        return xs[idx], ys[idx], ys[-1]
-
-    state = {}
-
-    def integrand(ss):
+    def integrand(ss, idx):
         if endpoint_branch:
             ts = 2.0 * ss - ss * ss
             jac = 2.0 * (1.0 - ss)
         else:
             ts = ss
             jac = np.ones_like(ss)
-        xs, ys, y_end = eval_at(ts)
-        state["y_end"] = y_end
-        vand = xs[None, :] ** np.arange(g)[:, None]
-        return vand * (delta * jac / ys)[None, :]
+        # continuity tracking over the merged dense+quadrature grid
+        merged = np.unique(np.concatenate((dense, ts)))
+        xs = x_from[idx, None] + merged * delta[idx, None]
+        ys = _tracked_branch(curve, xs, y_start[idx])
+        y_end[idx] = np.where(moving[idx], ys[:, -1], y_start[idx])
+        at = np.searchsorted(merged, ts)
+        xs, ys = xs[:, at], ys[:, at]
+        return xs[:, None, :] ** powers \
+            * (delta[idx, None] * jac / ys)[:, None, :]
 
-    est = _node_doubling(integrand, tol)
-    return est, state["y_end"]
+    est = _node_doubling(integrand, len(x_from), tol)
+    return est, y_end
 
 
-def _polyline_integral(curve, anchor, target_x, tol, target_is_branch):
-    """Integral of x^{k-1} dx / y along the canonical polyline from the
-    anchor to target_x, starting on the y_+ sheet."""
+def _branch_target(curve, point):
+    """Whether a finite point is a branch point; a point over a branch x
+    that is not one has no well-defined path."""
+    is_branch = curve.is_branch_x(point.x) and abs(point.y) \
+        <= 1e-6 * max(1.0, abs(curve.y_branch(
+            np.asarray(point.x + 0.01j * curve.span, dtype=complex))))
+    if curve.is_branch_x(point.x) and not is_branch:
+        raise PathDegenerate("target too close to a branch point",
+                             x=complex(point.x))
+    return is_branch
+
+
+def _abel_jacobi_points(curve, points, periods, tol):
+    """Normalized Abel-Jacobi lifts (K, g) of K curve points, base point
+    infinity, from one batched polyline quadrature.
+
+    The leg anchor -> anchor + i h is shared by every target; the legs
+    -> x + i h and -> x run for all targets at once with shared nodes,
+    and each target keeps the estimate of the node count at which it
+    converged, so a lift agrees with its single-point lift to rounding.
+    """
+    g = curve.genus
+    lifts = np.zeros((len(points), g), dtype=complex)
+    rows = [k for k, point in enumerate(points) if not point.at_infinity]
+    if not rows:
+        return lifts
+    for k in rows:
+        curve.validate_point(points[k])
+    branch = np.array([_branch_target(curve, points[k]) for k in rows])
+    x = np.array([points[k].x for k in rows], dtype=complex)
+    y = np.array([points[k].y for k in rows], dtype=complex)
+
     height = 0.75 * curve.span + 1.0
-    waypoints = [complex(anchor), complex(anchor) + 1j * height,
-                 complex(target_x) + 1j * height, complex(target_x)]
-    total = np.zeros(curve.genus, dtype=complex)
-    y_cur = complex(curve.y_branch(np.asarray(anchor, dtype=complex)))
-    for i in range(3):
-        est, y_cur = _segment_quadrature(
-            curve, waypoints[i], waypoints[i + 1], y_cur, tol,
-            endpoint_branch=(i == 2 and target_is_branch))
-        total += est
-    return total, y_cur
+    anchor = np.array([periods.anchor], dtype=complex)
+    top = anchor + 1j * height
+    leg1, y_top = _segment_quadrature(curve, anchor, top,
+                                      curve.y_branch(anchor), tol, False)
+    over = x + 1j * height
+    leg2, y_over = _segment_quadrature(curve, np.repeat(top, len(rows)), over,
+                                       np.repeat(y_top, len(rows)), tol,
+                                       False)
+    path = leg1 + leg2
+    y_end = np.empty(len(rows), dtype=complex)
+    for flag in np.unique(branch):
+        sel = branch == flag
+        leg3, y_end[sel] = _segment_quadrature(curve, over[sel], x[sel],
+                                               y_over[sel], tol, bool(flag))
+        path[sel] += leg3
+    same_sheet = branch | (np.abs(y_end - y) <= np.abs(y_end + y))
+    raw = periods._leg_infinity + np.where(
+        same_sheet[:, None], path, periods._sheet_flip - path)
+    lifts[rows] = raw @ periods.normalization.T
+    return lifts
+
+
+def _divisor_lifts(curve, divisors, periods, tol):
+    """Lifts (D, g) of D divisors: their support points are lifted once,
+    in one _abel_jacobi_points call, and summed with multiplicities."""
+    index = {}
+    for divisor in divisors:
+        for point, _ in divisor.terms:
+            index.setdefault(point, len(index))
+    K = _abel_jacobi_points(curve, list(index), periods, tol)
+    out = np.zeros((len(divisors), curve.genus), dtype=complex)
+    for i, divisor in enumerate(divisors):
+        for point, mult in divisor.terms:
+            out[i] = out[i] + mult * K[index[point]]
+    return out
 
 
 def abel_jacobi(curve, point, periods, tol=1e-10):
@@ -452,31 +524,14 @@ def abel_jacobi(curve, point, periods, tol=1e-10):
     The path system is canonical, so equal points always produce the
     identical lift.
     """
-    if point.at_infinity:
-        return JacobianLift(np.zeros(curve.genus), periods.tau)
-    curve.validate_point(point)
-    is_branch = curve.is_branch_x(point.x) and abs(point.y) \
-        <= 1e-6 * max(1.0, abs(curve.y_branch(
-            np.asarray(point.x + 0.01j * curve.span, dtype=complex))))
-    if curve.is_branch_x(point.x) and not is_branch:
-        raise PathDegenerate("target too close to a branch point",
-                             x=complex(point.x))
-    leg2, y_end = _polyline_integral(curve, periods.anchor, point.x, tol,
-                                     target_is_branch=is_branch)
-    raw = periods._leg_infinity.copy()
-    if is_branch or abs(y_end - point.y) <= abs(y_end + point.y):
-        raw += leg2
-    else:
-        raw += periods._sheet_flip - leg2
-    return JacobianLift(periods.normalization @ raw, periods.tau)
+    return JacobianLift(_abel_jacobi_points(curve, [point], periods, tol)[0],
+                        periods.tau)
 
 
 def abel_jacobi_divisor(curve, divisor, periods, tol=1e-10):
     """Linear extension of the Abel-Jacobi map to divisors (on lifts)."""
-    z = np.zeros(curve.genus, dtype=complex)
-    for point, mult in divisor.terms:
-        z = z + mult * abel_jacobi(curve, point, periods, tol).z
-    return JacobianLift(z, periods.tau)
+    return JacobianLift(_divisor_lifts(curve, [divisor], periods, tol)[0],
+                        periods.tau)
 
 
 def random_curve_point(curve, rng):
@@ -511,16 +566,17 @@ def riemann_constant(curve, periods, tol=1e-7, n_divisors=20, seed=20260823):
     """
     g = curve.genus
     tau = periods.tau
-    branch_sum = sum(abel_jacobi(curve, curve.weierstrass_point(i), periods).z
-                     for i in range(1, 2 * g, 2))
+    branch_sum = sum(_abel_jacobi_points(
+        curve, [curve.weierstrass_point(i) for i in range(1, 2 * g, 2)],
+        periods, 1e-10))
     _, m, n = tau.reduce(2.0 * branch_sum)
     m, n = np.mod(m, 2.0), np.mod(n, 2.0)
     kappa = (m + tau.entries @ n) / 2.0
 
     rng = np.random.default_rng(seed)
-    Z = np.stack([abel_jacobi_divisor(
-        curve, random_effective_divisor(curve, g - 1, rng), periods).z
-        for _ in range(n_divisors)]) - kappa
+    Z = _divisor_lifts(curve, [random_effective_divisor(curve, g - 1, rng)
+                               for _ in range(n_divisors)],
+                       periods, 1e-10) - kappa
     # Newton residual: an estimate of the distance from the theta divisor,
     # invariant under the quasi-periodic scale of theta
     (vals, grads), _, _ = theta_batch(tau, Z, tol=1e-10, deriv=1)

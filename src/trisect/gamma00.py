@@ -14,9 +14,9 @@ import numpy as np
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
-from .geometry import (_as_rm, _as_vector, gauss_fiber_enumerate,
-                       theta_divisor_point)
-from .curves import abel_jacobi_divisor
+from .geometry import (_as_rm, _as_vector, _theta_divisor_points,
+                       gauss_fiber_enumerate)
+from .curves import _divisor_lifts
 
 
 @dataclass(frozen=True)
@@ -180,10 +180,11 @@ def gamma00_controls(tau, rng, n_triples, tol=DEFAULT_RANK_TOL):
     """trisecant_gamma00_test dimensions of n_triples triples of random
     theta-divisor points, drawn from rng triple by triple; a non-trisecant
     triple gives 0."""
+    rm = _as_rm(tau)
     dims = []
     for _ in range(n_triples):
-        pts = [theta_divisor_point(tau, rng) for _ in range(3)]
-        dims.append(trisecant_gamma00_test(tau, *pts, tol=tol)[0])
+        pts = _theta_divisor_points(rm, rng, 3)
+        dims.append(trisecant_gamma00_test(rm, *pts, tol=tol)[0])
     return dims
 
 
@@ -202,26 +203,20 @@ def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,
     if not entries:
         raise InvalidInput("empty fiber enumeration")
 
-    smooth_lifts = []
-    special_lifts = []
-    for entry in entries:
-        lift = abel_jacobi_divisor(curve, entry.subdivisor, periods) - kappa
-        if entry.special:
-            special_lifts.append(lift)
-        else:
-            smooth_lifts.append(lift)
+    lifts = _divisor_lifts(curve, [entry.subdivisor for entry in entries],
+                           periods, 1e-10) - _as_vector(kappa, g)
+    special = np.array([bool(entry.special) for entry in entries])
+    smooth_lifts, special_lifts = lifts[~special], lifts[special]
 
     # every section from one call, every smooth gradient from another
     n_smooth = len(smooth_lifts)
     (sections,), _, _ = second_order_basis(
-        rm, np.stack([_as_vector(x, g) for x in smooth_lifts + special_lifts]),
-        tol=theta_tol)
+        rm, np.concatenate([smooth_lifts, special_lifts]), tol=theta_tol)
     norms = np.linalg.norm(sections, axis=1)
     combos = []
     if n_smooth > 1:
-        (_, grads), _, _ = theta_batch(
-            rm, np.stack([_as_vector(x, g) for x in smooth_lifts]),
-            tol=theta_tol, deriv=1)
+        (_, grads), _, _ = theta_batch(rm, smooth_lifts, tol=theta_tol,
+                                       deriv=1)
     for k in range(1, n_smooth):
         combo, lam, _, _ = _combination(rm, grads[[0, k]], sections[[0, k]],
                                         1e-6, theta_tol)

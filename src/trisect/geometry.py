@@ -110,34 +110,71 @@ def theta_divisor_point(tau, rng, tol=DEFAULT_THETA_TOL, max_tries=8):
     theta(z0 + t d) = 0 for scalar t.  Retries with fresh draws if the
     iteration stalls.
     """
-    rm = _as_rm(tau)
+    return _theta_divisor_points(_as_rm(tau), rng, 1, tol, max_tries)[0]
+
+
+def _theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL, max_tries=8):
+    """n points (n, g) of the theta divisor: theta_divisor_point n times,
+    with every pending Newton iteration in one theta_batch call per step.
+
+    Whether an attempt succeeds depends only on its own draw of z0 and d,
+    so attempts are drawn from rng in stream order, only as many as points
+    are still missing: the successes in stream order are the points that
+    n successive theta_divisor_point calls return, and rng ends in the
+    same state.  max_tries consecutive failed attempts raise
+    NumericalFailure.
+    """
     g = rm.g
-    for _ in range(max_tries):
-        z0 = (rng.standard_normal(g) + 1j * rng.standard_normal(g)) * 0.25
-        d = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-        d /= np.linalg.norm(d)
-        t = 0.1 + 0.1j
-        ok = False
+    found = []
+    failures = 0
+    while len(found) < n:
+        k = n - len(found)
+        Z0 = np.empty((k, g), dtype=complex)
+        D = np.empty((k, g), dtype=complex)
+        for i in range(k):
+            Z0[i] = (rng.standard_normal(g)
+                     + 1j * rng.standard_normal(g)) * 0.25
+            d = rng.standard_normal(g) + 1j * rng.standard_normal(g)
+            D[i] = d / np.linalg.norm(d)
+        t = np.full(k, 0.1 + 0.1j)
+        live = np.ones(k, dtype=bool)
+        converged = np.zeros(k, dtype=bool)
         for _ in range(60):
-            if not np.isfinite(t) or abs(t) > 4.0:
+            live &= np.isfinite(t) & (np.abs(t) <= 4.0)
+            idx = np.flatnonzero(live)
+            if not len(idx):
                 break
-            (val, grad), _, _ = theta_batch(rm, z0 + t * d, tol=tol, deriv=1)
-            dd = complex(grad @ d)
-            if not np.isfinite(dd) or abs(dd) < 1e-14:
+            Z = Z0[idx] + t[idx, None] * D[idx]
+            (val, grad), _, _ = theta_batch(rm, Z, tol=tol, deriv=1)
+            dd = np.einsum("ij,ij->i", grad, D[idx])
+            stalled = ~np.isfinite(dd) | (np.abs(dd) < 1e-14)
+            live[idx[stalled]] = False
+            idx, val, dd = idx[~stalled], val[~stalled], dd[~stalled]
+            step = val / dd
+            big = np.abs(step) > 0.5
+            step[big] *= 0.5 / np.abs(step[big])
+            t[idx] -= step
+            done = np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(t[idx]))
+            converged[idx[done]] = True
+            live[idx[done]] = False
+        Z = Z0 + t[:, None] * D
+        ok = converged.copy()
+        if ok.any():
+            (val, grad), _, _ = theta_batch(rm, Z[converged], tol=tol,
+                                            deriv=1)
+            ok[converged] = np.abs(val) < 1e-9 * np.linalg.norm(grad, axis=1)
+        for z, success in zip(Z, ok):
+            if failures >= max_tries:
                 break
-            step = complex(val) / dd
-            if abs(step) > 0.5:
-                step *= 0.5 / abs(step)
-            t = t - step
-            if abs(step) < 1e-14 * max(1.0, abs(t)):
-                ok = True
-                break
-        if ok:
-            z = z0 + t * d
-            (val, grad), _, _ = theta_batch(rm, z, tol=tol, deriv=1)
-            if abs(complex(val)) < 1e-9 * np.linalg.norm(grad):
-                return np.asarray(z)
-    raise NumericalFailure("Newton search for a theta-divisor point failed")
+            if success:
+                found.append(z)
+                failures = 0
+            else:
+                failures += 1
+        if failures >= max_tries:
+            raise NumericalFailure(
+                "Newton search for a theta-divisor point failed")
+    return np.array(found)
 
 
 def _theta_scales(rm, tol=DEFAULT_THETA_TOL, n_points=12, seed=20260823):
@@ -149,8 +186,7 @@ def _theta_scales(rm, tol=DEFAULT_THETA_TOL, n_points=12, seed=20260823):
     if rm._theta_scales is not None:
         return rm._theta_scales
     rng = np.random.default_rng(seed)
-    pts = np.stack([theta_divisor_point(rm, rng, tol=tol)
-                    for _ in range(n_points)])
+    pts = _theta_divisor_points(rm, rng, n_points, tol=tol)
     (_, grads), _, _ = theta_batch(rm, pts, tol=tol, deriv=1)
     grad_scale = float(np.median(np.linalg.norm(grads, axis=1)))
     probes = pts + 0.2 * (rng.standard_normal(pts.shape)

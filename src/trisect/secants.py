@@ -19,8 +19,8 @@ from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
 from .geometry import (_as_rm, _on_theta, _theta_scales, kummer_map,
                        canonical_direction, hyperplane_residual,
                        SMOOTHNESS_THRESHOLD, DEFAULT_ON_THETA_TOL)
-from .curves import (JacobianLift, Divisor, abel_jacobi,
-                     abel_jacobi_divisor, random_curve_point)
+from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
+                     _divisor_lifts, random_curve_point)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def fay_construct(curve, periods, p, q, r, s, tol=1e-10):
     a = (z(p)-z(q)-z(r)+z(s))/2 and cyclic relabelings; the pairwise-sum
     identities a+b = z(p)-z(q), a+c = z(p)-z(r) then hold exactly.
     """
-    zp, zq, zr, zs = (abel_jacobi(curve, pt, periods, tol)
-                      for pt in (p, q, r, s))
+    zp, zq, zr, zs = (JacobianLift(z, periods.tau) for z in
+                      _abel_jacobi_points(curve, (p, q, r, s), periods, tol))
     a = (zp - zq - zr + zs) / 2.0
     b = (zp - zq + zr - zs) / 2.0
     c = (zp + zq - zr - zs) / 2.0
@@ -114,11 +114,10 @@ def theta_trisecant_construct(curve, periods, sample, kappa, tol=1e-10):
     if sample.ell != 3:
         raise InvalidInput("theta trisecant needs an ell=3 sample",
                            ell=sample.ell)
-    p, q, r, s = sample.labeled_pqrs
-    zp, zq, zr, zs = (abel_jacobi(curve, pt, periods, tol)
-                      for pt in (p, q, r, s))
-    zD = abel_jacobi_divisor(curve, Divisor.of(*sample.double_points),
-                             periods, tol)
+    divisors = [Divisor.of(pt) for pt in sample.labeled_pqrs]
+    divisors.append(Divisor.of(*sample.double_points))
+    zp, zq, zr, zs, zD = (JacobianLift(z, periods.tau) for z in
+                          _divisor_lifts(curve, divisors, periods, tol))
     a = zp + zs + zD - kappa
     b = zp + zr + zD - kappa
     c = zp + zq + zD - kappa
@@ -231,8 +230,9 @@ def gunning_construct(curve, periods, ps, qs, tol=1e-10,
             if not u.at_infinity and not v.at_infinity \
                     and abs(u.x - v.x) < 1e-12 and abs(u.y - v.y) < 1e-12:
                 raise InvalidInput("construction points must be distinct")
-    zps = [abel_jacobi(curve, pt, periods, tol) for pt in ps]
-    zqs = [abel_jacobi(curve, pt, periods, tol) for pt in qs]
+    zs = [JacobianLift(z, periods.tau) for z in
+          _abel_jacobi_points(curve, (*ps, *qs), periods, tol)]
+    zps, zqs = zs[:ell], zs[ell:]
     total = sum(zqs[1:], zqs[0]) - sum(zps[1:], zps[0]) if zqs \
         else -sum(zps[1:], zps[0])
     lifts = [(2.0 * zp + total) / 2.0 for zp in zps]
@@ -255,16 +255,25 @@ def multisecant_from_Bl(curve, periods, sample, kappa, partition,
             or any(not 0 <= i < len(simples) for i in part):
         raise InvalidInput("partition must select l distinct simple points",
                            partition=partition, ell=ell)
-    q_idx = [i for i in range(len(simples)) if i not in part]
-    zq_sum = None
-    for i in q_idx:
-        zi = abel_jacobi(curve, simples[i], periods, tol)
-        zq_sum = zi if zq_sum is None else zq_sum + zi
-    zQ = abel_jacobi_divisor(curve, Divisor.of(*sample.double_points),
-                             periods, tol)
-    base = zQ - kappa if zq_sum is None else zq_sum + zQ - kappa
-    lifts = [abel_jacobi(curve, simples[i], periods, tol) + base
-             for i in part]
+    zs, zQ = _sample_lifts(curve, periods, sample, tol)
+    return _multisecant(periods, kappa, zs, zQ, part, tol, rank_tol)
+
+
+def _sample_lifts(curve, periods, sample, tol):
+    """Lifts of a B_l sample's simple points (2l-2, g) and of its doubled
+    part (g,), from one batched quadrature."""
+    divisors = [Divisor.of(pt) for pt in sample.simple_points]
+    divisors.append(Divisor.of(*sample.double_points))
+    lifts = _divisor_lifts(curve, divisors, periods, tol)
+    return lifts[:-1], lifts[-1]
+
+
+def _multisecant(periods, kappa, zs, zQ, part, tol, rank_tol):
+    """multisecant_from_Bl from the lifts zs of the simple points and zQ
+    of the doubled part."""
+    q_idx = [i for i in range(len(zs)) if i not in part]
+    base = JacobianLift(sum(zs[q_idx]) + zQ, periods.tau) - kappa
+    lifts = [base + zs[i] for i in part]
     cert = certify_secant(periods.tau, lifts, expect_on_theta=True,
                           rank_tol=rank_tol, theta_tol=tol)
     return lifts, cert
@@ -284,11 +293,12 @@ def multisecant_sweep(curve, periods, sample, kappa,
     points among all lifts: a lift within 1e-6 of an earlier one modulo
     the lattice counts once.
     """
+    zs, zQ = _sample_lifts(curve, periods, sample, 1e-10)
     certs = []
     distinct = []
     for part in all_partitions(sample):
-        lifts, cert = multisecant_from_Bl(curve, periods, sample, kappa,
-                                          part, rank_tol=rank_tol)
+        lifts, cert = _multisecant(periods, kappa, zs, zQ, part, 1e-10,
+                                   rank_tol)
         certs.append(cert)
         for lift in lifts:
             if not any(lift.lattice_distance(o) < 1e-6 for o in distinct):
@@ -327,13 +337,10 @@ def degenerate_trisecant(curve, periods, sample, kappa, tol=1e-10,
     p, q = sample.simple_points
     W = sample.double_points[0]
     rest = sample.double_points[1:]
-    zp = abel_jacobi(curve, p, periods, tol)
-    zq = abel_jacobi(curve, q, periods, tol)
-    zW = abel_jacobi(curve, W, periods, tol)
-    zD = None
-    if rest:
-        zD = abel_jacobi_divisor(curve, Divisor.of(*rest), periods, tol)
-    shift = (zD - kappa) if zD is not None else -kappa
+    divisors = [Divisor.of(p), Divisor.of(q), Divisor.of(W), Divisor.of(*rest)]
+    zp, zq, zW, zD = (JacobianLift(z, periods.tau) for z in
+                      _divisor_lifts(curve, divisors, periods, tol))
+    shift = (zD - kappa) if rest else -kappa
 
     a = zp + zW + shift            # r = s = W merged
     b = zp + zW + shift

@@ -31,11 +31,12 @@ def reference_curve(genus):
 
 class Context:
     """Lazy per-genus cache of periods and Riemann constant of the
-    reference curves."""
+    reference curves, and of the theta trisecant per (genus, seed)."""
 
     def __init__(self):
         self._periods = {}
         self._kappa = {}
+        self._trisecants = {}
 
     def curve(self, g):
         return reference_curve(g)
@@ -50,6 +51,25 @@ class Context:
             self._kappa[g] = cv.riemann_constant(self.curve(g),
                                                  self.periods(g))[0]
         return self._kappa[g]
+
+    def theta_trisecant(self, g, seed):
+        """(triple, certificate, report figures) of the theta trisecant of
+        the B3 sample with this seed, built once per (g, seed)."""
+        if (g, seed) not in self._trisecants:
+            curve = self.curve(g)
+            sample = cv.sample_B_ell(curve, 3, seed=seed)
+            tri, cert, halving = se.theta_trisecant(
+                curve, self.periods(g), sample, self.kappa(g))
+            dists = [u.lattice_distance(v)
+                     for u, v in combinations(tri.lifts, 2)]
+            self._trisecants[(g, seed)] = tri, cert, {
+                "theta_residuals": list(cert.theta_residuals),
+                "collinearity_gap": cert.rank_cert.gap_ratio,
+                "gauss_angles": list(cert.gauss_angles),
+                "halving_residual": float(halving),
+                "pairwise_distances": [float(d) for d in dists],
+            }
+        return self._trisecants[(g, seed)]
 
 
 def _agm(a, b):
@@ -199,29 +219,13 @@ def criterion_fay(ctx, seed):
             "controls_full_rank": bool(controls_fail)}
 
 
-def _theta_trisecant_report(ctx, g, seed):
-    curve = ctx.curve(g)
-    sample = cv.sample_B_ell(curve, 3, seed=seed)
-    tri, cert, halving = se.theta_trisecant(curve, ctx.periods(g), sample,
-                                            ctx.kappa(g))
-    dists = [u.lattice_distance(v)
-             for u, v in combinations(tri.lifts, 2)]
-    return tri, cert, {
-        "theta_residuals": list(cert.theta_residuals),
-        "collinearity_gap": cert.rank_cert.gap_ratio,
-        "gauss_angles": list(cert.gauss_angles),
-        "halving_residual": float(halving),
-        "pairwise_distances": [float(d) for d in dists],
-    }
-
-
 def criterion_theta_trisecant(ctx, seed):
     """Theta-divisor trisecants from canonical-divisor samples, g=3 and 4."""
     t0 = time.time()
     out = {}
     ok = True
     for g in (3, 4):
-        _, cert, rep = _theta_trisecant_report(ctx, g, seed + g)
+        _, cert, rep = ctx.theta_trisecant(g, seed + g)
         ok = ok and max(rep["theta_residuals"]) < 1e-7 \
             and rep["collinearity_gap"] < 1e-6 \
             and (not rep["gauss_angles"]
@@ -242,7 +246,7 @@ def criterion_gauss_hyperplane(ctx, seed):
     for g in (3, 4):
         curve = ctx.curve(g)
         periods = ctx.periods(g)
-        tri, _, _ = _theta_trisecant_report(ctx, g, seed + g)
+        tri, _, _ = ctx.theta_trisecant(g, seed + g)
         sample = tri.data["sample"]
         p, q, r, s = sample.labeled_pqrs
         supports = {"a": (p, s), "b": (p, r)}
@@ -344,12 +348,12 @@ def criterion_gamma00_dimension(ctx, seed):
 def criterion_gamma00_trisecant(ctx, seed):
     """Order-4 combination residuals and the intersection-dimension test."""
     rm3 = ctx.periods(3).tau
-    tri3, _, _ = _theta_trisecant_report(ctx, 3, seed + 3)
+    tri3, _, _ = ctx.theta_trisecant(3, seed + 3)
     combo, lam, _, conds = g00.gamma00_combination(rm3, tri3.a, tri3.b)
     combo_ok = conds.relative_residual < 1e-6
 
     rm4 = ctx.periods(4).tau
-    tri4, _, _ = _theta_trisecant_report(ctx, 4, seed + 4)
+    tri4, _, _ = ctx.theta_trisecant(4, seed + 4)
     dim4, _ = g00.trisecant_gamma00_test(rm4, tri4.a.z, tri4.b.z, tri4.c.z)
 
     controls_ok = all(dim == 0 for dim in g00.gamma00_controls(
@@ -367,7 +371,7 @@ def criterion_outer_product(ctx, seed):
     span_ok = True
     for g in (3, 4):
         periods = ctx.periods(g)
-        _, cert, _ = _theta_trisecant_report(ctx, g, seed + g)
+        _, cert, _ = ctx.theta_trisecant(g, seed + g)
         if not cert.passes:
             return {"passed": False, "failed_at": g}
         worst_outer = max(worst_outer, cert.outer_product_residual)

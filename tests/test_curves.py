@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import trisect.curves as cv
-from trisect.errors import AmbiguousConstant, InvalidInput, IllConditionedCurve
+from trisect.errors import (AmbiguousConstant, InvalidInput,
+                            IllConditionedCurve, PathDegenerate)
 from trisect.curves import random_curve_point
 from trisect.theta import theta_batch
 from conftest import reference_curve
@@ -43,6 +44,60 @@ def half_period_search(curve, periods):
         alive = alive[newt < 1e-7]
     assert len(alive) == 1
     return cands[int(alive[0])]
+
+
+def single_point_lift(curve, point, periods, tol=1e-10):
+    """Reference: the Abel-Jacobi lift of one point by its own polyline
+    quadrature (anchor -> anchor + ih -> x + ih -> x, each leg by
+    Gauss-Legendre node doubling, the branch tracked on a dense grid),
+    sharing no quadrature code with trisect.curves."""
+    g = curve.genus
+    if point.at_infinity:
+        return np.zeros(g, dtype=complex)
+    is_branch = curve.is_branch_x(point.x) and abs(point.y) < 1e-9
+
+    def segment(x_from, x_to, y_start, endpoint_branch):
+        delta = x_to - x_from
+        dense = np.linspace(0.0, 1.0, 513)
+
+        def estimate(n):
+            s, w = np.polynomial.legendre.leggauss(n)
+            s, w = 0.5 * (s + 1.0), 0.5 * w
+            ts, jac = (2.0 * s - s * s, 2.0 * (1.0 - s)) if endpoint_branch \
+                else (s, np.ones_like(s))
+            grid = np.unique(np.concatenate((dense, ts)))
+            xs = x_from + grid * delta
+            ys = np.sqrt(curve.f(xs))
+            for k in range(1, len(ys)):       # continuity, point by point
+                if abs(ys[k] - ys[k - 1]) > abs(ys[k] + ys[k - 1]):
+                    ys[k:] = -ys[k:]
+            if abs(ys[0] - y_start) > abs(ys[0] + y_start):
+                ys = -ys
+            at = np.searchsorted(grid, ts)
+            vals = xs[at][None, :] ** np.arange(g)[:, None] \
+                * (delta * jac / ys[at])[None, :]
+            return vals @ w, ys[-1]
+
+        prev, n = None, 32
+        while True:
+            est, y_end = estimate(n)
+            if prev is not None and np.max(np.abs(est - prev)) \
+                    < tol * max(1.0, np.max(np.abs(est))):
+                return est, y_end
+            prev, n = est, 2 * n
+
+    height = 0.75 * curve.span + 1.0
+    corners = [periods.anchor, periods.anchor + 1j * height,
+               point.x + 1j * height, point.x]
+    y = complex(curve.y_branch(np.asarray(periods.anchor, dtype=complex)))
+    path = np.zeros(g, dtype=complex)
+    for i in range(3):
+        est, y = segment(corners[i], corners[i + 1], y,
+                         i == 2 and is_branch)
+        path = path + est
+    if not is_branch and abs(y - point.y) > abs(y + point.y):
+        path = periods._sheet_flip - path
+    return periods.normalization @ (periods._leg_infinity + path)
 
 
 class TestCurveValidation:
@@ -185,6 +240,33 @@ class TestAbelJacobi:
         z2 = cv.abel_jacobi(curve, p, periods)
         assert np.array_equal(z1.z, z2.z)
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_batch_matches_single_point_quadrature(self, g, jac2, jac3):
+        curve, periods, _ = {2: jac2, 3: jac3}[g]
+        rng = np.random.default_rng(11)
+        points = []
+        for _ in range(4):
+            p = random_curve_point(curve, rng)
+            points += [p, cv.involution(p)]          # both sheets
+        points += [curve.point(0.5 - 0.7j, 1),       # below the real axis
+                   curve.point(curve.roots[-1] + 2.0, -1),   # the anchor line
+                   curve.weierstrass_point(2), cv.CurvePoint.infinity()]
+        batch = cv._abel_jacobi_points(curve, points, periods, 1e-10)
+        for point, lift in zip(points, batch):
+            reference = single_point_lift(curve, point, periods)
+            assert np.max(np.abs(lift - reference)) < 1e-13
+            assert np.max(np.abs(cv.abel_jacobi(curve, point, periods).z
+                                 - reference)) < 1e-13
+
+    def test_batch_with_a_degenerate_path_raises(self, jac2):
+        curve, periods, _ = jac2
+        good = curve.point(1.5 + 0.8j, 1)
+        # the last leg runs straight down from x + ih and meets e_2 = 1
+        through_root = curve.point(1.0 - 0.5j, 1)
+        with pytest.raises(PathDegenerate):
+            cv._abel_jacobi_points(curve, [good, through_root], periods,
+                                   1e-10)
+
 
 class TestRiemannConstant:
 
@@ -196,6 +278,21 @@ class TestRiemannConstant:
         z, m, n = half_period_search(curve, periods)
         assert np.array_equal(kappa.z, z)
         assert info["m"] == m.tolist() and info["n"] == n.tolist()
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_kappa_from_single_point_lifts(self, g):
+        """kappa is the half-period class of AJ(e_2) + ... + AJ(e_2g); with
+        the branch points lifted one by one it is the same array."""
+        curve = reference_curve(g)
+        periods = cv.period_matrix(curve)
+        kappa, info = cv.riemann_constant(curve, periods)
+        total = sum(single_point_lift(curve, curve.weierstrass_point(i),
+                                      periods) for i in range(1, 2 * g, 2))
+        _, m, n = periods.tau.reduce(2.0 * total)
+        m, n = np.mod(m, 2.0), np.mod(n, 2.0)
+        assert np.array_equal(kappa.z, (m + periods.tau.entries @ n) / 2.0)
+        assert info["m"] == m.astype(int).tolist()
+        assert info["n"] == n.astype(int).tolist()
 
     def test_refuses_kappa_that_fails_the_certificate(self, jac2):
         curve, periods, _ = jac2

@@ -3,11 +3,52 @@ import pytest
 
 import trisect.curves as cv
 import trisect.geometry as geo
-from trisect.errors import InvalidInput, NotOnTheta
-from trisect.theta import RiemannMatrix
+from trisect.errors import InvalidInput, NotOnTheta, NumericalFailure
+from trisect.theta import RiemannMatrix, theta_batch, DEFAULT_THETA_TOL
 from trisect.curves import random_curve_point
 
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
+CALIBRATION_SEED = 20260823
+
+
+def serial_theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL,
+                                max_tries=8):
+    """Reference: the one-point-at-a-time Newton search, one single-row
+    theta_batch call per step.  Returns the points and the number of
+    attempts each needed."""
+    points, attempts = [], []
+    for _ in range(n):
+        for attempt in range(1, max_tries + 1):
+            z0 = (rng.standard_normal(rm.g)
+                  + 1j * rng.standard_normal(rm.g)) * 0.25
+            d = rng.standard_normal(rm.g) + 1j * rng.standard_normal(rm.g)
+            d /= np.linalg.norm(d)
+            t, ok = 0.1 + 0.1j, False
+            for _ in range(60):
+                if not np.isfinite(t) or abs(t) > 4.0:
+                    break
+                (val, grad), _, _ = theta_batch(rm, z0 + t * d, tol=tol,
+                                                deriv=1)
+                dd = complex(grad @ d)
+                if not np.isfinite(dd) or abs(dd) < 1e-14:
+                    break
+                step = complex(val) / dd
+                if abs(step) > 0.5:
+                    step *= 0.5 / abs(step)
+                t = t - step
+                if abs(step) < 1e-14 * max(1.0, abs(t)):
+                    ok = True
+                    break
+            if ok:
+                (val, grad), _, _ = theta_batch(rm, z0 + t * d, tol=tol,
+                                                deriv=1)
+                if abs(complex(val)) < 1e-9 * np.linalg.norm(grad):
+                    points.append(z0 + t * d)
+                    attempts.append(attempt)
+                    break
+        else:
+            raise NumericalFailure("serial Newton search failed")
+    return np.array(points), attempts
 
 
 class TestKummerMap:
@@ -214,3 +255,56 @@ class TestFiberEnumeration:
         assert geo.fiber_total_multiplicity(entries) == 6
         specials = [e for e in entries if e.special]
         assert len(specials) == 2  # the two conjugate pairs p+q and r+s
+
+
+class TestBatchedNewton:
+    """_theta_divisor_points runs the calibration's Newton searches as one
+    batch; it must return the serial search's points and leave the rng in
+    the serial search's state, retries included."""
+
+    # roots of y^2 = f(x); the calibration of the first (the g=3 reference
+    # curve) retries once, of the second twice, of the third never
+    ROOTS = {"reference-g3": [0, 1, 2, 3, 4, 5, 6],
+             "two-retries": [-0.3, 1.1, 1.9, 3.2, 3.9, 4.8, 5.7],
+             "no-retry": [0.2, 0.8, 1.9, 3.1, 3.8, 5.1, 5.9]}
+
+    @staticmethod
+    def riemann_matrix(roots):
+        curve = cv.HyperellipticCurve(np.poly(roots)[::-1].tolist())
+        return cv.period_matrix(curve).tau
+
+    @pytest.mark.parametrize("name", list(ROOTS))
+    def test_matches_serial_search(self, name):
+        rm = self.riemann_matrix(self.ROOTS[name])
+        rng_serial = np.random.default_rng(CALIBRATION_SEED)
+        rng_batch = np.random.default_rng(CALIBRATION_SEED)
+        rng_single = np.random.default_rng(CALIBRATION_SEED)
+        serial, attempts = serial_theta_divisor_points(rm, rng_serial, 12)
+        batch = geo._theta_divisor_points(rm, rng_batch, 12)
+        single = np.array([geo.theta_divisor_point(rm, rng_single)
+                           for _ in range(12)])
+        assert sum(a > 1 for a in attempts) == {
+            "reference-g3": 1, "two-retries": 2, "no-retry": 0}[name]
+        for points in (batch, single):
+            assert points.shape == (12, 3)
+            assert np.max(np.abs(points - serial)) < 1e-12
+        state = rng_serial.bit_generator.state
+        assert rng_batch.bit_generator.state == state
+        assert rng_single.bit_generator.state == state
+
+    @pytest.mark.parametrize("name", ["reference-g3", "two-retries"])
+    def test_consecutive_failures_raise(self, name):
+        # every failure in these calibrations is a single attempt, followed
+        # by a success: one failure on the reference curve, two apart on
+        # the other
+        rm = self.riemann_matrix(self.ROOTS[name])
+        for search in (geo._theta_divisor_points,
+                       serial_theta_divisor_points):
+            with pytest.raises(NumericalFailure):
+                search(rm, np.random.default_rng(CALIBRATION_SEED), 12,
+                       max_tries=1)
+        points = geo._theta_divisor_points(
+            rm, np.random.default_rng(CALIBRATION_SEED), 12, max_tries=2)
+        serial, _ = serial_theta_divisor_points(
+            rm, np.random.default_rng(CALIBRATION_SEED), 12, max_tries=2)
+        assert np.max(np.abs(points - serial)) < 1e-12
