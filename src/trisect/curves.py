@@ -19,8 +19,13 @@ The global b-orientation is fixed by requiring Im(tau) positive definite.
 Abel-Jacobi paths are canonical and deterministic: from infinity along the
 real axis to an anchor x0 right of the largest root, then a rectangular
 polyline through the upper half plane to the target x, with the y-branch
-tracked by continuity.  A documented sheet-flip loop around e_{2g+1} is
-inserted when the tracked branch lands on the conjugate point.
+tracked by continuity.  A sheet-flip loop anchor -> e_{2g+1} -> anchor is
+inserted when the tracked branch lands on the conjugate point; its value
+is 2 (AJ(e_{2g+1}) - L) = -omega_b[:, g-1] - 2 L, unnormalized, with L the
+integral from infinity to x0.
+
+Branch points are not integrated: the canonical-path lift of e_k is the
+half-period (m + tau n) / 2 of the closed-form table _branch_halves.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +37,7 @@ from .errors import (AmbiguousConstant, IllConditionedCurve, InvalidInput,
 from .numeric import quadrature_nodes
 from .theta import RiemannMatrix, theta_batch
 
-_MAX_NODES = 1 << 14
+_MAX_NODES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -350,7 +355,8 @@ def period_matrix(curve, tol=1e-11):
         raise NumericalFailure("Riemann bilinear relation violated",
                                residual=periods.bilinear_residual())
     periods._leg_infinity = _integral_to_anchor(curve, anchor, tol)
-    periods._sheet_flip = _sheet_flip_vector(curve, anchor, tol)
+    # twice the path anchor -> e_{2g+1}, whose lift is -tau[:, g-1] / 2
+    periods._sheet_flip = -omega_b[:, g - 1] - 2.0 * periods._leg_infinity
     return periods
 
 
@@ -368,22 +374,6 @@ def _integral_to_anchor(curve, anchor, tol):
     return _node_doubling(integrand, 1, tol)[0]
 
 
-def _sheet_flip_vector(curve, anchor, tol):
-    """Integral along the loop anchor -> e_{2g+1} -> anchor that lands on
-    the opposite sheet: -2 * int_{e_max}^{anchor} x^{k-1} dx / y_+."""
-    g = curve.genus
-    e = curve.roots[-1]
-    c = anchor - e
-
-    def integrand(u, _):
-        x = e + c * u * u
-        y = curve.y_branch(x)
-        vand = x[None, :] ** np.arange(g)[:, None]
-        return (vand * (2.0 * c * u / y)[None, :])[None]
-
-    return -2.0 * _node_doubling(integrand, 1, tol)[0]
-
-
 def _tracked_branch(curve, xs, y_start):
     """y values along the ordered points of each row of xs (R, M) with
     branch continuity from y_start (R,); xs[:, 0] must be the path start."""
@@ -396,14 +386,13 @@ def _tracked_branch(curve, xs, y_start):
     return start[:, None] * signs * w
 
 
-def _segment_quadrature(curve, x_from, x_to, y_start, tol, endpoint_branch):
+def _segment_quadrature(curve, x_from, x_to, y_start, tol):
     """Integrate x^{k-1} dx / y along R straight segments x_from -> x_to,
     each with its branch continued from y_start; returns (integrals (R, g),
     y at each segment end).
 
-    The nodes and the dense tracking grid are shared by all segments.
-    endpoint_branch=True applies the t = 2s - s^2 substitution so an
-    inverse-square-root singularity at each target is absorbed.
+    The nodes and the dense tracking grid are shared by all segments, none
+    of which may pass a branch point.
     """
     g = curve.genus
     delta = x_to - x_from
@@ -415,8 +404,6 @@ def _segment_quadrature(curve, x_from, x_to, y_start, tol, endpoint_branch):
                       / np.where(moving, delta, 1.0)[:, None]).real, 0.0, 1.0)
     dist = np.abs(x_from[:, None] + t_star * delta[:, None] - roots)
     bad = moving[:, None] & (dist <= 1e-8 * curve.span)
-    if endpoint_branch:
-        bad &= np.abs(x_to[:, None] - roots) > 1e-8 * curve.span
     if bad.any():
         k, j = np.argwhere(bad)[0]
         raise PathDegenerate("integration path passes a branch point",
@@ -427,13 +414,7 @@ def _segment_quadrature(curve, x_from, x_to, y_start, tol, endpoint_branch):
     y_end = y_start.copy()
     powers = np.arange(g)[None, :, None]
 
-    def integrand(ss, idx):
-        if endpoint_branch:
-            ts = 2.0 * ss - ss * ss
-            jac = 2.0 * (1.0 - ss)
-        else:
-            ts = ss
-            jac = np.ones_like(ss)
+    def integrand(ts, idx):
         # continuity tracking over the merged dense+quadrature grid
         merged = np.unique(np.concatenate((dense, ts)))
         xs = x_from[idx, None] + merged * delta[idx, None]
@@ -442,10 +423,21 @@ def _segment_quadrature(curve, x_from, x_to, y_start, tol, endpoint_branch):
         at = np.searchsorted(merged, ts)
         xs, ys = xs[:, at], ys[:, at]
         return xs[:, None, :] ** powers \
-            * (delta[idx, None] * jac / ys)[:, None, :]
+            * (delta[idx, None] / ys)[:, None, :]
 
     est = _node_doubling(integrand, len(x_from), tol)
     return est, y_end
+
+
+def _branch_halves(g, k):
+    """Integer vectors m, n (len(k), g) with the canonical-path lift of
+    roots[k] equal to (m + tau n) / 2 (Mumford, Tata Lectures on Theta II,
+    Ch. IIIa, for the cuts and homology of this module)."""
+    k = np.asarray(k)[:, None]
+    i = np.arange(g)[None, :]
+    m = -(i >= k // 2).astype(int)
+    n = -((k >= 1) & (i == (k - 1) // 2)).astype(int)
+    return m, n
 
 
 def _branch_target(curve, point):
@@ -462,21 +454,27 @@ def _branch_target(curve, point):
 
 def _abel_jacobi_points(curve, points, periods, tol):
     """Normalized Abel-Jacobi lifts (K, g) of K curve points, base point
-    infinity, from one batched polyline quadrature.
+    infinity: branch points from the _branch_halves table, the others
+    from one batched polyline quadrature.
 
     The leg anchor -> anchor + i h is shared by every target; the legs
     -> x + i h and -> x run for all targets at once with shared nodes,
     and each target keeps the estimate of the node count at which it
     converged, so a lift agrees with its single-point lift to rounding.
     """
-    g = curve.genus
-    lifts = np.zeros((len(points), g), dtype=complex)
-    rows = [k for k, point in enumerate(points) if not point.at_infinity]
+    lifts = np.zeros((len(points), curve.genus), dtype=complex)
+    finite = [k for k, point in enumerate(points) if not point.at_infinity]
+    for k in finite:
+        curve.validate_point(points[k])
+    branch = [k for k in finite if _branch_target(curve, points[k])]
+    if branch:
+        x = np.array([points[k].x for k in branch])
+        m, n = _branch_halves(curve.genus, np.argmin(
+            np.abs(x[:, None] - curve.roots), axis=1))
+        lifts[branch] = (m + n @ periods.tau.entries) / 2.0
+    rows = [k for k in finite if k not in branch]
     if not rows:
         return lifts
-    for k in rows:
-        curve.validate_point(points[k])
-    branch = np.array([_branch_target(curve, points[k]) for k in rows])
     x = np.array([points[k].x for k in rows], dtype=complex)
     y = np.array([points[k].y for k in rows], dtype=complex)
 
@@ -484,19 +482,13 @@ def _abel_jacobi_points(curve, points, periods, tol):
     anchor = np.array([periods.anchor], dtype=complex)
     top = anchor + 1j * height
     leg1, y_top = _segment_quadrature(curve, anchor, top,
-                                      curve.y_branch(anchor), tol, False)
+                                      curve.y_branch(anchor), tol)
     over = x + 1j * height
     leg2, y_over = _segment_quadrature(curve, np.repeat(top, len(rows)), over,
-                                       np.repeat(y_top, len(rows)), tol,
-                                       False)
-    path = leg1 + leg2
-    y_end = np.empty(len(rows), dtype=complex)
-    for flag in np.unique(branch):
-        sel = branch == flag
-        leg3, y_end[sel] = _segment_quadrature(curve, over[sel], x[sel],
-                                               y_over[sel], tol, bool(flag))
-        path[sel] += leg3
-    same_sheet = branch | (np.abs(y_end - y) <= np.abs(y_end + y))
+                                       np.repeat(y_top, len(rows)), tol)
+    leg3, y_end = _segment_quadrature(curve, over, x, y_over, tol)
+    path = leg1 + leg2 + leg3
+    same_sheet = np.abs(y_end - y) <= np.abs(y_end + y)
     raw = periods._leg_infinity + np.where(
         same_sheet[:, None], path, periods._sheet_flip - path)
     lifts[rows] = raw @ periods.normalization.T
@@ -559,18 +551,17 @@ def riemann_constant(curve, periods, tol=1e-7, n_divisors=20, seed=20260823):
     For the odd model kappa is the half-period AJ(e_2) + AJ(e_4) + ...
     + AJ(e_2g), branch points e_1 < ... < e_{2g+1} counted from 1
     (Mumford, Tata Lectures on Theta II, Ch. IIIa).  It is returned as the
-    lift (m + tau n) / 2 with m, n in {0,1}^g.  The certificate requires
+    lift (m + tau n) / 2 with m, n in {0,1}^g, the sum of their
+    _branch_halves rows mod 2, in closed form: m = (1, 0, 1, 0, ...) and
+    n = (1, ..., 1).  The certificate requires
     theta(AJ(D) - kappa) to vanish on n_divisors random effective divisors
     D of degree g-1: the worst Newton residual |theta| / ||grad theta||
     must lie below tol, else AmbiguousConstant is raised.
     """
     g = curve.genus
     tau = periods.tau
-    branch_sum = sum(_abel_jacobi_points(
-        curve, [curve.weierstrass_point(i) for i in range(1, 2 * g, 2)],
-        periods, 1e-10))
-    _, m, n = tau.reduce(2.0 * branch_sum)
-    m, n = np.mod(m, 2.0), np.mod(n, 2.0)
+    m, n = (np.mod(v.sum(axis=0), 2).astype(float)
+            for v in _branch_halves(g, range(1, 2 * g, 2)))
     kappa = (m + tau.entries @ n) / 2.0
 
     rng = np.random.default_rng(seed)

@@ -28,15 +28,12 @@ class SecantCertificate:
     """Numerical evidence that r Kummer images span an (r-2)-plane."""
 
     lifts: tuple
-    kummer_matrix_spectrum: np.ndarray
     rank_cert: object                     # RankCertificate, claim <= r-1
     general_position: tuple               # bool per (r-1)-subset
     theta_residuals: tuple
     gauss_angles: tuple                   # pairwise, smooth points only
     gradient_norms: tuple
-    outer_product_residual: float
-    beta: np.ndarray = field(repr=False, default=None)
-    expect_on_theta: bool = True
+    outer_product_residual: object        # float, or None: no identity
 
     @property
     def r(self):
@@ -54,7 +51,9 @@ class SecantCertificate:
             "theta_residuals": [float(t) for t in self.theta_residuals],
             "gauss_angles": [float(a) for a in self.gauss_angles],
             "gradient_norms": [float(n) for n in self.gradient_norms],
-            "outer_product_residual": float(self.outer_product_residual),
+            "outer_product_residual": (
+                None if self.outer_product_residual is None
+                else float(self.outer_product_residual)),
             "passes": bool(self.passes),
         }
 
@@ -99,8 +98,7 @@ def fay_trisecant(curve, periods, rng, rank_tol=DEFAULT_RANK_TOL):
         if all(abs(pt.x - other.x) > 1e-6 for other in pts):
             pts.append(pt)
     triple = fay_construct(curve, periods, *pts)
-    cert = certify_secant(periods.tau, triple.lifts, expect_on_theta=False,
-                          rank_tol=rank_tol)
+    cert = certify_secant(periods.tau, triple.lifts, rank_tol=rank_tol)
     return triple, cert
 
 
@@ -150,8 +148,8 @@ def _lift_array(lifts, g):
     return Z
 
 
-def certify_secant(tau, lifts, expect_on_theta=True,
-                   rank_tol=DEFAULT_RANK_TOL, theta_tol=DEFAULT_THETA_TOL,
+def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL,
+                   theta_tol=DEFAULT_THETA_TOL,
                    on_theta_tol=DEFAULT_ON_THETA_TOL):
     """Full numerical certificate for an r-secant claim (rank <= r-1).
 
@@ -160,6 +158,9 @@ def certify_secant(tau, lifts, expect_on_theta=True,
     theta residuals and gradient data, pairwise Gauss angles over smooth
     divisor points, and the outer-product gradient identity residual with
     beta recovered by least squares from the raw coordinate dependency.
+    The identity holds only when every lift lies on the theta divisor; it
+    is taken at the first smooth lift, and the residual is None when some
+    lift is off the divisor or none is smooth.
     """
     rm = _as_rm(tau)
     if len(lifts) < 3:
@@ -189,25 +190,27 @@ def certify_secant(tau, lifts, expect_on_theta=True,
     angles = [projective_angle(grads[i], grads[j])
               for i, j in combinations(smooth, 2)]
 
-    # beta from the raw coordinate dependency row_0 = sum beta_k row_k,
-    # then the outer-product gradient identity of the collinearity proof
-    beta, *_ = np.linalg.lstsq(raw[1:].T, raw[0], rcond=None)
-    outer0 = np.outer(grads[0], grads[0])
-    outer_sum = np.einsum("k,kg,kh->gh", beta, grads[1:], grads[1:])
-    denom = max(np.linalg.norm(outer0), 1e-300)
-    outer_res = float(np.linalg.norm(outer0 - outer_sum) / denom)
+    # beta from the raw coordinate dependency row_j = sum beta_k row_k at
+    # the first smooth lift j, then the outer-product gradient identity of
+    # the collinearity proof
+    outer_res = None
+    if smooth and all(members):
+        j, others = smooth[0], [k for k in range(r) if k != smooth[0]]
+        beta, *_ = np.linalg.lstsq(raw[others].T, raw[j], rcond=None)
+        outer_j = np.outer(grads[j], grads[j])
+        outer_sum = np.einsum("k,kg,kh->gh", beta, grads[others],
+                              grads[others])
+        outer_res = float(np.linalg.norm(outer_j - outer_sum)
+                          / max(np.linalg.norm(outer_j), 1e-300))
 
     return SecantCertificate(
         lifts=tuple(lifts),
-        kummer_matrix_spectrum=rank_cert.singular_values,
         rank_cert=rank_cert,
         general_position=tuple(general),
         theta_residuals=tuple(float(t) for t in theta_res),
         gauss_angles=tuple(angles),
         gradient_norms=tuple(float(n) for n in gnorms),
-        outer_product_residual=outer_res,
-        beta=beta,
-        expect_on_theta=expect_on_theta)
+        outer_product_residual=outer_res)
 
 
 def gunning_construct(curve, periods, ps, qs, tol=1e-10,
@@ -236,8 +239,8 @@ def gunning_construct(curve, periods, ps, qs, tol=1e-10,
     total = sum(zqs[1:], zqs[0]) - sum(zps[1:], zps[0]) if zqs \
         else -sum(zps[1:], zps[0])
     lifts = [(2.0 * zp + total) / 2.0 for zp in zps]
-    cert = certify_secant(periods.tau, lifts, expect_on_theta=False,
-                          rank_tol=rank_tol, theta_tol=tol)
+    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol,
+                          theta_tol=tol)
     return lifts, cert
 
 
@@ -274,8 +277,8 @@ def _multisecant(periods, kappa, zs, zQ, part, tol, rank_tol):
     q_idx = [i for i in range(len(zs)) if i not in part]
     base = JacobianLift(sum(zs[q_idx]) + zQ, periods.tau) - kappa
     lifts = [base + zs[i] for i in part]
-    cert = certify_secant(periods.tau, lifts, expect_on_theta=True,
-                          rank_tol=rank_tol, theta_tol=tol)
+    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol,
+                          theta_tol=tol)
     return lifts, cert
 
 

@@ -210,8 +210,7 @@ def criterion_fay(ctx, seed):
             lifts = [cv.JacobianLift(rng.standard_normal(g)
                                      + 0.3j * rng.standard_normal(g),
                                      periods.tau) for _ in range(3)]
-            cert = se.certify_secant(periods.tau, lifts,
-                                     expect_on_theta=False)
+            cert = se.certify_secant(periods.tau, lifts)
             if cert.rank_cert.decided_rank != 3:
                 controls_fail = False
     return {"passed": bool(worst_gap < 1e-6 and controls_fail),
@@ -372,7 +371,7 @@ def criterion_outer_product(ctx, seed):
     for g in (3, 4):
         periods = ctx.periods(g)
         _, cert, _ = ctx.theta_trisecant(g, seed + g)
-        if not cert.passes:
+        if not cert.passes or cert.outer_product_residual is None:
             return {"passed": False, "failed_at": g}
         worst_outer = max(worst_outer, cert.outer_product_residual)
         _, grad_scale = ge._theta_scales(periods.tau)

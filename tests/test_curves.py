@@ -3,8 +3,10 @@ import pytest
 
 import trisect.curves as cv
 from trisect.errors import (AmbiguousConstant, InvalidInput,
-                            IllConditionedCurve, PathDegenerate)
+                            IllConditionedCurve, NumericalFailure,
+                            PathDegenerate)
 from trisect.curves import random_curve_point
+from trisect.numeric import quadrature_nodes
 from trisect.theta import theta_batch
 from conftest import reference_curve
 
@@ -46,58 +48,89 @@ def half_period_search(curve, periods):
     return cands[int(alive[0])]
 
 
+def segment(curve, x_from, x_to, y_start, endpoint_branch, tol=1e-10):
+    """Reference: int x^{k-1} dx / y over the straight segment
+    x_from -> x_to by Gauss-Legendre node doubling, the branch continued
+    from y_start on a dense grid; returns (integral, y at x_to).
+    endpoint_branch=True substitutes t = 2s - s^2, which absorbs an
+    inverse-square-root singularity at x_to."""
+    g = curve.genus
+    delta = x_to - x_from
+    dense = np.linspace(0.0, 1.0, 513)
+
+    def estimate(n):
+        s, w = np.polynomial.legendre.leggauss(n)
+        s, w = 0.5 * (s + 1.0), 0.5 * w
+        ts, jac = (2.0 * s - s * s, 2.0 * (1.0 - s)) if endpoint_branch \
+            else (s, np.ones_like(s))
+        grid = np.unique(np.concatenate((dense, ts)))
+        xs = x_from + grid * delta
+        ys = np.sqrt(curve.f(xs))
+        for k in range(1, len(ys)):       # continuity, point by point
+            if abs(ys[k] - ys[k - 1]) > abs(ys[k] + ys[k - 1]):
+                ys[k:] = -ys[k:]
+        if abs(ys[0] - y_start) > abs(ys[0] + y_start):
+            ys = -ys
+        at = np.searchsorted(grid, ts)
+        vals = xs[at][None, :] ** np.arange(g)[:, None] \
+            * (delta * jac / ys[at])[None, :]
+        return vals @ w, ys[-1]
+
+    prev, n = None, 32
+    while True:
+        est, y_end = estimate(n)
+        if prev is not None and np.max(np.abs(est - prev)) \
+                < tol * max(1.0, np.max(np.abs(est))):
+            return est, y_end
+        prev, n = est, 2 * n
+
+
 def single_point_lift(curve, point, periods, tol=1e-10):
     """Reference: the Abel-Jacobi lift of one point by its own polyline
-    quadrature (anchor -> anchor + ih -> x + ih -> x, each leg by
-    Gauss-Legendre node doubling, the branch tracked on a dense grid),
-    sharing no quadrature code with trisect.curves."""
+    quadrature (anchor -> anchor + ih -> x + ih -> x, each leg a
+    `segment`, the last one with the endpoint substitution at a branch
+    point; a lift that lands on the conjugate point takes the loop
+    anchor -> e_{2g+1} -> anchor), sharing no quadrature code with
+    trisect.curves."""
     g = curve.genus
     if point.at_infinity:
         return np.zeros(g, dtype=complex)
     is_branch = curve.is_branch_x(point.x) and abs(point.y) < 1e-9
-
-    def segment(x_from, x_to, y_start, endpoint_branch):
-        delta = x_to - x_from
-        dense = np.linspace(0.0, 1.0, 513)
-
-        def estimate(n):
-            s, w = np.polynomial.legendre.leggauss(n)
-            s, w = 0.5 * (s + 1.0), 0.5 * w
-            ts, jac = (2.0 * s - s * s, 2.0 * (1.0 - s)) if endpoint_branch \
-                else (s, np.ones_like(s))
-            grid = np.unique(np.concatenate((dense, ts)))
-            xs = x_from + grid * delta
-            ys = np.sqrt(curve.f(xs))
-            for k in range(1, len(ys)):       # continuity, point by point
-                if abs(ys[k] - ys[k - 1]) > abs(ys[k] + ys[k - 1]):
-                    ys[k:] = -ys[k:]
-            if abs(ys[0] - y_start) > abs(ys[0] + y_start):
-                ys = -ys
-            at = np.searchsorted(grid, ts)
-            vals = xs[at][None, :] ** np.arange(g)[:, None] \
-                * (delta * jac / ys[at])[None, :]
-            return vals @ w, ys[-1]
-
-        prev, n = None, 32
-        while True:
-            est, y_end = estimate(n)
-            if prev is not None and np.max(np.abs(est - prev)) \
-                    < tol * max(1.0, np.max(np.abs(est))):
-                return est, y_end
-            prev, n = est, 2 * n
-
     height = 0.75 * curve.span + 1.0
     corners = [periods.anchor, periods.anchor + 1j * height,
                point.x + 1j * height, point.x]
-    y = complex(curve.y_branch(np.asarray(periods.anchor, dtype=complex)))
+    y_anchor = complex(curve.y_branch(np.asarray(periods.anchor,
+                                                 dtype=complex)))
+    y = y_anchor
     path = np.zeros(g, dtype=complex)
     for i in range(3):
-        est, y = segment(corners[i], corners[i + 1], y,
-                         i == 2 and is_branch)
+        est, y = segment(curve, corners[i], corners[i + 1], y,
+                         i == 2 and is_branch, tol)
         path = path + est
     if not is_branch and abs(y - point.y) > abs(y + point.y):
-        path = periods._sheet_flip - path
+        loop = 2.0 * segment(curve, periods.anchor, curve.roots[-1],
+                             y_anchor, True, tol)[0]
+        path = loop - path
     return periods.normalization @ (periods._leg_infinity + path)
+
+
+def table_curves():
+    """The reference curves g=1..5, two g=3 curves with roots
+    k + U(-0.3, 0.3), and the g=3 reference curve with f scaled by 3 and
+    by -1."""
+    curves = {f"reference-g{g}": reference_curve(g) for g in range(1, 6)}
+    rng = np.random.default_rng(4242)
+    for i in range(2):
+        roots = np.arange(7) + rng.uniform(-0.3, 0.3, 7)
+        curves[f"sweep-g3-{i}"] = cv.HyperellipticCurve(
+            [float(c) for c in np.poly(roots)[::-1]])
+    for scale in (3.0, -1.0):
+        curves[f"reference-g3-times{scale:+g}"] = cv.HyperellipticCurve(
+            scale * reference_curve(3).f_coeffs)
+    return curves
+
+
+TABLE_CURVES = table_curves()
 
 
 class TestCurveValidation:
@@ -258,6 +291,41 @@ class TestAbelJacobi:
             assert np.max(np.abs(cv.abel_jacobi(curve, point, periods).z
                                  - reference)) < 1e-13
 
+    @pytest.mark.parametrize("name", list(TABLE_CURVES))
+    def test_branch_points_are_table_half_periods(self, name):
+        """Each branch point's lift is its _branch_halves row, equal to the
+        lift by quadrature itself, not only modulo the lattice."""
+        curve = TABLE_CURVES[name]
+        periods = cv.period_matrix(curve)
+        g = curve.genus
+        m, n = cv._branch_halves(g, range(2 * g + 1))
+        table = (m + n @ periods.tau.entries) / 2.0
+        for k in range(2 * g + 1):
+            point = curve.weierstrass_point(k)
+            lift = cv.abel_jacobi(curve, point, periods).z
+            assert np.array_equal(lift, table[k])
+            reference = single_point_lift(curve, point, periods)
+            assert np.max(np.abs(lift - reference)) < 1e-10
+
+    @pytest.mark.parametrize("name", list(TABLE_CURVES))
+    def test_sheet_flip_is_twice_the_path_to_the_last_root(self, name):
+        curve = TABLE_CURVES[name]
+        periods = cv.period_matrix(curve)
+        y_anchor = complex(curve.y_branch(np.asarray(periods.anchor,
+                                                     dtype=complex)))
+        half, _ = segment(curve, periods.anchor, curve.roots[-1], y_anchor,
+                          True)
+        flip = periods._sheet_flip
+        assert np.max(np.abs(flip - 2.0 * half)) \
+            < 1e-10 * np.max(np.abs(flip))
+
+    def test_point_over_a_branch_x_off_the_branch_raises(self, jac2):
+        curve, periods, _ = jac2
+        point = cv.CurvePoint(x=complex(curve.roots[2]), y=1e-5)
+        curve.validate_point(point)
+        with pytest.raises(PathDegenerate):
+            cv.abel_jacobi(curve, point, periods)
+
     def test_batch_with_a_degenerate_path_raises(self, jac2):
         curve, periods, _ = jac2
         good = curve.point(1.5 + 0.8j, 1)
@@ -266,6 +334,18 @@ class TestAbelJacobi:
         with pytest.raises(PathDegenerate):
             cv._abel_jacobi_points(curve, [good, through_root], periods,
                                    1e-10)
+
+
+class TestQuadrature:
+
+    def test_node_doubling_stops_at_the_node_cap(self):
+        """An integrand whose estimate grows with the node count never
+        converges; node doubling gives up at _MAX_NODES."""
+        def diverging(t, idx):
+            return np.full((len(idx), 1, len(t)), float(len(t)))
+
+        with pytest.raises(NumericalFailure):
+            cv._node_doubling(diverging, 1, 1e-10, quadrature_nodes)
 
 
 class TestRiemannConstant:

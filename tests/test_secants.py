@@ -5,6 +5,7 @@ import trisect.curves as cv
 import trisect.secants as sec
 from trisect.errors import InvalidInput
 from trisect.curves import random_curve_point
+from trisect.geometry import SMOOTHNESS_THRESHOLD, _theta_scales
 
 
 def four_points(curve, seed):
@@ -29,8 +30,7 @@ class TestFayConstruction:
         curve, periods, _ = {2: jac2, 3: jac3}[g]
         p, q, r, s = four_points(curve, seed)
         tri = sec.fay_construct(curve, periods, p, q, r, s)
-        cert = sec.certify_secant(periods.tau, tri.lifts,
-                                  expect_on_theta=False)
+        cert = sec.certify_secant(periods.tau, tri.lifts)
         assert cert.passes
         assert cert.rank_cert.decided_rank == 2
         assert cert.rank_cert.gap_ratio < 1e-9
@@ -41,8 +41,7 @@ class TestFayConstruction:
         rng = np.random.default_rng(1)
         lifts = rng.standard_normal((3, 2)) * 0.4 \
             + 0.3j * rng.standard_normal((3, 2))
-        cert = sec.certify_secant(periods.tau, list(lifts),
-                                  expect_on_theta=False)
+        cert = sec.certify_secant(periods.tau, list(lifts))
         assert not cert.passes
         assert cert.rank_cert.decided_rank == 3
 
@@ -54,11 +53,9 @@ class TestFayConstruction:
         tri = sec.fay_construct(curve, periods, p, q, r, s)
         tau = periods.tau.entries
         lam = np.array([2.0, -1.0]) + tau @ np.array([1.0, 1.0])
-        base = sec.certify_secant(periods.tau, tri.lifts,
-                                  expect_on_theta=False)
+        base = sec.certify_secant(periods.tau, tri.lifts)
         shifted = sec.certify_secant(
-            periods.tau, [l.z + lam for l in tri.lifts],
-            expect_on_theta=False)
+            periods.tau, [l.z + lam for l in tri.lifts])
         assert shifted.passes == base.passes
         assert shifted.rank_cert.decided_rank == base.rank_cert.decided_rank
         assert shifted.general_position == base.general_position
@@ -78,7 +75,6 @@ class TestThetaTrisecant:
     def test_points_lie_on_theta(self, triple):
         _, cert = triple
         assert all(t < 1e-8 for t in cert.theta_residuals)
-        assert cert.expect_on_theta
 
     def test_collinear_and_general(self, triple):
         _, cert = triple
@@ -151,6 +147,32 @@ class TestMultisecant:
         for bad in [(0, 1), (0, 1, 1), (0, 1, 9)]:
             with pytest.raises(InvalidInput):
                 sec.multisecant_from_Bl(curve, periods, sample, kappa, bad)
+
+
+class TestOuterProductIdentity:
+
+    def test_taken_at_the_first_smooth_lift(self, jac3):
+        """A partition whose first lift is a singular theta point satisfies
+        the identity at its first smooth lift; a Fay line lies off the
+        theta divisor, where the identity does not apply."""
+        curve, periods, kappa = jac3
+        sample = cv.sample_B_ell(curve, 3, seed=20260823)
+        certs, _ = sec.multisecant_sweep(curve, periods, sample, kappa)
+        _, grad_scale = _theta_scales(periods.tau)
+        singular_first = [
+            cert for cert in certs
+            if cert.gradient_norms[0] <= SMOOTHNESS_THRESHOLD * grad_scale]
+        assert singular_first
+        for cert in singular_first:
+            assert cert.outer_product_residual < 1e-8
+        _, fay = sec.fay_trisecant(curve, periods, np.random.default_rng(1))
+        assert fay.outer_product_residual is None
+        assert fay.to_dict()["outer_product_residual"] is None
+        # two smooth lifts on the divisor and one moved off it
+        a, b, _ = certs[0].lifts
+        mixed = sec.certify_secant(periods.tau, [a, b, a + 0.1])
+        assert mixed.theta_residuals[2] > 1e-3
+        assert mixed.outer_product_residual is None
 
 
 class TestIgusaSpan:
