@@ -441,15 +441,12 @@ def _branch_halves(g, k):
 
 
 def _branch_target(curve, point):
-    """Whether a finite point is a branch point; a point over a branch x
-    that is not one has no well-defined path."""
-    is_branch = curve.is_branch_x(point.x) and abs(point.y) \
+    """Whether a finite point is a branch point.  A point over a branch x
+    that is not one is left to the quadrature, whose degeneracy check
+    refuses its path."""
+    return curve.is_branch_x(point.x) and abs(point.y) \
         <= 1e-6 * max(1.0, abs(curve.y_branch(
             np.asarray(point.x + 0.01j * curve.span, dtype=complex))))
-    if curve.is_branch_x(point.x) and not is_branch:
-        raise PathDegenerate("target too close to a branch point",
-                             x=complex(point.x))
-    return is_branch
 
 
 def _abel_jacobi_points(curve, points, periods, tol):

@@ -1,18 +1,25 @@
 """Error-controlled Riemann theta functions with half-integer characteristics.
 
-The series is truncated over the ellipsoid ||T(n + center)|| <= R, with T the
-Cholesky factor of pi * Im(tau); R is chosen from the Gaussian tail estimate
-so the omitted mass is below the requested tolerance.  Arguments are first
-reduced modulo the period lattice and the exact quasi-periodicity prefactor
-is reapplied, with its product-rule terms for derivatives, so returned values
-and derivatives are the true (unreduced) ones at any argument.
+Every sum runs at zero characteristic over the origin-centred point set
+||T n|| <= R, with T the Cholesky factor of pi * Im(tau).  R is chosen from
+the Gaussian tail estimate so that the omitted mass is below the requested
+tolerance; the estimate charges the offset of each row's Gaussian centre
+from the origin once, and that ball around the origin contains every
+centred ball the estimate leaves unbounded.  A characteristic [a, b] is
+folded into the argument, theta[a, b](z) = exp(i pi a^T tau a
++ 2 pi i a^T (z + b)) theta(z + b + tau a).  Arguments are reduced modulo
+the period lattice and the exact prefactors are reapplied, with their
+product-rule terms for derivatives, so returned values and derivatives are
+the true (unreduced) ones at any argument.
 
 One pass over the lattice points returns the whole jet up to the requested
 order: values, gradients and Hessians come from the same sums (the
 derivative-from-one-summation form of Deconinck et al., Math. Comp. 73
 (2004)), so a caller that needs a value and its gradient makes one call.
-Derivative series reuse the value-series ellipsoid enlarged by a fixed
-margin, since the polynomial prefactors grow slower than the Gaussian decays.
+Derivative series reuse the value-series ball enlarged by a fixed margin,
+since the polynomial prefactors grow slower than the Gaussian decays.  The
+point set is symmetric and n^T tau n is even in n (Mumford, Tata Lectures
+on Theta I, Ch. II), so each pair {n, -n} is summed once, from one exp.
 
 The second-order basis theta[eps/2, 0](2 tau, 2 z) is the part of
 theta(z; tau/2) summed over m = eps (mod 2): one series on tau/2 grouped by
@@ -22,8 +29,8 @@ of the whole series (the half-period action, Mumford, Tata Lectures on
 Theta I, Ch. II 1), so the classes are relabelled after the sum.
 
 Returned tail bounds hold at the raw arguments: the bound at the reduced
-arguments is scaled by the largest quasi-periodic prefactor and by its
-product-rule growth for derivatives.
+arguments is scaled by the largest prefactor and by its product-rule
+growth for derivatives.
 
 Characteristic ordering convention: eps in {0,1}^g is indexed
 lexicographically with eps_1 most significant.  Every other module and the
@@ -90,9 +97,12 @@ class RiemannMatrix:
         self._chol_inv = np.linalg.inv(self._chol)
         self._points = np.zeros((0, self.g), dtype=np.int16)  # by ||T n||
         self._point_norms = np.zeros(0)
-        self._quad = np.zeros(0, dtype=complex)  # i pi n^T tau n per point
         self._points_radius = -1.0  # _points is complete up to this norm
-        self._classes = []  # indices into _points by n mod 2
+        # one point of each pair {n, -n}: the origin and every n whose first
+        # nonzero entry is positive, as ascending indices into _points
+        self._reps = np.zeros(0, dtype=np.int32)
+        self._quad = np.zeros(0, dtype=complex)  # i pi n^T tau n per _reps
+        self._classes = []  # indices into _reps by n mod 2
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
         # the enumeration up to the shortest one holds it after the origin
         self.lattice_points(np.min(np.linalg.norm(self._chol, axis=0)))
@@ -106,8 +116,10 @@ class RiemannMatrix:
     def lattice_points(self, radius):
         """Integer points n (int16) with ||T n|| <= radius (rounded up to a
         quarter step), sorted by ||T n||: a prefix of the one cached point set,
-        which only a larger radius re-enumerates.  The quadratic form
-        i pi n^T tau n of every point is rebuilt with the set, in _quad.
+        which only a larger radius re-enumerates.  The set is symmetric under
+        n -> -n; its representatives _reps, their quadratic forms
+        i pi n^T tau n (_quad) and their classes by n mod 2 (_classes) are
+        rebuilt with it.
         """
         key = float(np.ceil(radius * 4.0) / 4.0)
         if key > self._points_radius:
@@ -128,10 +140,13 @@ class RiemannMatrix:
             self._points = pts[order]
             self._points.setflags(write=False)
             self._point_norms = norms[order]
-            self._quad = np.concatenate(quads)[order]
+            first = self._points[np.arange(len(order)),
+                                 np.argmax(self._points != 0, axis=1)]
+            self._reps = np.flatnonzero(first >= 0).astype(np.int32)
+            self._quad = np.concatenate(quads)[order[self._reps]]
             del pts, norms, quads, order  # before the class indices are built
             self._points_radius = key
-            parity = _class_index(self._points)
+            parity = _class_index(self._points[self._reps])
             self._classes = [np.flatnonzero(parity == c).astype(np.int32)
                              for c in range(2 ** self.g)]
         stop = np.searchsorted(self._point_norms, key + 1e-12, side="right")
@@ -236,7 +251,12 @@ def _prepare(tau, Z, tol, deriv):
     if deriv not in (0, 1, 2):
         raise InvalidInput("derivative order must be 0, 1 or 2", got=deriv)
     Z = np.asarray(Z, dtype=complex)
-    return rm, np.atleast_2d(Z), Z.ndim == 1
+    squeeze, Z = Z.ndim == 1, np.atleast_2d(Z)
+    # checked before the characteristic is added to Z
+    if Z.ndim != 2 or Z.shape[1] != rm.g:
+        raise InvalidInput("argument dimension does not match genus",
+                           got=Z.shape[-1], genus=rm.g)
+    return rm, Z, squeeze
 
 
 def _tail_bound(rm, radius, offset, deriv_order):
@@ -260,84 +280,101 @@ def _pick_radius(rm, tol, offset, deriv_order):
                        tol=tol)
 
 
-def _series(rm, Z_red, a, b, tol, deriv, by_parity=False):
+def _series(rm, Z_red, tol, deriv, by_parity=False):
     """Truncated theta sums at reduced points, all orders 0..deriv at once.
 
-    Z_red: (N, g) reduced arguments; a, b: characteristic shifts.  The terms
-    are summed into one class, or with ``by_parity`` into the 2^g classes of
-    n mod 2 in the eps order.  Returns (results, radius, tail_bound) where
-    results lists the values (N, C), then gradients (N, C, g) and Hessians
-    (N, C, g, g) as needed.
+    Z_red: (N, g) reduced arguments, summed at zero characteristic.  The
+    terms are summed into one class, or with ``by_parity`` into the 2^g
+    classes of n mod 2 in the eps order.  Returns (results, radius,
+    tail_bound) where results lists the values (N, C), then gradients
+    (N, C, g) and Hessians (N, C, g, g) as needed.
+
+    The terms of row z are Gaussian in n around -c, c = Im(tau)^-1 Im z,
+    and the tail bound covers the n with ||T (n + c)|| > radius - offset,
+    offset the largest ||T c|| of the rows.  Every other n has
+    ||T n|| <= ||T (n + c)|| + ||T c|| <= radius, so summing
+    lattice_points(radius) leaves out only points the bound covers.
+
+    n and -n share i pi n^T tau n and the class n mod 2, and their linear
+    terms are L and -L, L = 2 pi i n^T z.  So each pair is summed once from
+    one exp: e^q (e^L + e^-L) against the weights 1 and n n^T of the values
+    and Hessians, e^q (e^L - e^-L) against the weight n of the gradients,
+    with weight 1/2 at the origin.  |Re L| <= 2 radius offset keeps e^L and
+    e^-L finite.
     """
-    tau = rm.entries
     yinv_y = Z_red.imag @ rm._imag_inv.T
-    centers = a[None, :] + yinv_y
-    offset = float(np.max(np.linalg.norm(centers @ rm._chol.T, axis=1),
+    offset = float(np.max(np.linalg.norm(yinv_y @ rm._chol.T, axis=1),
                           initial=0.0))
     # omitted terms carry the factor exp(pi y^T Y^{-1} y)
     boost = float(np.exp(np.pi * np.max(
         np.einsum("ng,ng->n", Z_red.imag, yinv_y), initial=0.0)))
     margin = float(deriv)
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
-    pts = rm.lattice_points(radius + offset)
+    stop = len(rm.lattice_points(radius))  # may rebuild rm._reps
+    count = np.searchsorted(rm._reps, stop)
     n_rows, g = Z_red.shape
-    # index arrays of the classes of the points, or one slice of them all
-    groups = [idx[:np.searchsorted(idx, len(pts))] for idx in rm._classes] \
-        if by_parity else [slice(len(pts))]
-    # (n + a)^T tau (n + a) = n^T tau n + 2 n^T tau a + a^T tau a
-    tau_a = tau @ a
-    quad_a = 1j * np.pi * (a @ tau_a)
-    n_weights = 1 + (deriv >= 1) * g + (deriv >= 2) * g * g
-    step = max(_BLOCK // (min(n_rows, 128) + n_weights), 1)
-    sums = np.zeros((n_rows, len(groups), n_weights), dtype=complex)
+    # positions in _reps of the classes of the points, or all of them
+    groups = [idx[:np.searchsorted(idx, count)] for idx in rm._classes] \
+        if by_parity else [slice(count)]
+    # weights 1 and n_k n_l of the even sums, n_k of the odd ones
+    n_even = 1 + (deriv >= 2) * g * g
+    n_odd = (deriv >= 1) * g
+    step = max(_BLOCK // (min(n_rows, 128) + n_even + n_odd), 1)
+    sums = np.zeros((n_rows, len(groups), n_even + n_odd), dtype=complex)
     for c, group in enumerate(groups):
-        members, quads = pts[group], rm._quad[group]
+        members, quads = rm._points[rm._reps[group]], rm._quad[group]
         for lo in range(0, len(members), step):
-            shifted = members[lo:lo + step] + a[None, :]
-            quad = quads[lo:lo + step] + quad_a \
-                + _TWO_PI_I * (members[lo:lo + step] @ tau_a)
-            # weights 1, n_k and n_k n_l of the value, gradient, Hessian terms
-            weights = [np.ones((1, len(shifted)))]
-            if deriv >= 1:
-                weights.append(shifted.T)
+            n = members[lo:lo + step].astype(float)
+            scale = np.exp(quads[lo:lo + step])[:, None]
+            even = [np.where(n.any(axis=1), 1.0, 0.5)[None, :]]
             if deriv >= 2:
-                weights.append((shifted.T[:, None] * shifted.T)
-                               .reshape(g * g, -1))
-            weights = np.concatenate(weights)
+                even.append((n.T[:, None] * n.T).reshape(g * g, -1))
+            even = np.concatenate(even)
             for start in range(0, n_rows, 128):
                 block = slice(start, min(start + 128, n_rows))
-                lin = _TWO_PI_I * shifted @ (Z_red[block] + b[None, :]).T
-                terms = np.exp(quad[:, None] + lin).view(float)
-                sums[block, c] += (weights @ terms).view(complex).T
+                # keep an elementwise op between the BLAS product and exp: exp
+                # fed straight from it ran 3-4x slower on 2-vCPU x86 (AVX-SSE)
+                e = np.exp(_TWO_PI_I * (n @ Z_red[block].T))
+                inv = 1.0 / e
+                sums[block, c, :n_even] += (
+                    even @ (scale * (e + inv)).view(float)).view(complex).T
+                if deriv >= 1:
+                    sums[block, c, n_even:] += (
+                        n.T @ (scale * (e - inv)).view(float)).view(complex).T
     outs = [sums[..., 0]]
     if deriv >= 1:
-        outs.append(_TWO_PI_I * sums[..., 1:g + 1])
+        outs.append(_TWO_PI_I * sums[..., n_even:])
     if deriv >= 2:
-        outs.append(_TWO_PI_I ** 2 * sums[..., g + 1:].reshape(
+        outs.append(_TWO_PI_I ** 2 * sums[..., 1:n_even].reshape(
             sums.shape[:2] + (g, g)))
     tail = boost * _tail_bound(rm, radius - margin, offset, deriv)
     return outs, radius, tail
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _unreduce(rm, a, b, m, p, Z_red, outs, tail):
-    """The jet of theta at Z = Z_red + m + tau p from _series output, and
-    its tail bound.
+def _lattice_exponent(rm, p, Z_red):
+    """log theta(Z_red + m + tau p) - log theta(Z_red), tau = rm.entries:
+    -i pi p^T tau p - 2 pi i p^T Z_red per row."""
+    return -1j * np.pi * np.einsum("ng,gh,nh->n", p, rm.entries, p) \
+        - _TWO_PI_I * np.einsum("ng,ng->n", p, Z_red)
 
-    Applies the quasi-periodicity factor to every order, with the
-    product-rule terms of its z-dependence for the derivatives.  Each
-    product-rule term multiplies an order whose error is below ``tail`` by
-    entries of -2 pi i p, so the error of the jet at Z is below
-    |prefactor| (1 + 2 pi ||p||)^deriv tail.  Returns (jet, tail_bound),
-    jet a list of the shapes of ``outs``.  Raises NumericalFailure, and
-    issues no floating-point warning, when any entry overflows.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _unreduce(log_pre, shift, outs, tail):
+    """The jet of exp(log_pre) f from the jet ``outs`` of f, and its tail
+    bound, where log_pre (N,) is affine in z with gradient shift (N, g).
+
+    Applies the prefactor to every order, with the product-rule terms of
+    its z-dependence for the derivatives.  Each product-rule term
+    multiplies an order whose error is below ``tail`` by entries of shift,
+    so the error of the jet is below |prefactor| (1 + ||shift||)^deriv
+    tail.  Returns (jet, tail_bound), jet a list of the shapes of
+    ``outs``.  Raises NumericalFailure, and issues no floating-point
+    warning, when any entry overflows.
     """
-    tau = rm.entries
-    quad = np.einsum("ng,gh,nh->n", p, tau, p)
-    pre = np.exp(_TWO_PI_I * (m @ a - p @ b)
-                 - 1j * np.pi * quad
-                 - _TWO_PI_I * np.einsum("ng,ng->n", p, Z_red))[:, None]
-    shift = (-_TWO_PI_I * p)[:, None, :]
+    pre = np.exp(log_pre)[:, None]
+    growth = np.abs(pre[:, 0]) * (1.0 + np.linalg.norm(
+        shift, axis=1)) ** (len(outs) - 1)
+    shift = shift[:, None, :]
     jet = [pre * outs[0]]
     if len(outs) > 1:
         jet.append(pre[..., None] * (outs[1] + shift * outs[0][..., None]))
@@ -348,8 +385,6 @@ def _unreduce(rm, a, b, m, p, Z_red, outs, tail):
             + shift[..., None, :] * outs[1][..., :, None]
             + shift[..., :, None] * shift[..., None, :]
             * outs[0][..., None, None]))
-    growth = np.abs(pre[:, 0]) * (1.0 + 2.0 * np.pi * np.linalg.norm(
-        p, axis=1)) ** (len(outs) - 1)
     tail = tail * float(np.max(growth))
     if not (np.isfinite(tail)
             and all(np.all(np.isfinite(order)) for order in jet)):
@@ -364,19 +399,25 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
     Returns (jet, radius, tail_bound): jet is a tuple of deriv + 1 arrays,
     the values (N,), gradients (N, g) and Hessians (N, g, g), all from one
     pass over the lattice points; a single point Z of shape (g,) drops the
-    leading axis.  Exact quasi-periodic reduction is applied internally, so
-    the jet is that of the raw (unreduced) arguments.  tail_bound bounds
-    the truncation error of every entry of every order at the raw
-    arguments.
+    leading axis.  The characteristic is folded into the argument,
+
+        theta[a, b](z) = exp(i pi a^T tau a + 2 pi i a^T (z + b)) theta(w),
+
+    w = z + b + tau a, and w is reduced exactly, so the jet is that of the
+    raw (unreduced) arguments.  tail_bound bounds the truncation error of
+    every entry of every order at the raw arguments.
     """
     rm, Z, squeeze = _prepare(tau, Z, tol, deriv)
-    Z_red, m, p = rm.reduce(Z)
     char = char or HalfCharacteristic.zero(rm.g)
     if char.g != rm.g:
         raise InvalidInput("characteristic length does not match genus")
     a, b = char.a, char.b
-    outs, radius, tail = _series(rm, Z_red, a, b, tol, deriv)
-    jet, tail = _unreduce(rm, a, b, m, p, Z_red, outs, tail)
+    tau = rm.entries
+    W_red, _, p = rm.reduce(Z + b + tau @ a)
+    outs, radius, tail = _series(rm, W_red, tol, deriv)
+    log_pre = 1j * np.pi * (a @ tau @ a) + _TWO_PI_I * ((Z + b) @ a) \
+        + _lattice_exponent(rm, p, W_red)
+    jet, tail = _unreduce(log_pre, _TWO_PI_I * (a - p), outs, tail)
     return tuple(o[0, 0] if squeeze else o[:, 0] for o in jet), radius, tail
 
 
@@ -402,13 +443,12 @@ def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     rm, Z, squeeze = _prepare(tau, Z, tol, deriv)
     if rm._half is None:
         rm._half = RiemannMatrix(rm.entries / 2.0)
-    Z_red, m, q = rm._half.reduce(Z)
-    zero = np.zeros(rm.g)
-    outs, radius, tail = _series(rm._half, Z_red, zero, zero, tol, deriv,
-                                 by_parity=True)
+    Z_red, _, q = rm._half.reduce(Z)
+    outs, radius, tail = _series(rm._half, Z_red, tol, deriv, by_parity=True)
     # class eps at Z is class eps XOR (q mod 2) at Z_red
     classes = np.arange(2 ** rm.g)[None, :] ^ _class_index(q)[:, None]
     rows = np.arange(len(Z))[:, None]
     outs = [o[rows, classes] for o in outs]
-    jet, tail = _unreduce(rm._half, zero, zero, m, q, Z_red, outs, tail)
+    jet, tail = _unreduce(_lattice_exponent(rm._half, q, Z_red),
+                          -_TWO_PI_I * q, outs, tail)
     return tuple(o[0] if squeeze else o for o in jet), radius, tail

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 
@@ -9,7 +10,8 @@ from scipy.special import gamma as gamma_fn
 from trisect.errors import InvalidInput
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
-                           all_epsilons, eps_from_index, index_from_eps)
+                           all_epsilons, eps_from_index, index_from_eps,
+                           _pick_radius, _series)
 
 TAU1 = np.array([[1.0j]])
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
@@ -294,6 +296,126 @@ class TestErrorControl:
         for got, want in zip(blocked, whole):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want)))
+
+
+def random_tau(g, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(g, g))
+    X = rng.normal(size=(g, g)) * 0.3
+    return X + X.T + 1j * (1.5 * np.eye(g) + 0.3 * A @ A.T / g)
+
+
+@functools.lru_cache(maxsize=None)
+def box_ball(g, seed, half):
+    """Test-local enumeration of the integer points n with ||T n|| <= 13,
+    T the Cholesky factor of pi Im(tau), tau = random_tau(g, seed) or its
+    half, from a box that holds them all.  Returns (n, T n)."""
+    tau = random_tau(g, seed) / (2.0 if half else 1.0)
+    chol = np.linalg.cholesky(np.pi * tau.imag).T
+    widths = np.floor(13.0 * np.linalg.norm(np.linalg.inv(chol), axis=1))
+    box = np.indices(2 * widths.astype(int) + 1, dtype=np.int16)
+    box = box.reshape(g, -1).T - widths.astype(np.int16)
+    image = box @ chol.T
+    keep = np.linalg.norm(image, axis=1) <= 13.0
+    return box[keep], image[keep]
+
+
+def point_keys(points):
+    """One integer per point, equal for equal points (|entries| < 64)."""
+    return (points.astype(np.int64) + 64) @ (128 ** np.arange(
+        points.shape[1], dtype=np.int64))
+
+
+class TestSummedPointSet:
+    """The summed set lattice_points(radius) holds every point the tail
+    bound does not cover, and each pair {n, -n} is summed once."""
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-14])
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    @pytest.mark.parametrize("half", [False, True],
+                             ids=["theta_batch", "second_order_basis"])
+    def test_centred_balls_lie_in_the_summed_set(self, half, g, tol, deriv):
+        tau = random_tau(g, g)
+        rng = np.random.default_rng(17 * g + deriv)
+        Z = rng.uniform(-0.5, 0.5, (6, g)) \
+            + rng.uniform(-0.5, 0.5, (6, g)) @ (tau / (1 + half)).T
+        rm = RiemannMatrix(tau)
+        if half:
+            _, got_radius, _ = second_order_basis(rm, Z, tol=tol,
+                                                  deriv=deriv)
+            rm = rm._half
+        else:
+            _, got_radius, _ = theta_batch(rm, Z, tol=tol, deriv=deriv)
+        Z_red, _, _ = rm.reduce(Z)
+        centres = Z_red.imag @ np.linalg.inv(rm.entries.imag).T
+        chol = np.linalg.cholesky(np.pi * rm.entries.imag).T
+        offset = np.max(np.linalg.norm(centres @ chol.T, axis=1))
+        # the terms carry exp(||T c||^2) = exp(pi y^T Im(tau)^-1 y)
+        radius = _pick_radius(rm, tol / max(np.exp(offset ** 2), 1.0),
+                              offset, deriv) + deriv
+        assert radius == pytest.approx(got_radius, rel=1e-12)
+        assert radius <= 13.0
+        # the call on a fresh matrix enumerated the whole ball it sums
+        assert rm._points_radius >= radius
+        points, image = box_ball(g, g, half)
+        # every lattice point within radius - offset of some row's centre
+        near = np.zeros(len(points), dtype=bool)
+        for c in centres @ chol.T:
+            near |= np.linalg.norm(image + c, axis=1) <= radius - offset
+        near = point_keys(points[near])
+        assert np.all(np.isin(near, point_keys(rm.lattice_points(radius))))
+        # the bound would not hold for the ball it needs: radius - offset
+        assert not np.all(np.isin(
+            near, point_keys(rm.lattice_points(radius - offset))))
+
+    def test_representatives_pair_up_the_point_set(self):
+        rm = RiemannMatrix(random_tau(5, 5))
+        rm.lattice_points(9.0)
+        for r in (1.0, 3.3, 6.0, 9.0):
+            points = rm.lattice_points(r)
+            reps = rm._points[rm._reps[
+                :np.searchsorted(rm._reps, len(points))]]
+            as_set = {tuple(n) for n in points}
+            assert {tuple(n) for n in reps} | {tuple(-n) for n in reps} \
+                == as_set
+            assert 2 * len(reps) - 1 == len(as_set) == len(points)
+            assert np.sum(~reps.any(axis=1)) == 1
+        reps = rm._points[rm._reps]
+        first = reps[np.arange(len(reps)), np.argmax(reps != 0, axis=1)]
+        assert np.all((first > 0) | ~reps.any(axis=1))
+        members = np.concatenate(rm._classes)
+        np.testing.assert_array_equal(np.sort(members),
+                                      np.arange(len(rm._reps)))
+        for c, idx in enumerate(rm._classes):
+            assert all(index_from_eps(n % 2) == c for n in reps[idx])
+
+    @pytest.mark.parametrize("by_parity", [False, True],
+                             ids=["one-class", "by-parity"])
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_paired_sums_match_unpaired_sums(self, deriv, by_parity):
+        # g=5, where the mpmath oracle is too slow: the plain sum of
+        # exp(i pi n^T tau n + 2 pi i n^T z) over the same point set
+        tau = random_tau(5, 5)
+        rm = RiemannMatrix(tau)
+        rng = np.random.default_rng(deriv)
+        Z_red, _, _ = rm.reduce(rng.uniform(-0.5, 0.5, (4, 5))
+                                + rng.uniform(-0.5, 0.5, (4, 5)) @ tau.T)
+        outs, radius, _ = _series(rm, Z_red, 1e-10, deriv, by_parity)
+        n = rm.lattice_points(radius).astype(float)
+        terms = np.exp(1j * np.pi * np.einsum("tg,gh,th->t", n, tau, n)
+                       + 2j * np.pi * Z_red @ n.T)
+        classes = np.array([index_from_eps(k % 2) for k in n.astype(int)]) \
+            if by_parity else np.zeros(len(n), dtype=int)
+        onehot = classes[:, None] == np.arange(outs[0].shape[1])
+        weights = [onehot,
+                   2j * np.pi * n[:, None, :] * onehot[..., None],
+                   (2j * np.pi) ** 2 * (n[:, :, None] * n[:, None, :])[
+                       :, None] * onehot[..., None, None]]
+        for got, weight in zip(outs, weights):
+            want = np.tensordot(terms, weight, axes=1)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(want)))
 
 
 #: unimodular U (det 1); tau' = U^T tau U is the same lattice in a skewed
