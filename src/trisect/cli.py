@@ -11,6 +11,7 @@ most significant.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -287,7 +288,10 @@ def _seed(text):
     return seed
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The CLI parser, built once per process: parse_args leaves it as it
+    was, and building its ten subparsers costs more than a parse."""
     parser = _Parser(
         prog="trisect",
         description="trisecants and multisecants of theta divisors of "

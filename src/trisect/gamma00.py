@@ -32,6 +32,17 @@ class SectionCoefficients:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _computed(cls, coeffs):
+        """A section computed from others, which may cancel exactly: the
+        pair x, -x gives s_x - s_{-x} = 0.  Only a section given as input
+        is refused when zero."""
+        section = object.__new__(cls)
+        c = np.array(coeffs, dtype=complex).reshape(-1)
+        c.setflags(write=False)
+        object.__setattr__(section, "coeffs", c)
+        return section
+
 
 @dataclass(frozen=True)
 class TaylorConditions:
@@ -146,7 +157,7 @@ def _combination(rm, grads, sections, tol, theta_tol):
                                  angle=float(angle))
     gamma = complex(np.sum(g2 * g1) / np.sum(g2 * g2))
     lam = gamma ** 2
-    combo = SectionCoefficients(coeffs=sections[0] - lam * sections[1])
+    combo = SectionCoefficients._computed(sections[0] - lam * sections[1])
     conds = taylor_conditions(rm, combo, tol=theta_tol)
     return combo, lam, gamma, conds
 

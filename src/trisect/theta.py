@@ -19,7 +19,17 @@ derivative-from-one-summation form of Deconinck et al., Math. Comp. 73
 Derivative series reuse the value-series ball enlarged by a fixed margin,
 since the polynomial prefactors grow slower than the Gaussian decays.  The
 point set is symmetric and n^T tau n is even in n (Mumford, Tata Lectures
-on Theta I, Ch. II), so each pair {n, -n} is summed once, from one exp.
+on Theta I, Ch. II), so each pair {n, -n} is summed once.
+
+The sum runs one lattice line at a time, the recursive one-coordinate form
+of the ellipsoid sum of Deconinck et al.: n = (h, m) splits into its head h
+(the first g - 1 coordinates) and m, so exp(2 pi i n^T z) = E w^m with one
+exp E per head and row and w = exp(2 pi i z_g); the sum over m is a complex
+matrix product with the powers of w, and the pair {n, -n} is paired at the
+head, E (...) + E^-1 (...).  The split factors can leave floating range on
+a skewed tau (Frauendiener, Jaber & Klein, J. Geom. Phys. 141 (2019),
+reduce such a tau first), so a proven bound on their exponents guards the
+split: past it, each representative is its own head, one exp per pair.
 
 The second-order basis theta[eps/2, 0](2 tau, 2 z) is the part of
 theta(z; tau/2) summed over m = eps (mod 2): one series on tau/2 grouped by
@@ -37,6 +47,8 @@ lexicographically with eps_1 most significant.  Every other module and the
 CLI file formats rely on this ordering.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +113,21 @@ class RiemannMatrix:
         # one point of each pair {n, -n}: the origin and every n whose first
         # nonzero entry is positive, as ascending indices into _points
         self._reps = np.zeros(0, dtype=np.int32)
-        self._quad = np.zeros(0, dtype=complex)  # i pi n^T tau n per _reps
-        self._classes = []  # indices into _reps by n mod 2
+        # exp(i pi n^T tau n) per _reps, the origin's halved
+        self._weights = np.zeros(0, dtype=complex)
+        # the head of n = (h, m) is h, its first g - 1 coordinates: _head
+        # numbers the heads of _reps by first appearance, _heads lists them
+        self._head = np.zeros(0, dtype=np.int32)
+        self._heads = np.zeros((0, self.g - 1))
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
         # the enumeration up to the shortest one holds it after the origin
         self.lattice_points(np.min(np.linalg.norm(self._chol, axis=0)))
         self._rho = float(self._point_norms[1])
         # least singular value of T, for the derivative tail bounds
         self._smin = float(np.linalg.svd(self._chol, compute_uv=False)[-1])
+        # the factor of the tail bound that depends on the matrix only
+        self._tail_scale = (self.g / 2.0) * (2.0 / self._rho) ** self.g \
+            * gamma_fn(self.g / 2.0)
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
         self._theta_scales = None  # geometry._theta_scales
         self._gamma00_conditions = None  # gamma00._condition_data
@@ -117,11 +136,10 @@ class RiemannMatrix:
         """Integer points n (int16) with ||T n|| <= radius (rounded up to a
         quarter step), sorted by ||T n||: a prefix of the one cached point set,
         which only a larger radius re-enumerates.  The set is symmetric under
-        n -> -n; its representatives _reps, their quadratic forms
-        i pi n^T tau n (_quad) and their classes by n mod 2 (_classes) are
-        rebuilt with it.
+        n -> -n; its representatives _reps, their weights exp(i pi n^T tau n)
+        (_weights) and their heads (_head, _heads) are rebuilt with it.
         """
-        key = float(np.ceil(radius * 4.0) / 4.0)
+        key = math.ceil(radius * 4.0) / 4.0
         if key > self._points_radius:
             widths = np.floor(key * np.linalg.norm(self._chol_inv, axis=1))
             pts, norms, quads = [], [], []
@@ -143,13 +161,25 @@ class RiemannMatrix:
             first = self._points[np.arange(len(order)),
                                  np.argmax(self._points != 0, axis=1)]
             self._reps = np.flatnonzero(first >= 0).astype(np.int32)
-            self._quad = np.concatenate(quads)[order[self._reps]]
-            del pts, norms, quads, order  # before the class indices are built
+            self._weights = np.exp(np.concatenate(quads)[order[self._reps]])
+            self._weights[0] = 0.5  # the origin, the pair {0, -0}
+            del pts, norms, quads, order  # before the heads are numbered
             self._points_radius = key
-            parity = _class_index(self._points[self._reps])
-            self._classes = [np.flatnonzero(parity == c).astype(np.int32)
-                             for c in range(2 ** self.g)]
-        stop = np.searchsorted(self._point_norms, key + 1e-12, side="right")
+            reps = self._points[self._reps]
+            # a head's index in the box of the first g - 1 coordinates, the
+            # box index of n over 2 widths[-1] + 1
+            keys = np.zeros(len(reps), dtype=np.int64)
+            for i in range(self.g - 1):
+                keys = keys * int(2 * widths[i] + 1) \
+                    + (reps[:, i] + int(widths[i]))
+            firsts = np.full(int(np.prod(2 * widths[:-1] + 1)), len(reps),
+                             dtype=np.int32)
+            np.minimum.at(firsts, keys, np.arange(len(reps), dtype=np.int32))
+            firsts = firsts[keys]  # where each rep's head first appears
+            new = firsts == np.arange(len(reps))
+            self._head = (np.cumsum(new, dtype=np.int32) - 1)[firsts]
+            self._heads = reps[new, :-1].astype(float)
+        stop = self._point_norms.searchsorted(key + 1e-12, side="right")
         return self._points[:stop]
 
     def reduce(self, Z):
@@ -263,21 +293,80 @@ def _tail_bound(rm, radius, offset, deriv_order):
     g = rm.g
     rho = rm._rho
     arg = max(radius - offset - rho / 2.0, 0.0) ** 2
-    eps = (g / 2.0) * (2.0 / rho) ** g * gamma_fn(g / 2.0) \
-        * gammaincc(g / 2.0, arg)
+    eps = rm._tail_scale * gammaincc(g / 2.0, arg)
     if deriv_order:
         eps *= (2.0 * np.pi * (radius + 1.0) / rm._smin) ** deriv_order
     return eps
 
 
 def _pick_radius(rm, tol, offset, deriv_order):
-    radius = rm._rho / 2.0 + offset + np.sqrt(max(-np.log(tol), 1.0))
+    radius = float(rm._rho / 2.0 + offset
+                   + np.sqrt(max(-np.log(tol), 1.0)))
     for _ in range(200):
         if _tail_bound(rm, radius, offset, deriv_order) < tol:
             return radius
         radius += 0.4
     raise InvalidInput("theta series does not converge at this tolerance",
                        tol=tol)
+
+
+#: The largest |Re x| of a factor exp(x) that a split sum may form, inside
+#: floating range (exp overflows past 709).
+_SPLIT_REACH = 600.0
+
+
+def _lines(rm, stop, offset, y_last):
+    """The summed representatives, those in lattice_points(...)[:stop], as
+    lattice lines: (heads, lines, top), the representative (heads[j], m)
+    with weight lines[j, top + m], -top <= m <= top.
+
+    The heads are the first g - 1 coordinates while 2 R offset + 4 pi top
+    y_last, R the largest ||T n|| summed, offset the largest ||T c|| and
+    y_last the largest |Im z_g| of the rows, is at most _SPLIT_REACH (the
+    intermediate bound of _series).  Otherwise each representative is its
+    own head of all g coordinates and top = 0.
+    """
+    count = rm._reps.searchsorted(stop)
+    head, m = rm._head[:count], rm._points[rm._reps[:count], -1]
+    top = int(np.abs(m).max())
+    reach = 2.0 * rm._point_norms[stop - 1] * offset \
+        + 4.0 * np.pi * top * y_last
+    if reach > _SPLIT_REACH:
+        heads = rm._points[rm._reps[:count]].astype(float)
+        head, m, top = np.arange(count), 0, 0
+    else:
+        heads = rm._heads[:head.max() + 1]
+    lines = np.zeros((len(heads), 2 * top + 1), dtype=complex)
+    lines[head, m + top] = rm._weights[:count]
+    return heads, lines, top
+
+
+@functools.lru_cache(maxsize=None)
+def _inner_weights(top, n_pow, n_par):
+    """(ms, weights) over -top <= m <= top: ms (2 top + 1, 2, 1) holds
+    2 pi i m and -2 pi i m, and weights (2 top + 1, n_pow n_par, 1, 1)
+    holds m^k (m mod n_par == p), k-major."""
+    ms = np.arange(-top, top + 1)
+    weights = (ms ** np.arange(n_pow)[:, None])[:, None] \
+        * (ms % n_par == np.arange(n_par)[:, None])
+    weights = weights.reshape(-1, len(ms)).T[..., None, None].astype(float)
+    ms = _TWO_PI_I * np.stack([ms, -ms], axis=1)[..., None]
+    ms.setflags(write=False)
+    weights.setflags(write=False)
+    return ms, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_signs(n_hc, d, deriv, n_pow, n_par):
+    """(-1)^(order) of each head weight (1, h_k, h_k h_l per class of h)
+    times each inner weight m^k (k-major, per parity), shaped
+    (head weights, inner weights, 1)."""
+    degree = np.repeat([0, 1, 2], [1, (deriv >= 1) * d, (deriv >= 2) * d * d])
+    degree = np.tile(degree, n_hc)[:, None] + np.repeat(np.arange(n_pow),
+                                                        n_par)
+    signs = 1.0 - 2.0 * (degree[..., None] % 2)
+    signs.setflags(write=False)
+    return signs
 
 
 def _series(rm, Z_red, tol, deriv, by_parity=False):
@@ -295,58 +384,113 @@ def _series(rm, Z_red, tol, deriv, by_parity=False):
     ||T n|| <= ||T (n + c)|| + ||T c|| <= radius, so summing
     lattice_points(radius) leaves out only points the bound covers.
 
-    n and -n share i pi n^T tau n and the class n mod 2, and their linear
-    terms are L and -L, L = 2 pi i n^T z.  So each pair is summed once from
-    one exp: e^q (e^L + e^-L) against the weights 1 and n n^T of the values
-    and Hessians, e^q (e^L - e^-L) against the weight n of the gradients,
-    with weight 1/2 at the origin.  |Re L| <= 2 radius offset keeps e^L and
-    e^-L finite.
+    n and -n share the weight e^q = exp(i pi n^T tau n) and the class n mod
+    2, and their linear terms are e and 1/e, e = exp(2 pi i n^T z).  So
+    each pair is summed once, from one representative (the origin's weight
+    halved): a weight of order k (1, n_k or n_k n_l) is even in n for even
+    k, so the pair contributes e^q (e + (-1)^k / e) times the weight.
+
+    Two-level sum: a representative is n = (h, m), its head h the first
+    g - 1 coordinates, and z = (z', z_g), so e = E w^m with E = exp(2 pi i
+    h^T z') and w = exp(2 pi i z_g).  With C[h, m] = e^q (zero where (h, m)
+    is not summed) and V[m, r] = w_r^m over -M <= m <= M, the pairs of
+    head h sum at row r to E (C V) + (-1)^k E^-1 (C V[::-1]), V[::-1] the
+    powers w^-m: one exp per head and row, and complex matrix products for
+    the inner sums.  A weight splits into a head weight (1, h_k, h_k h_l)
+    and an inner weight (1, m, m^2), which scales the columns of C; the
+    head weights reduce over the heads in one real matrix product.  With
+    ``by_parity`` the class of (h, m) is 2 class(h) + (m mod 2): the
+    columns of C are masked by the parity of m, and the head weights are
+    taken once per class of h.
+
+    Intermediate bound: every factor E, E^-1 and w^(+-m), and every product
+    of them, is exp(x) with |Re x| <= 2 R offset + 4 pi M max |Im z_g|,
+    R the largest ||T n|| summed, since |2 pi n^T Im z| <= 2 ||T n|| ||T c||.
+    The split is taken only while that bound is at most _SPLIT_REACH = 600,
+    inside floating range.  Otherwise each representative is its own head
+    of all g coordinates and the inner range is {0}: the same code with one
+    exp per pair, whose exponents stay below 2 R offset.
+
+    The absolute sum of the terms, for a rounding bound, comes from the
+    same blocks: |E| (|C| |V|) + |E|^-1 (|C| |V[::-1]|), one more real
+    matrix product.
     """
-    yinv_y = Z_red.imag @ rm._imag_inv.T
-    offset = float(np.max(np.linalg.norm(yinv_y @ rm._chol.T, axis=1),
-                          initial=0.0))
+    y = Z_red.imag
+    yinv_y = y @ rm._imag_inv.T
+    offset = yinv_y @ rm._chol.T  # ||T c|| per row, c = Im(tau)^-1 Im z
+    offset = float(np.sqrt(np.add.reduce(offset * offset, axis=1)
+                           .max(initial=0.0)))
     # omitted terms carry the factor exp(pi y^T Y^{-1} y)
-    boost = float(np.exp(np.pi * np.max(
-        np.einsum("ng,ng->n", Z_red.imag, yinv_y), initial=0.0)))
+    boost = float(np.exp(np.pi * np.einsum("ng,ng->n", y, yinv_y)
+                         .max(initial=0.0)))
     margin = float(deriv)
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
-    stop = len(rm.lattice_points(radius))  # may rebuild rm._reps
-    count = np.searchsorted(rm._reps, stop)
+    stop = len(rm.lattice_points(radius))  # may rebuild the caches
+    heads, lines, top = _lines(rm, stop, offset,
+                               float(np.abs(y[:, -1]).max(initial=0.0)))
     n_rows, g = Z_red.shape
-    # positions in _reps of the classes of the points, or all of them
-    groups = [idx[:np.searchsorted(idx, count)] for idx in rm._classes] \
-        if by_parity else [slice(count)]
-    # weights 1 and n_k n_l of the even sums, n_k of the odd ones
-    n_even = 1 + (deriv >= 2) * g * g
-    n_odd = (deriv >= 1) * g
-    step = max(_BLOCK // (min(n_rows, 128) + n_even + n_odd), 1)
-    sums = np.zeros((n_rows, len(groups), n_even + n_odd), dtype=complex)
-    for c, group in enumerate(groups):
-        members, quads = rm._points[rm._reps[group]], rm._quad[group]
-        for lo in range(0, len(members), step):
-            n = members[lo:lo + step].astype(float)
-            scale = np.exp(quads[lo:lo + step])[:, None]
-            even = [np.where(n.any(axis=1), 1.0, 0.5)[None, :]]
+    d = heads.shape[1]
+    # the inner weights m^k (k <= deriv on a split sum, only 1 on an
+    # unsplit one) under the masks of m mod n_par (every m without
+    # by_parity); the class of (h, m) is (class of h) n_par + m mod n_par
+    n_pow = deriv + 1 if d < g else 1
+    n_par = 2 ** (g - d) if by_parity else 1
+    ms, inner = _inner_weights(top, n_pow, n_par)  # w^(+-m) = exp(ms z_g)
+    n_up = inner.shape[1]
+    # the head weights 1, h_k and h_k h_l, per class of h with by_parity
+    n_mono = 1 + (deriv >= 1) * d + (deriv >= 2) * d * d
+    n_hc = 2 ** d if by_parity else 1
+    signs = _pair_signs(n_hc, d, deriv, n_pow, n_par)
+    n_cls = n_hc * n_par
+    outs = [np.empty((n_rows, n_cls) + (g,) * k, dtype=complex)
+            for k in range(deriv + 1)]
+    step = max(_BLOCK // (n_up * (min(n_rows, 128) + len(ms))), 1)
+    for start in range(0, n_rows, 128):
+        rows = slice(start, min(start + 128, n_rows))
+        n_b = rows.stop - start
+        # w^m, then w^-m, of each row under every inner weight
+        V = (inner * np.exp(ms * Z_red[rows, -1])[:, None]).reshape(
+            len(ms), -1)
+        e = np.empty((min(step, len(heads)), 1, 2 * n_b), dtype=complex)
+        acc = np.zeros((n_hc * n_mono, n_up, 2, n_b), dtype=complex)
+        for lo in range(0, len(heads), step):
+            h = heads[lo:lo + step]
+            k = len(h)
+            # keep an elementwise op between the BLAS product and exp: exp
+            # fed straight from it ran 3-4x slower on 2-vCPU x86 (AVX-SSE)
+            e[:k, 0, :n_b] = np.exp(_TWO_PI_I * (h @ Z_red[rows, :d].T))
+            np.divide(1.0, e[:k, 0, :n_b], out=e[:k, 0, n_b:])
+            # E (C V) and E^-1 (C V[::-1]) under every inner weight
+            terms = (lines[lo:lo + step] @ V).reshape(k, n_up, -1) * e[:k]
+            mono = np.ones((n_mono, k))
+            if deriv >= 1:
+                mono[1:1 + d] = h.T
             if deriv >= 2:
-                even.append((n.T[:, None] * n.T).reshape(g * g, -1))
-            even = np.concatenate(even)
-            for start in range(0, n_rows, 128):
-                block = slice(start, min(start + 128, n_rows))
-                # keep an elementwise op between the BLAS product and exp: exp
-                # fed straight from it ran 3-4x slower on 2-vCPU x86 (AVX-SSE)
-                e = np.exp(_TWO_PI_I * (n @ Z_red[block].T))
-                inv = 1.0 / e
-                sums[block, c, :n_even] += (
-                    even @ (scale * (e + inv)).view(float)).view(complex).T
-                if deriv >= 1:
-                    sums[block, c, n_even:] += (
-                        n.T @ (scale * (e - inv)).view(float)).view(complex).T
-    outs = [sums[..., 0]]
-    if deriv >= 1:
-        outs.append(_TWO_PI_I * sums[..., n_even:])
-    if deriv >= 2:
-        outs.append(_TWO_PI_I ** 2 * sums[..., 1:n_even].reshape(
-            sums.shape[:2] + (g, g)))
+                mono[1 + d:] = (h.T[:, None] * h.T).reshape(d * d, k)
+            if by_parity:
+                onehot = _class_index(h) == np.arange(n_hc)[:, None]
+                mono = (onehot[:, None] * mono).reshape(-1, k)
+            acc += (mono @ terms.reshape(k, -1).view(float)).view(complex) \
+                .reshape(acc.shape)
+        # the pair {n, -n} under a weight of order k: the E term plus
+        # (-1)^k the E^-1 term; as (row, class, power of m, head weight)
+        sums = (acc[:, :, 0] + signs * acc[:, :, 1]).reshape(
+            n_hc, n_mono, n_pow, n_par, n_b).transpose(4, 0, 3, 2, 1) \
+            .reshape(n_b, n_cls, n_pow, n_mono)
+        outs[0][rows] = sums[..., 0, 0]
+        if deriv >= 1:
+            outs[1][rows, :, :d] = sums[..., 0, 1:1 + d]
+        if deriv >= 2:
+            outs[2][rows, :, :d, :d] = sums[..., 0, 1 + d:].reshape(
+                n_b, n_cls, d, d)
+        if d < g and deriv >= 1:
+            outs[1][rows, :, -1] = sums[..., 1, 0]
+        if d < g and deriv >= 2:
+            outs[2][rows, :, :d, -1] = outs[2][rows, :, -1, :d] \
+                = sums[..., 1, 1:1 + d]
+            outs[2][rows, :, -1, -1] = sums[..., 2, 0]
+    for k in range(1, deriv + 1):
+        outs[k] *= _TWO_PI_I ** k
     tail = boost * _tail_bound(rm, radius - margin, offset, deriv)
     return outs, radius, tail
 

@@ -141,6 +141,21 @@ class TestCombination:
         scale = np.linalg.norm(g00.section_from_point(rm, x).coeffs)
         assert np.linalg.norm(combo.coeffs) < 1e-10 * scale
 
+    def test_equal_sections_cancel_to_the_zero_section(self):
+        # the pair x, -x: equal sections and opposite gradients give
+        # gamma = -1, lambda = 1 and an exactly zero combination
+        rm = RiemannMatrix(TAU2)
+        rng = np.random.default_rng(8)
+        grad = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        section = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        combo, lam, gamma, conds = g00._combination(
+            rm, np.stack([grad, -grad]), np.stack([section, section]),
+            1e-6, 1e-10)
+        assert gamma == -1.0 and lam == 1.0
+        assert not np.any(combo.coeffs)
+        assert not np.any(conds.values)
+        assert conds.relative_residual == 0.0
+
     def test_different_gauss_images_rejected(self, jac3):
         curve, periods, kappa = jac3
         rng = np.random.default_rng(6)

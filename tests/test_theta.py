@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from trisect.curves import period_matrix
 from trisect.errors import InvalidInput
+from trisect.selftest import reference_curve
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps,
@@ -384,11 +386,18 @@ class TestSummedPointSet:
         reps = rm._points[rm._reps]
         first = reps[np.arange(len(reps)), np.argmax(reps != 0, axis=1)]
         assert np.all((first > 0) | ~reps.any(axis=1))
-        members = np.concatenate(rm._classes)
-        np.testing.assert_array_equal(np.sort(members),
-                                      np.arange(len(rm._reps)))
-        for c, idx in enumerate(rm._classes):
-            assert all(index_from_eps(n % 2) == c for n in reps[idx])
+        # each representative is (its head, m), the heads are distinct, and
+        # its class is 2 class(head) + (m mod 2)
+        np.testing.assert_array_equal(rm._heads[rm._head], reps[:, :-1])
+        assert len({tuple(h) for h in rm._heads}) == len(rm._heads)
+        for n, h in zip(reps, rm._heads[rm._head].astype(int)):
+            assert index_from_eps(n % 2) \
+                == 2 * index_from_eps(h % 2) + n[-1] % 2
+        # heads are numbered by first appearance: the heads of every prefix
+        # are the ids 0..k
+        seen = np.maximum.accumulate(rm._head)
+        assert rm._head[0] == 0 and np.all(np.diff(seen) <= 1)
+        assert seen[-1] == len(rm._heads) - 1
 
     @pytest.mark.parametrize("by_parity", [False, True],
                              ids=["one-class", "by-parity"])
@@ -422,6 +431,70 @@ class TestSummedPointSet:
 #: basis, on which the +-1 box overestimates the shortest vector
 UNIMODULAR = [[[3, 1], [2, 1]], [[5, 2], [2, 1]], [[1, -3], [0, 1]],
               [[0, 1], [-1, 0]]]
+
+
+@pytest.fixture
+def head_widths(monkeypatch):
+    """The number of head coordinates of every theta sum: g - 1 where the
+    sum is split at the last coordinate, g where it is not."""
+    theta_module = sys.modules[RiemannMatrix.__module__]
+    real, widths = theta_module._lines, []
+
+    def spy(*args):
+        heads, lines, top = real(*args)
+        widths.append(heads.shape[1])
+        return heads, lines, top
+
+    monkeypatch.setattr(theta_module, "_lines", spy)
+    return widths
+
+
+class TestSplitBound:
+    """The sum splits each exponential at the last coordinate only while
+    every factor stays in floating range."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_split_on_the_reference_curves(self, g, head_widths):
+        tau = period_matrix(reference_curve(g)).tau.entries
+        rng = np.random.default_rng(g)
+        Z = rng.uniform(-0.5, 0.5, (8, g)) \
+            + rng.uniform(-0.5, 0.5, (8, g)) @ tau.T
+        rm = RiemannMatrix(tau)
+        for tol in (1e-10, 1e-14):
+            for deriv in (0, 1, 2):
+                for z in Z:
+                    theta_batch(rm, z, tol=tol, deriv=deriv)
+                second_order_basis(rm, Z, tol=tol, deriv=deriv)
+        assert head_widths == [g - 1] * len(head_widths)
+
+    @pytest.mark.parametrize("U", UNIMODULAR[:2], ids=lambda u: str(u))
+    def test_no_split_on_a_skewed_tau(self, jac2, U, head_widths):
+        tau = jac2[1].tau.entries
+        U = np.asarray(U)
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((6, 2)) + 0.4j * rng.standard_normal((6, 2))
+        theta_batch(U.T @ tau @ U, Z @ U)
+        assert head_widths == [2]
+
+    @pytest.mark.parametrize("by_parity", [False, True],
+                             ids=["one-class", "by-parity"])
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_unsplit_sums_match_split_sums(self, monkeypatch, head_widths,
+                                           deriv, by_parity):
+        rm = RiemannMatrix(random_tau(4, 4))
+        rng = np.random.default_rng(deriv)
+        Z_red, _, _ = rm.reduce(rng.uniform(-0.5, 0.5, (5, 4))
+                                + rng.uniform(-0.5, 0.5, (5, 4))
+                                @ rm.entries.T)
+        split, radius, tail = _series(rm, Z_red, 1e-10, deriv, by_parity)
+        theta_module = sys.modules[RiemannMatrix.__module__]
+        monkeypatch.setattr(theta_module, "_SPLIT_REACH", -1.0)
+        whole = _series(rm, Z_red, 1e-10, deriv, by_parity)
+        assert whole[1:] == (radius, tail)
+        assert head_widths == [3, 4]
+        for got, want in zip(whole[0], split):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(want)))
 
 
 class TestSkewedTau:
