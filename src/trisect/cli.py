@@ -97,10 +97,11 @@ def _cmd_theta(args):
     periods = cv.period_matrix(curve)
     z = _parse_z(args.z)
     char = None
-    if args.char:
+    if args.char is not None:
         bits = args.char.split(";")
-        if len(bits) != 2:
-            raise InvalidInput("characteristic must be 'bits;bits'")
+        if len(bits) != 2 or not all(set(b) <= {"0", "1"} for b in bits):
+            raise InvalidInput("characteristic must be 'bits;bits' with "
+                               "bits 0 or 1", char=args.char)
         char = HalfCharacteristic(tuple(int(b) for b in bits[0]),
                                   tuple(int(b) for b in bits[1]))
     (value,), radius, tail = theta_batch(periods.tau, z, char=char,
@@ -214,7 +215,7 @@ def _cmd_fiber(args):
 def _cmd_gamma00_dim(args):
     curve, raw = _load_curve(args.curve)
     periods = cv.period_matrix(curve)
-    dim, _, cert = g00.gamma00_dimension(periods.tau, tol=args.rank_tol)
+    dim, _, cert = g00.gamma00_dimension(periods.tau, rank_tol=args.rank_tol)
     expected = g00.expected_gamma00_dimension(curve.genus)
     results = {
         "dimension": dim,
@@ -230,10 +231,10 @@ def _cmd_gamma00_trisecant(args):
     triple = se.theta_trisecant_construct(curve, periods, sample, kappa)
     dim, info = g00.trisecant_gamma00_test(
         periods.tau, triple.a.z, triple.b.z, triple.c.z,
-        tol=args.rank_tol)
+        rank_tol=args.rank_tol)
     (dim_control,) = g00.gamma00_controls(
         periods.tau, np.random.default_rng(args.seed + 1), 1,
-        tol=args.rank_tol)
+        rank_tol=args.rank_tol)
     results = {
         "trisecant_dimension": dim,
         "control_dimension": dim_control,
@@ -249,7 +250,7 @@ def _cmd_span(args):
     curve, raw, periods, kappa, sample = _theta_divisor_setup(args,
                                                               args.ell)
     dim_inner, dim_outer, dim_g00, details = g00.span_VpWp(
-        curve, periods, sample, kappa, tol=args.rank_tol)
+        curve, periods, sample, kappa, rank_tol=args.rank_tol)
     results = {
         "dim_inner_span": dim_inner,
         "dim_outer_span": dim_outer,

@@ -38,6 +38,12 @@ from .numeric import quadrature_nodes
 from .theta import RiemannMatrix, theta_batch
 
 _MAX_NODES = 1 << 12
+#: Node-doubling tolerance of every Abel-Jacobi lift.
+_LIFT_TOL = 1e-10
+#: The Riemann constant's certificate: its number of random W_{g-1}
+#: divisors and their seed.
+_KAPPA_DIVISORS = 20
+_KAPPA_SEED = 20260823
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,8 @@ class HyperellipticCurve:
                                defect=float(abs(point.y ** 2
                                                 - self.f(point.x))))
 
-    def is_branch_x(self, x, tol_factor=1e-8):
-        return bool(np.min(np.abs(self.roots - x)) <= tol_factor * self.span)
+    def is_branch_x(self, x):
+        return bool(np.min(np.abs(self.roots - x)) <= 1e-8 * self.span)
 
 
 @dataclass(frozen=True)
@@ -386,7 +392,7 @@ def _tracked_branch(curve, xs, y_start):
     return start[:, None] * signs * w
 
 
-def _segment_quadrature(curve, x_from, x_to, y_start, tol):
+def _segment_quadrature(curve, x_from, x_to, y_start):
     """Integrate x^{k-1} dx / y along R straight segments x_from -> x_to,
     each with its branch continued from y_start; returns (integrals (R, g),
     y at each segment end).
@@ -425,7 +431,7 @@ def _segment_quadrature(curve, x_from, x_to, y_start, tol):
         return xs[:, None, :] ** powers \
             * (delta[idx, None] / ys)[:, None, :]
 
-    est = _node_doubling(integrand, len(x_from), tol)
+    est = _node_doubling(integrand, len(x_from), _LIFT_TOL)
     return est, y_end
 
 
@@ -449,7 +455,7 @@ def _branch_target(curve, point):
             np.asarray(point.x + 0.01j * curve.span, dtype=complex))))
 
 
-def _abel_jacobi_points(curve, points, periods, tol):
+def _abel_jacobi_points(curve, points, periods):
     """Normalized Abel-Jacobi lifts (K, g) of K curve points, base point
     infinity: branch points from the _branch_halves table, the others
     from one batched polyline quadrature.
@@ -479,11 +485,11 @@ def _abel_jacobi_points(curve, points, periods, tol):
     anchor = np.array([periods.anchor], dtype=complex)
     top = anchor + 1j * height
     leg1, y_top = _segment_quadrature(curve, anchor, top,
-                                      curve.y_branch(anchor), tol)
+                                      curve.y_branch(anchor))
     over = x + 1j * height
     leg2, y_over = _segment_quadrature(curve, np.repeat(top, len(rows)), over,
-                                       np.repeat(y_top, len(rows)), tol)
-    leg3, y_end = _segment_quadrature(curve, over, x, y_over, tol)
+                                       np.repeat(y_top, len(rows)))
+    leg3, y_end = _segment_quadrature(curve, over, x, y_over)
     path = leg1 + leg2 + leg3
     same_sheet = np.abs(y_end - y) <= np.abs(y_end + y)
     raw = periods._leg_infinity + np.where(
@@ -492,14 +498,14 @@ def _abel_jacobi_points(curve, points, periods, tol):
     return lifts
 
 
-def _divisor_lifts(curve, divisors, periods, tol):
+def _divisor_lifts(curve, divisors, periods):
     """Lifts (D, g) of D divisors: their support points are lifted once,
     in one _abel_jacobi_points call, and summed with multiplicities."""
     index = {}
     for divisor in divisors:
         for point, _ in divisor.terms:
             index.setdefault(point, len(index))
-    K = _abel_jacobi_points(curve, list(index), periods, tol)
+    K = _abel_jacobi_points(curve, list(index), periods)
     out = np.zeros((len(divisors), curve.genus), dtype=complex)
     for i, divisor in enumerate(divisors):
         for point, mult in divisor.terms:
@@ -507,19 +513,19 @@ def _divisor_lifts(curve, divisors, periods, tol):
     return out
 
 
-def abel_jacobi(curve, point, periods, tol=1e-10):
+def abel_jacobi(curve, point, periods):
     """Normalized Abel-Jacobi lift of a curve point, base point infinity.
 
     The path system is canonical, so equal points always produce the
     identical lift.
     """
-    return JacobianLift(_abel_jacobi_points(curve, [point], periods, tol)[0],
+    return JacobianLift(_abel_jacobi_points(curve, [point], periods)[0],
                         periods.tau)
 
 
-def abel_jacobi_divisor(curve, divisor, periods, tol=1e-10):
+def abel_jacobi_divisor(curve, divisor, periods):
     """Linear extension of the Abel-Jacobi map to divisors (on lifts)."""
-    return JacobianLift(_divisor_lifts(curve, [divisor], periods, tol)[0],
+    return JacobianLift(_divisor_lifts(curve, [divisor], periods)[0],
                         periods.tau)
 
 
@@ -542,7 +548,7 @@ def random_effective_divisor(curve, degree, rng):
     return Divisor.of(*points)
 
 
-def riemann_constant(curve, periods, tol=1e-7, n_divisors=20, seed=20260823):
+def riemann_constant(curve, periods, tol=1e-7):
     """The Riemann constant kappa for base point infinity.
 
     For the odd model kappa is the half-period AJ(e_2) + AJ(e_4) + ...
@@ -550,10 +556,10 @@ def riemann_constant(curve, periods, tol=1e-7, n_divisors=20, seed=20260823):
     (Mumford, Tata Lectures on Theta II, Ch. IIIa).  It is returned as the
     lift (m + tau n) / 2 with m, n in {0,1}^g, the sum of their
     _branch_halves rows mod 2, in closed form: m = (1, 0, 1, 0, ...) and
-    n = (1, ..., 1).  The certificate requires
-    theta(AJ(D) - kappa) to vanish on n_divisors random effective divisors
-    D of degree g-1: the worst Newton residual |theta| / ||grad theta||
-    must lie below tol, else AmbiguousConstant is raised.
+    n = (1, ..., 1).  The certificate requires theta(AJ(D) - kappa) to
+    vanish on _KAPPA_DIVISORS seeded random effective divisors D of degree
+    g-1: the worst Newton residual |theta| / ||grad theta|| must lie below
+    tol, else AmbiguousConstant is raised.
     """
     g = curve.genus
     tau = periods.tau
@@ -561,13 +567,13 @@ def riemann_constant(curve, periods, tol=1e-7, n_divisors=20, seed=20260823):
             for v in _branch_halves(g, range(1, 2 * g, 2)))
     kappa = (m + tau.entries @ n) / 2.0
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_KAPPA_SEED)
     Z = _divisor_lifts(curve, [random_effective_divisor(curve, g - 1, rng)
-                               for _ in range(n_divisors)],
-                       periods, 1e-10) - kappa
+                               for _ in range(_KAPPA_DIVISORS)],
+                       periods) - kappa
     # Newton residual: an estimate of the distance from the theta divisor,
     # invariant under the quasi-periodic scale of theta
-    (vals, grads), _, _ = theta_batch(tau, Z, tol=1e-10, deriv=1)
+    (vals, grads), _, _ = theta_batch(tau, Z, deriv=1)
     residual = float(np.max(np.abs(vals) / np.maximum(
         np.linalg.norm(grads, axis=1), 1e-300)))
     info = {"residual": residual, "m": m.astype(int).tolist(),

@@ -13,10 +13,14 @@ import numpy as np
 
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
-from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
+from .theta import theta_batch, second_order_basis
 from .geometry import (_as_rm, _as_vector, _theta_divisor_points,
                        gauss_fiber_enumerate)
 from .curves import _divisor_lifts
+
+#: Largest projective angle between the Gauss images of two points that
+#: gamma00_combination accepts as one Gauss fiber.
+GAUSS_FIBER_ANGLE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class TaylorConditions:
     relative_residual: float
 
 
-def _condition_data(rm, tol=DEFAULT_THETA_TOL):
+def _condition_data(rm):
     """The (1 + g(g+1)/2) x 2^g matrix of order-4 vanishing conditions.
 
     Row 0: basis values at the origin; remaining rows: upper Hessian
@@ -64,7 +68,7 @@ def _condition_data(rm, tol=DEFAULT_THETA_TOL):
     g = rm.g
     origin = np.zeros(g, dtype=complex)
     # values (2^g,) and Hessians (2^g, g, g) from one pass
-    (values, _, hess), _, _ = second_order_basis(rm, origin, tol=tol, deriv=2)
+    (values, _, hess), _, _ = second_order_basis(rm, origin, deriv=2)
     rows = [values]
     for i in range(g):
         for j in range(i, g):
@@ -77,7 +81,7 @@ def _condition_data(rm, tol=DEFAULT_THETA_TOL):
     return data
 
 
-def section_from_point(tau, x, tol=DEFAULT_THETA_TOL):
+def section_from_point(tau, x):
     """The section z -> theta(z-x) theta(z+x) as a coefficient vector.
 
     The coefficients are the raw second-order theta values at the given
@@ -86,18 +90,18 @@ def section_from_point(tau, x, tol=DEFAULT_THETA_TOL):
     """
     rm = _as_rm(tau)
     vec = _as_vector(x, rm.g)
-    (coeffs,), _, _ = second_order_basis(rm, vec, tol=tol)
+    (coeffs,), _, _ = second_order_basis(rm, vec)
     return SectionCoefficients(coeffs=coeffs)
 
 
-def taylor_conditions(tau, section, tol=DEFAULT_THETA_TOL):
+def taylor_conditions(tau, section):
     """Order-4 vanishing conditions applied to a section.
 
     ``relative_residual`` uses row-normalized conditions and a normalized
     coefficient vector, so it is comparable across sections and tau.
     """
     rm = _as_rm(tau)
-    matrix, normalized = _condition_data(rm, tol=tol)
+    matrix, normalized = _condition_data(rm)
     coeffs = section.coeffs if isinstance(section, SectionCoefficients) \
         else np.asarray(section, dtype=complex).reshape(-1)
     values = matrix @ coeffs
@@ -112,18 +116,18 @@ def expected_gamma00_dimension(g):
     return 2 ** g - g * (g + 1) // 2 - 1
 
 
-def gamma00_dimension(tau, tol=DEFAULT_RANK_TOL, theta_tol=DEFAULT_THETA_TOL):
+def gamma00_dimension(tau, rank_tol=DEFAULT_RANK_TOL):
     """Dimension of the order-4 subspace as the nullity of the condition
     matrix, with a nullspace basis and the rank certificate.
 
-    A singular-value ratio inside [tol, 10 tol] is treated as undecidable
-    and raises IndeterminateRank rather than guessing.
+    A singular-value ratio inside [rank_tol, 10 rank_tol] is treated as
+    undecidable and raises IndeterminateRank rather than guessing.
     """
     rm = _as_rm(tau)
-    _, normalized = _condition_data(rm, tol=theta_tol)
-    cert = numerical_rank(normalized, tol=tol)
+    _, normalized = _condition_data(rm)
+    cert = numerical_rank(normalized, tol=rank_tol)
     ratios = cert.singular_values / cert.singular_values[0]
-    borderline = (ratios >= tol) & (ratios <= 10.0 * tol)
+    borderline = (ratios >= rank_tol) & (ratios <= 10.0 * rank_tol)
     if np.any(borderline):
         raise IndeterminateRank("singular values inside the undecidable band",
                                 ratios=[float(r) for r in ratios[borderline]])
@@ -133,37 +137,37 @@ def gamma00_dimension(tau, tol=DEFAULT_RANK_TOL, theta_tol=DEFAULT_THETA_TOL):
     return dimension, nullspace, cert
 
 
-def gamma00_combination(tau, x1, x2, tol=1e-6, theta_tol=DEFAULT_THETA_TOL):
+def gamma00_combination(tau, x1, x2):
     """The order-4 combination s_{x1} - lambda s_{x2} for two smooth
     divisor points in one Gauss fiber, with lambda the squared gradient
-    ratio.
+    ratio.  Gauss images more than GAUSS_FIBER_ANGLE apart raise
+    PreconditionFailed.
 
     Returns (section, lambda, gamma, conditions).
     """
     rm = _as_rm(tau)
     X = np.stack([_as_vector(x1, rm.g), _as_vector(x2, rm.g)])
-    (_, grads), _, _ = theta_batch(rm, X, tol=theta_tol, deriv=1)
-    (sections,), _, _ = second_order_basis(rm, X, tol=theta_tol)
-    return _combination(rm, grads, sections, tol, theta_tol)
+    (_, grads), _, _ = theta_batch(rm, X, deriv=1)
+    (sections,), _, _ = second_order_basis(rm, X)
+    return _combination(rm, grads, sections)
 
 
-def _combination(rm, grads, sections, tol, theta_tol):
+def _combination(rm, grads, sections):
     """gamma00_combination from the theta gradients (2, g) and the
     sections (2, 2^g) of its two points."""
     g1, g2 = grads
     angle = projective_angle(g1, g2)
-    if angle > tol:
+    if angle > GAUSS_FIBER_ANGLE:
         raise PreconditionFailed("points have different Gauss images",
                                  angle=float(angle))
     gamma = complex(np.sum(g2 * g1) / np.sum(g2 * g2))
     lam = gamma ** 2
     combo = SectionCoefficients._computed(sections[0] - lam * sections[1])
-    conds = taylor_conditions(rm, combo, tol=theta_tol)
+    conds = taylor_conditions(rm, combo)
     return combo, lam, gamma, conds
 
 
-def trisecant_gamma00_test(tau, x1, x2, x3, tol=DEFAULT_RANK_TOL,
-                           theta_tol=DEFAULT_THETA_TOL):
+def trisecant_gamma00_test(tau, x1, x2, x3, rank_tol=DEFAULT_RANK_TOL):
     """Dimension of the intersection of the order-4 subspace with the span
     of the three point sections; value 1 characterizes a trisecant.
 
@@ -171,11 +175,11 @@ def trisecant_gamma00_test(tau, x1, x2, x3, tol=DEFAULT_RANK_TOL,
     """
     rm = _as_rm(tau)
     X = np.stack([_as_vector(x, rm.g) for x in (x1, x2, x3)])
-    (sections,), _, _ = second_order_basis(rm, X, tol=theta_tol)
+    (sections,), _, _ = second_order_basis(rm, X)
     S = (sections / np.linalg.norm(sections, axis=1, keepdims=True)).T
-    _, normalized = _condition_data(rm, tol=theta_tol)
-    span_cert = numerical_rank(S, tol=tol)
-    ms_cert = numerical_rank(normalized @ S, tol=tol)
+    _, normalized = _condition_data(rm)
+    span_cert = numerical_rank(S, tol=rank_tol)
+    ms_cert = numerical_rank(normalized @ S, tol=rank_tol)
     dimension = span_cert.decided_rank - ms_cert.decided_rank
     info = {
         "span_rank": span_cert.decided_rank,
@@ -187,7 +191,7 @@ def trisecant_gamma00_test(tau, x1, x2, x3, tol=DEFAULT_RANK_TOL,
     return dimension, info
 
 
-def gamma00_controls(tau, rng, n_triples, tol=DEFAULT_RANK_TOL):
+def gamma00_controls(tau, rng, n_triples, rank_tol=DEFAULT_RANK_TOL):
     """trisecant_gamma00_test dimensions of n_triples triples of random
     theta-divisor points, drawn from rng triple by triple; a non-trisecant
     triple gives 0."""
@@ -195,12 +199,11 @@ def gamma00_controls(tau, rng, n_triples, tol=DEFAULT_RANK_TOL):
     dims = []
     for _ in range(n_triples):
         pts = _theta_divisor_points(rm, rng, 3)
-        dims.append(trisecant_gamma00_test(rm, *pts, tol=tol)[0])
+        dims.append(trisecant_gamma00_test(rm, *pts, rank_tol=rank_tol)[0])
     return dims
 
 
-def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,
-              theta_tol=DEFAULT_THETA_TOL):
+def span_VpWp(curve, periods, sample, kappa, rank_tol=DEFAULT_RANK_TOL):
     """Dimensions of the fiber-combination spans inside the order-4 space.
 
     The inner span comes from combinations over smooth fiber points of
@@ -215,22 +218,20 @@ def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,
         raise InvalidInput("empty fiber enumeration")
 
     lifts = _divisor_lifts(curve, [entry.subdivisor for entry in entries],
-                           periods, 1e-10) - _as_vector(kappa, g)
+                           periods) - _as_vector(kappa, g)
     special = np.array([bool(entry.special) for entry in entries])
     smooth_lifts, special_lifts = lifts[~special], lifts[special]
 
     # every section from one call, every smooth gradient from another
     n_smooth = len(smooth_lifts)
     (sections,), _, _ = second_order_basis(
-        rm, np.concatenate([smooth_lifts, special_lifts]), tol=theta_tol)
+        rm, np.concatenate([smooth_lifts, special_lifts]))
     norms = np.linalg.norm(sections, axis=1)
     combos = []
     if n_smooth > 1:
-        (_, grads), _, _ = theta_batch(rm, smooth_lifts, tol=theta_tol,
-                                       deriv=1)
+        (_, grads), _, _ = theta_batch(rm, smooth_lifts, deriv=1)
     for k in range(1, n_smooth):
-        combo, lam, _, _ = _combination(rm, grads[[0, k]], sections[[0, k]],
-                                        1e-6, theta_tol)
+        combo, lam, _, _ = _combination(rm, grads[[0, k]], sections[[0, k]])
         norm = np.linalg.norm(combo.coeffs)
         if norm < 1e-6 * max(norms[0], abs(lam) * norms[k]):
             # the two sections were proportional (e.g. the fiber point
@@ -239,14 +240,15 @@ def span_VpWp(curve, periods, sample, kappa, tol=DEFAULT_RANK_TOL,
         combos.append(combo.coeffs / norm)
     dim_inner = 0
     if combos:
-        dim_inner = numerical_rank(np.stack(combos), tol=tol).decided_rank
+        dim_inner = numerical_rank(np.stack(combos), tol=rank_tol).decided_rank
 
     outer_rows = combos + list(sections[n_smooth:] / norms[n_smooth:, None])
     dim_outer = 0
     if outer_rows:
-        dim_outer = numerical_rank(np.stack(outer_rows), tol=tol).decided_rank
+        dim_outer = numerical_rank(np.stack(outer_rows),
+                                   tol=rank_tol).decided_rank
 
-    dim_gamma00, _, _ = gamma00_dimension(rm, tol=tol, theta_tol=theta_tol)
+    dim_gamma00, _, _ = gamma00_dimension(rm, rank_tol=rank_tol)
     details = {
         "n_fiber_entries": len(entries),
         "n_smooth": len(smooth_lifts),

@@ -15,14 +15,16 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
 from .numeric import projective_angle
-from .curves import Divisor, abel_jacobi_divisor, divisor_is_special
-from .theta import (RiemannMatrix, theta_batch, second_order_basis,
-                    DEFAULT_THETA_TOL)
+from .curves import Divisor, divisor_is_special
+from .theta import RiemannMatrix, theta_batch, second_order_basis
 
 #: Relative |theta| threshold below which a point counts as on the divisor.
-DEFAULT_ON_THETA_TOL = 1e-8
+ON_THETA_TOL = 1e-8
 #: Relative gradient-norm threshold separating smooth from singular points.
 SMOOTHNESS_THRESHOLD = 1e-6
+#: The per-matrix calibration: its number of theta-divisor points and seed.
+_CALIBRATION_POINTS = 12
+_CALIBRATION_SEED = 20260823
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _reduced(rm, x):
     return rm.reduce(_as_vector(x, rm.g))[0]
 
 
-def kummer_map(tau, z, tol=DEFAULT_THETA_TOL):
+def kummer_map(tau, z):
     """Kummer image: all 2^g second-order theta values, projectively.
 
     The argument is reduced to the fundamental cell first; since the
@@ -91,7 +93,7 @@ def kummer_map(tau, z, tol=DEFAULT_THETA_TOL):
     cell.
     """
     rm = _as_rm(tau)
-    (coords,), _, _ = second_order_basis(rm, _reduced(rm, z), tol=tol)
+    (coords,), _, _ = second_order_basis(rm, _reduced(rm, z))
     scale = float(np.max(np.abs(coords)))
     if scale < 1e-13:
         raise NumericalFailure(
@@ -103,17 +105,17 @@ def kummer_map(tau, z, tol=DEFAULT_THETA_TOL):
     return KummerPoint(coords=coords, raw_scale=scale)
 
 
-def theta_divisor_point(tau, rng, tol=DEFAULT_THETA_TOL, max_tries=8):
+def theta_divisor_point(tau, rng):
     """A point of the theta divisor found by Newton iteration on a line.
 
     Draws a random base point and complex direction, then solves
     theta(z0 + t d) = 0 for scalar t.  Retries with fresh draws if the
     iteration stalls.
     """
-    return _theta_divisor_points(_as_rm(tau), rng, 1, tol, max_tries)[0]
+    return _theta_divisor_points(_as_rm(tau), rng, 1)[0]
 
 
-def _theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL, max_tries=8):
+def _theta_divisor_points(rm, rng, n, max_tries=8):
     """n points (n, g) of the theta divisor: theta_divisor_point n times,
     with every pending Newton iteration in one theta_batch call per step.
 
@@ -145,7 +147,7 @@ def _theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL, max_tries=8):
             if not len(idx):
                 break
             Z = Z0[idx] + t[idx, None] * D[idx]
-            (val, grad), _, _ = theta_batch(rm, Z, tol=tol, deriv=1)
+            (val, grad), _, _ = theta_batch(rm, Z, deriv=1)
             dd = np.einsum("ij,ij->i", grad, D[idx])
             stalled = ~np.isfinite(dd) | (np.abs(dd) < 1e-14)
             live[idx[stalled]] = False
@@ -160,8 +162,7 @@ def _theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL, max_tries=8):
         Z = Z0 + t[:, None] * D
         ok = converged.copy()
         if ok.any():
-            (val, grad), _, _ = theta_batch(rm, Z[converged], tol=tol,
-                                            deriv=1)
+            (val, grad), _, _ = theta_batch(rm, Z[converged], deriv=1)
             ok[converged] = np.abs(val) < 1e-9 * np.linalg.norm(grad, axis=1)
         for z, success in zip(Z, ok):
             if failures >= max_tries:
@@ -177,7 +178,7 @@ def _theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL, max_tries=8):
     return np.array(found)
 
 
-def _theta_scales(rm, tol=DEFAULT_THETA_TOL, n_points=12, seed=20260823):
+def _theta_scales(rm):
     """Median |theta| near and |grad theta| on the divisor, cached on rm.
 
     These calibrate all relative membership/smoothness thresholds for this
@@ -185,20 +186,20 @@ def _theta_scales(rm, tol=DEFAULT_THETA_TOL, n_points=12, seed=20260823):
     """
     if rm._theta_scales is not None:
         return rm._theta_scales
-    rng = np.random.default_rng(seed)
-    pts = _theta_divisor_points(rm, rng, n_points, tol=tol)
-    (_, grads), _, _ = theta_batch(rm, pts, tol=tol, deriv=1)
+    rng = np.random.default_rng(_CALIBRATION_SEED)
+    pts = _theta_divisor_points(rm, rng, _CALIBRATION_POINTS)
+    (_, grads), _, _ = theta_batch(rm, pts, deriv=1)
     grad_scale = float(np.median(np.linalg.norm(grads, axis=1)))
     probes = pts + 0.2 * (rng.standard_normal(pts.shape)
                           + 1j * rng.standard_normal(pts.shape))
-    (vals,), _, _ = theta_batch(rm, probes, tol=tol)
+    (vals,), _, _ = theta_batch(rm, probes)
     val_scale = float(np.median(np.abs(vals)))
     scales = (val_scale, grad_scale)
     rm._theta_scales = scales
     return scales
 
 
-def on_theta(tau, x, tol=DEFAULT_ON_THETA_TOL, theta_tol=DEFAULT_THETA_TOL):
+def on_theta(tau, x):
     """Theta-divisor membership with an explicit relative residual.
 
     The scale is the larger of the median |theta| over generic probes and
@@ -207,29 +208,28 @@ def on_theta(tau, x, tol=DEFAULT_ON_THETA_TOL, theta_tol=DEFAULT_THETA_TOL):
     """
     rm = _as_rm(tau)
     vec = _reduced(rm, x)
-    (val,), _, _ = theta_batch(rm, vec, tol=theta_tol)
-    members, residuals = _on_theta(rm, vec[None], val[None], tol, theta_tol)
+    (val,), _, _ = theta_batch(rm, vec)
+    members, residuals = _on_theta(rm, vec[None], val[None])
     return bool(members[0]), float(residuals[0])
 
 
-def _on_theta(rm, vecs, vals, tol, theta_tol):
+def _on_theta(rm, vecs, vals):
     """on_theta at reduced points vecs (N, g) with theta values vals (N,):
     (members, residuals), from one probe call at the same six offsets
     around every point."""
-    val_scale, _ = _theta_scales(rm, tol=theta_tol)
+    val_scale, _ = _theta_scales(rm)
     rng = np.random.default_rng(7)
     offsets = 0.2 * (rng.standard_normal((6, rm.g))
                      + 1j * rng.standard_normal((6, rm.g)))
     probes = (vecs[:, None, :] + offsets).reshape(-1, rm.g)
-    (pvals,), _, _ = theta_batch(rm, probes, tol=theta_tol)
+    (pvals,), _, _ = theta_batch(rm, probes)
     scales = np.maximum(val_scale,
                         np.max(np.abs(pvals).reshape(len(vecs), 6), axis=1))
     residuals = np.abs(vals) / scales
-    return residuals < tol, residuals
+    return residuals < ON_THETA_TOL, residuals
 
 
-def gauss_map(tau, x, tol=DEFAULT_ON_THETA_TOL,
-              theta_tol=DEFAULT_THETA_TOL):
+def gauss_map(tau, x):
     """Projectivized theta gradient at a point of the theta divisor.
 
     ``defined`` is False at singular points, decided by a relative
@@ -237,20 +237,20 @@ def gauss_map(tau, x, tol=DEFAULT_ON_THETA_TOL,
     """
     rm = _as_rm(tau)
     vec = _reduced(rm, x)
-    jet, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=1)
-    return _gauss_map(rm, vec, jet, tol, theta_tol)
+    jet, _, _ = theta_batch(rm, vec, deriv=1)
+    return _gauss_map(rm, vec, jet)
 
 
-def _gauss_map(rm, vec, jet, tol, theta_tol):
+def _gauss_map(rm, vec, jet):
     """gauss_map at a reduced point vec with its theta jet (value,
     gradient, ...)."""
     val, grad = jet[:2]
-    members, residuals = _on_theta(rm, vec[None], val[None], tol, theta_tol)
+    members, residuals = _on_theta(rm, vec[None], val[None])
     if not members[0]:
         raise NotOnTheta("point is not on the theta divisor",
                          residual=float(residuals[0]))
     gnorm = float(np.linalg.norm(grad))
-    _, grad_scale = _theta_scales(rm, tol=theta_tol)
+    _, grad_scale = _theta_scales(rm)
     threshold = SMOOTHNESS_THRESHOLD * grad_scale
     if gnorm <= threshold:
         return GaussImage(direction=np.zeros(rm.g, dtype=complex),
@@ -262,23 +262,20 @@ def _gauss_map(rm, vec, jet, tol, theta_tol):
                       gradient_norm=gnorm, threshold=threshold)
 
 
-def vanishing_order(tau, x, max_order=2, tol=DEFAULT_ON_THETA_TOL,
-                    theta_tol=DEFAULT_THETA_TOL):
+def vanishing_order(tau, x):
     """Order of vanishing of theta at x: 1, 2, or 3 meaning ">= 3".
 
     Orders above 2 are not resolved (third derivatives are out of scope);
     the return value 3 only asserts that value, gradient and Hessian are
     all below their relative thresholds.
     """
-    if max_order > 2:
-        raise InvalidInput("orders above 2 are not resolved", got=max_order)
     rm = _as_rm(tau)
     vec = _reduced(rm, x)
-    jet, _, _ = theta_batch(rm, vec, tol=theta_tol, deriv=2)
-    if _gauss_map(rm, vec, jet, tol, theta_tol).defined:
+    jet, _, _ = theta_batch(rm, vec, deriv=2)
+    if _gauss_map(rm, vec, jet).defined:
         return 1
     hess = jet[2]
-    _, grad_scale = _theta_scales(rm, tol=theta_tol)
+    _, grad_scale = _theta_scales(rm)
     # a nonzero Hessian on the scale of the generic gradient marks order 2
     if np.linalg.norm(hess) > SMOOTHNESS_THRESHOLD * grad_scale:
         return 2
@@ -334,15 +331,14 @@ def _multiplicity_vector(k0):
     return labels, mults
 
 
-def gauss_fiber_enumerate(k0, genus, curve=None, periods=None, kappa=None):
+def gauss_fiber_enumerate(k0, genus, curve=None):
     """All degree-(g-1) subdivisors of K0 with their fiber multiplicities.
 
     For K0 with multiplicity vector (n_1, ..., n_k) the entries are the
     integer vectors 0 <= l_i <= n_i with sum l_i = g-1, each weighted by
-    prod C(n_i, l_i).  Specialness of an entry comes from the vanishing
-    order of theta when periods and kappa are supplied, from the
-    conjugate-pair oracle when only the curve is, and is left undecided
-    for purely symbolic input.
+    prod C(n_i, l_i).  Specialness of an entry comes from the
+    conjugate-pair oracle when the curve is supplied, and is left
+    undecided for purely symbolic input.
     """
     labels, mults = _multiplicity_vector(k0)
     if sum(mults) != 2 * genus - 2:
@@ -359,13 +355,8 @@ def gauss_fiber_enumerate(k0, genus, curve=None, periods=None, kappa=None):
         sub = tuple((lab, l) for lab, l in zip(labels, lvec) if l > 0)
         special = None
         if curve is not None and hasattr(k0, "terms"):
-            div = Divisor.of(*sub)
-            sub = div
-            if periods is not None and kappa is not None:
-                x = abel_jacobi_divisor(curve, div, periods) - kappa
-                special = vanishing_order(periods.tau, x) >= 2
-            else:
-                special = divisor_is_special(curve, div)
+            sub = Divisor.of(*sub)
+            special = divisor_is_special(curve, sub)
         entries.append(GaussFiberEntry(subdivisor=sub, multiplicity=mult,
                                        special=special))
     return entries

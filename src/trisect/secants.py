@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import InvalidInput
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
-from .theta import theta_batch, second_order_basis, DEFAULT_THETA_TOL
+from .theta import theta_batch, second_order_basis
 from .geometry import (_as_rm, _on_theta, _theta_scales, kummer_map,
                        canonical_direction, hyperplane_residual,
-                       SMOOTHNESS_THRESHOLD, DEFAULT_ON_THETA_TOL)
+                       SMOOTHNESS_THRESHOLD)
 from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
                      _divisor_lifts, random_curve_point)
 
@@ -74,14 +74,14 @@ class TrisecantTriple:
         return (self.a, self.b, self.c)
 
 
-def fay_construct(curve, periods, p, q, r, s, tol=1e-10):
+def fay_construct(curve, periods, p, q, r, s):
     """Fay trisecant from four curve points via literal lift halving.
 
     a = (z(p)-z(q)-z(r)+z(s))/2 and cyclic relabelings; the pairwise-sum
     identities a+b = z(p)-z(q), a+c = z(p)-z(r) then hold exactly.
     """
     zp, zq, zr, zs = (JacobianLift(z, periods.tau) for z in
-                      _abel_jacobi_points(curve, (p, q, r, s), periods, tol))
+                      _abel_jacobi_points(curve, (p, q, r, s), periods))
     a = (zp - zq - zr + zs) / 2.0
     b = (zp - zq + zr - zs) / 2.0
     c = (zp + zq - zr - zs) / 2.0
@@ -102,7 +102,7 @@ def fay_trisecant(curve, periods, rng, rank_tol=DEFAULT_RANK_TOL):
     return triple, cert
 
 
-def theta_trisecant_construct(curve, periods, sample, kappa, tol=1e-10):
+def theta_trisecant_construct(curve, periods, sample, kappa):
     """Trisecant through three theta-divisor points from a B3 canonical
     divisor K0 = p+q+r+s+2D.
 
@@ -115,7 +115,7 @@ def theta_trisecant_construct(curve, periods, sample, kappa, tol=1e-10):
     divisors = [Divisor.of(pt) for pt in sample.labeled_pqrs]
     divisors.append(Divisor.of(*sample.double_points))
     zp, zq, zr, zs, zD = (JacobianLift(z, periods.tau) for z in
-                          _divisor_lifts(curve, divisors, periods, tol))
+                          _divisor_lifts(curve, divisors, periods))
     a = zp + zs + zD - kappa
     b = zp + zr + zD - kappa
     c = zp + zq + zD - kappa
@@ -148,9 +148,7 @@ def _lift_array(lifts, g):
     return Z
 
 
-def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL,
-                   theta_tol=DEFAULT_THETA_TOL,
-                   on_theta_tol=DEFAULT_ON_THETA_TOL):
+def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
     """Full numerical certificate for an r-secant claim (rank <= r-1).
 
     Assembles the r x 2^g matrix of Kummer coordinates, its rank
@@ -173,7 +171,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL,
     Z, _, _ = rm.reduce(_lift_array(lifts, rm.g))
     r = len(lifts)
 
-    (raw,), _, _ = second_order_basis(rm, Z, tol=theta_tol)  # (r, 2^g)
+    (raw,), _, _ = second_order_basis(rm, Z)  # (r, 2^g)
     rows = raw / np.max(np.abs(raw), axis=1, keepdims=True)
     rank_cert = numerical_rank(rows, tol=rank_tol)
     general = []
@@ -181,10 +179,10 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL,
         sub_cert = numerical_rank(rows[list(subset)], tol=rank_tol)
         general.append(sub_cert.decided_rank == r - 1)
 
-    (vals, grads), _, _ = theta_batch(rm, Z, tol=theta_tol, deriv=1)
-    members, theta_res = _on_theta(rm, Z, vals, on_theta_tol, theta_tol)
+    (vals, grads), _, _ = theta_batch(rm, Z, deriv=1)
+    members, theta_res = _on_theta(rm, Z, vals)
     gnorms = np.linalg.norm(grads, axis=1)
-    _, grad_scale = _theta_scales(rm, tol=theta_tol)
+    _, grad_scale = _theta_scales(rm)
     smooth = [i for i in range(r)
               if members[i] and gnorms[i] > SMOOTHNESS_THRESHOLD * grad_scale]
     angles = [projective_angle(grads[i], grads[j])
@@ -213,8 +211,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL,
         outer_product_residual=outer_res)
 
 
-def gunning_construct(curve, periods, ps, qs, tol=1e-10,
-                      rank_tol=DEFAULT_RANK_TOL):
+def gunning_construct(curve, periods, ps, qs, rank_tol=DEFAULT_RANK_TOL):
     """Gunning (l-1)-secant: l lifts whose Kummer images span an
     (l-2)-plane, from l points p_j and l-2 points q_i.
 
@@ -234,18 +231,17 @@ def gunning_construct(curve, periods, ps, qs, tol=1e-10,
                     and abs(u.x - v.x) < 1e-12 and abs(u.y - v.y) < 1e-12:
                 raise InvalidInput("construction points must be distinct")
     zs = [JacobianLift(z, periods.tau) for z in
-          _abel_jacobi_points(curve, (*ps, *qs), periods, tol)]
+          _abel_jacobi_points(curve, (*ps, *qs), periods)]
     zps, zqs = zs[:ell], zs[ell:]
     total = sum(zqs[1:], zqs[0]) - sum(zps[1:], zps[0]) if zqs \
         else -sum(zps[1:], zps[0])
     lifts = [(2.0 * zp + total) / 2.0 for zp in zps]
-    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol,
-                          theta_tol=tol)
+    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol)
     return lifts, cert
 
 
 def multisecant_from_Bl(curve, periods, sample, kappa, partition,
-                        tol=1e-10, rank_tol=DEFAULT_RANK_TOL):
+                        rank_tol=DEFAULT_RANK_TOL):
     """Theta-divisor (l-1)-secant from a B_l canonical divisor and a
     labeled partition of its 2l-2 simple points into l p's and l-2 q's.
 
@@ -258,27 +254,26 @@ def multisecant_from_Bl(curve, periods, sample, kappa, partition,
             or any(not 0 <= i < len(simples) for i in part):
         raise InvalidInput("partition must select l distinct simple points",
                            partition=partition, ell=ell)
-    zs, zQ = _sample_lifts(curve, periods, sample, tol)
-    return _multisecant(periods, kappa, zs, zQ, part, tol, rank_tol)
+    zs, zQ = _sample_lifts(curve, periods, sample)
+    return _multisecant(periods, kappa, zs, zQ, part, rank_tol)
 
 
-def _sample_lifts(curve, periods, sample, tol):
+def _sample_lifts(curve, periods, sample):
     """Lifts of a B_l sample's simple points (2l-2, g) and of its doubled
     part (g,), from one batched quadrature."""
     divisors = [Divisor.of(pt) for pt in sample.simple_points]
     divisors.append(Divisor.of(*sample.double_points))
-    lifts = _divisor_lifts(curve, divisors, periods, tol)
+    lifts = _divisor_lifts(curve, divisors, periods)
     return lifts[:-1], lifts[-1]
 
 
-def _multisecant(periods, kappa, zs, zQ, part, tol, rank_tol):
+def _multisecant(periods, kappa, zs, zQ, part, rank_tol):
     """multisecant_from_Bl from the lifts zs of the simple points and zQ
     of the doubled part."""
     q_idx = [i for i in range(len(zs)) if i not in part]
     base = JacobianLift(sum(zs[q_idx]) + zQ, periods.tau) - kappa
     lifts = [base + zs[i] for i in part]
-    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol,
-                          theta_tol=tol)
+    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol)
     return lifts, cert
 
 
@@ -296,12 +291,11 @@ def multisecant_sweep(curve, periods, sample, kappa,
     points among all lifts: a lift within 1e-6 of an earlier one modulo
     the lattice counts once.
     """
-    zs, zQ = _sample_lifts(curve, periods, sample, 1e-10)
+    zs, zQ = _sample_lifts(curve, periods, sample)
     certs = []
     distinct = []
     for part in all_partitions(sample):
-        lifts, cert = _multisecant(periods, kappa, zs, zQ, part, 1e-10,
-                                   rank_tol)
+        lifts, cert = _multisecant(periods, kappa, zs, zQ, part, rank_tol)
         certs.append(cert)
         for lift in lifts:
             if not any(lift.lattice_distance(o) < 1e-6 for o in distinct):
@@ -309,7 +303,7 @@ def multisecant_sweep(curve, periods, sample, kappa,
     return certs, distinct
 
 
-def igusa_span_check(gradients, tol=DEFAULT_RANK_TOL):
+def igusa_span_check(gradients):
     """Rank certificate for the projective span of theta gradients.
 
     For r collinear Kummer points the span has dimension at most
@@ -320,10 +314,10 @@ def igusa_span_check(gradients, tol=DEFAULT_RANK_TOL):
     if len(G) < 2:
         raise InvalidInput("need at least 2 gradients")
     norms = np.linalg.norm(G, axis=1, keepdims=True)
-    return numerical_rank(G / np.maximum(norms, 1e-300), tol=tol)
+    return numerical_rank(G / np.maximum(norms, 1e-300))
 
 
-def degenerate_trisecant(curve, periods, sample, kappa, tol=1e-10,
+def degenerate_trisecant(curve, periods, sample, kappa,
                          rank_tol=DEFAULT_RANK_TOL):
     """Tangent line of the Kummer variety from a B2 canonical divisor.
 
@@ -342,7 +336,7 @@ def degenerate_trisecant(curve, periods, sample, kappa, tol=1e-10,
     rest = sample.double_points[1:]
     divisors = [Divisor.of(p), Divisor.of(q), Divisor.of(W), Divisor.of(*rest)]
     zp, zq, zW, zD = (JacobianLift(z, periods.tau) for z in
-                      _divisor_lifts(curve, divisors, periods, tol))
+                      _divisor_lifts(curve, divisors, periods))
     shift = (zD - kappa) if rest else -kappa
 
     a = zp + zW + shift            # r = s = W merged
@@ -359,15 +353,15 @@ def degenerate_trisecant(curve, periods, sample, kappa, tol=1e-10,
     # tangent is the basis gradient at za contracted with it
     v = canonical_direction(curve, periods, W)
     za = a.z
-    (_, basis_grad), _, _ = second_order_basis(rm, za, tol=tol, deriv=1)
+    (_, basis_grad), _, _ = second_order_basis(rm, za, deriv=1)
     tangent = basis_grad @ v
 
-    ka = kummer_map(rm, a, tol=tol).coords
-    kc = kummer_map(rm, c, tol=tol).coords
+    ka = kummer_map(rm, a).coords
+    kc = kummer_map(rm, c).coords
     rows = np.stack([ka, kc, tangent / np.max(np.abs(tangent))])
     line_cert = numerical_rank(rows, tol=rank_tol)
 
-    (_, grad), _, _ = theta_batch(rm, za, tol=tol, deriv=1)
+    (_, grad), _, _ = theta_batch(rm, za, deriv=1)
     containment = []
     for point, _ in sample.k0.terms:
         d = canonical_direction(curve, periods, point)

@@ -2,8 +2,9 @@
 
 Each criterion is a function returning a details dict with a ``passed``
 flag and the measured residuals, so both the test suite and the command
-line runner report the same numbers.  Expensive per-genus data (periods,
-theta characteristic) is shared through a lazy context.
+line runner report the same numbers.  Expensive data is shared through
+a lazy context: the periods and Riemann constant of each genus, and the
+theta trisecant of each (genus, seed).
 """
 
 import time

@@ -222,10 +222,13 @@ class TestErrorPaths:
         (["periods"], 2, "[" * 100_000),
         (["periods"], 2, '{"f_coeffs": [0, -1, 0, true]}'),
         (["theta", "--z", "[[true,false],[0,0],[0,0]]"], 2, None),
+        (["theta", "--z", "[[0,0],[0,0],[0,0]]", "--char", "ab;00"], 2,
+         None),
+        (["theta", "--z", "[[0,0],[0,0],[0,0]]", "--char", ""], 2, None),
     ], ids=["z-not-json", "negative-period-tol", "non-finite-theta",
             "nan-theta-tol", "unreducible-theta-argument", "negative-seed",
             "malformed-seed", "deeply-nested-curve", "boolean-coefficient",
-            "boolean-z"])
+            "boolean-z", "char-not-bits", "char-empty"])
     def test_exit_contract(self, capsys, tmp_path, curve_file, argv, code,
                            curve):
         """Each bad input exits 2 or 3 with a strict-JSON error; a curve
@@ -272,12 +275,12 @@ Z_TEXT = st.one_of(
     st.text(max_size=20),
 )
 #: the options each command takes; others are drawn now and then too
-OPTIONS = {"periods": ["--tol"], "theta": ["--z", "--tol"],
+OPTIONS = {"periods": ["--tol"], "theta": ["--z", "--tol", "--char"],
            "fay": ["--seed"], "trisecant": ["--seed"],
            "multisecant": ["--seed", "--ell"], "gamma00-dim": [],
            "gamma00-trisecant": ["--seed"], "span": ["--seed", "--ell"]}
 VALUES = {"--z": Z_TEXT, "--tol": NUMBER_TEXT, "--seed": NUMBER_TEXT,
-          "--ell": NUMBER_TEXT}
+          "--ell": NUMBER_TEXT, "--char": st.text(max_size=8)}
 
 
 @st.composite

@@ -284,7 +284,7 @@ class TestAbelJacobi:
         points += [curve.point(0.5 - 0.7j, 1),       # below the real axis
                    curve.point(curve.roots[-1] + 2.0, -1),   # the anchor line
                    curve.weierstrass_point(2), cv.CurvePoint.infinity()]
-        batch = cv._abel_jacobi_points(curve, points, periods, 1e-10)
+        batch = cv._abel_jacobi_points(curve, points, periods)
         for point, lift in zip(points, batch):
             reference = single_point_lift(curve, point, periods)
             assert np.max(np.abs(lift - reference)) < 1e-13
@@ -332,8 +332,7 @@ class TestAbelJacobi:
         # the last leg runs straight down from x + ih and meets e_2 = 1
         through_root = curve.point(1.0 - 0.5j, 1)
         with pytest.raises(PathDegenerate):
-            cv._abel_jacobi_points(curve, [good, through_root], periods,
-                                   1e-10)
+            cv._abel_jacobi_points(curve, [good, through_root], periods)
 
 
 class TestQuadrature:

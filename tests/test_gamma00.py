@@ -149,8 +149,7 @@ class TestCombination:
         grad = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         section = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         combo, lam, gamma, conds = g00._combination(
-            rm, np.stack([grad, -grad]), np.stack([section, section]),
-            1e-6, 1e-10)
+            rm, np.stack([grad, -grad]), np.stack([section, section]))
         assert gamma == -1.0 and lam == 1.0
         assert not np.any(combo.coeffs)
         assert not np.any(conds.values)

@@ -148,11 +148,6 @@ class TestGaussMap:
         x = cv.abel_jacobi_divisor(curve, cv.Divisor.of(p, q), periods) - kappa
         assert geo.vanishing_order(periods.tau, x) == 1
 
-    def test_vanishing_order_rejects_high_orders(self, jac3):
-        _, periods, _ = jac3
-        with pytest.raises(InvalidInput):
-            geo.vanishing_order(periods.tau, np.zeros(3), max_order=3)
-
 
 class TestCanonicalDirection:
 
@@ -196,8 +191,7 @@ class TestGaussHyperplane:
         curve, periods, kappa = jac3
         sample = cv.sample_B_ell(curve, 3, seed=13)
         entries = geo.gauss_fiber_enumerate(sample.k0, curve.genus,
-                                            curve=curve, periods=periods,
-                                            kappa=kappa)
+                                            curve=curve)
         dirs = []
         for entry in entries:
             if entry.special:
@@ -255,6 +249,21 @@ class TestFiberEnumeration:
         assert geo.fiber_total_multiplicity(entries) == 6
         specials = [e for e in entries if e.special]
         assert len(specials) == 2  # the two conjugate pairs p+q and r+s
+
+    @pytest.mark.parametrize("g, seed", [(3, 13), (4, 1)])
+    def test_oracle_matches_vanishing_order(self, g, seed, jac3, jac4):
+        """On B3 samples the conjugate-pair oracle marks an entry special
+        exactly when theta vanishes to order >= 2 at AJ(entry) - kappa."""
+        curve, periods, kappa = {3: jac3, 4: jac4}[g]
+        sample = cv.sample_B_ell(curve, 3, seed=seed)
+        entries = geo.gauss_fiber_enumerate(sample.k0, g, curve=curve)
+        assert any(e.special for e in entries)
+        assert not all(e.special for e in entries)
+        for entry in entries:
+            x = cv.abel_jacobi_divisor(curve, entry.subdivisor,
+                                       periods) - kappa
+            assert (geo.vanishing_order(periods.tau, x) >= 2) \
+                == entry.special
 
 
 class TestBatchedNewton:
