@@ -9,6 +9,7 @@ absolute theta magnitudes vary over many orders with tau.
 
 from dataclasses import dataclass
 from math import comb
+import functools
 import itertools
 
 import numpy as np
@@ -213,15 +214,22 @@ def on_theta(tau, x):
     return bool(members[0]), float(residuals[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_offsets(g):
+    """The six probe offsets of _on_theta at genus g, drawn once."""
+    rng = np.random.default_rng(7)
+    offsets = 0.2 * (rng.standard_normal((6, g))
+                     + 1j * rng.standard_normal((6, g)))
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _on_theta(rm, vecs, vals):
     """on_theta at reduced points vecs (N, g) with theta values vals (N,):
     (members, residuals), from one probe call at the same six offsets
     around every point."""
     val_scale, _ = _theta_scales(rm)
-    rng = np.random.default_rng(7)
-    offsets = 0.2 * (rng.standard_normal((6, rm.g))
-                     + 1j * rng.standard_normal((6, rm.g)))
-    probes = (vecs[:, None, :] + offsets).reshape(-1, rm.g)
+    probes = (vecs[:, None, :] + _probe_offsets(rm.g)).reshape(-1, rm.g)
     (pvals,), _, _ = theta_batch(rm, probes)
     scales = np.maximum(val_scale,
                         np.max(np.abs(pvals).reshape(len(vecs), 6), axis=1))

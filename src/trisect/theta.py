@@ -12,6 +12,19 @@ the period lattice and the exact prefactors are reapplied, with their
 product-rule terms for derivatives, so returned values and derivatives are
 the true (unreduced) ones at any argument.
 
+The offset sets both R and the factor exp(||T c||^2) that the tail bound
+carries, so each row is summed at its nearest lattice translate in the
+||T .|| metric, not where rounding the coordinates left it: near the
+corners of the rounding cell, where half-periods sit, the two differ
+(the 20 rows of the genus-5 Riemann-constant certificate: largest offset
+3.10 after rounding, 1.53 at the nearest translates).  Rounding stays
+the one reduction; the nearest translate is an exact search over the
+cached points with ||T n|| <= 2 ||T c|| (the short-vector search of
+Fincke & Pohst, Math. Comp. 44 (1985)), needed only for rows farther
+than rho / 2, half the shortest lattice vector: nearer rows are nearest
+already.  The translate is applied to the reduction's lattice part, so
+the exact prefactors and the tau/2 class relabelling follow it.
+
 One pass over the lattice points returns the whole jet up to the requested
 order: values, gradients and Hessians come from the same sums (the
 derivative-from-one-summation form of Deconinck et al., Math. Comp. 73
@@ -310,6 +323,47 @@ def _pick_radius(rm, tol, offset, deriv_order):
                        tol=tol)
 
 
+def _nearest_translates(rm, Z_red, p):
+    """Move every row of a reduction Z = Z_red + m + tau p to the lattice
+    translate whose Gaussian centre is nearest the origin.
+
+    The terms of row z are Gaussian in n around -c, c = Im(tau)^-1 Im z,
+    and the translate z - tau n has centre c - n; its offset ||T (c - n)||
+    sets the radius and the boost of the sum.  A row with ||T c|| <= rho / 2
+    is already nearest, since every other translate is at least
+    rho - rho / 2 away.  For the others the optimum n has ||T n|| <=
+    ||T (c - n)|| + ||T c|| <= 2 ||T c||, so the search over
+    lattice_points(2 ||T c||) is exact: it maximises ||T c||^2
+    - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.  The real parts are rounded
+    again, an integer shift that changes no prefactor.
+
+    Returns (Z_red, p, offset_sq), the same reduction of Z with the moved
+    rows and offset_sq (N,) the squared offset ||T c||^2 = pi y^T Im(tau)^-1
+    y, y = Im z, of every row.
+    """
+    y = Z_red.imag
+    offset_sq = np.pi * np.vecdot(y, y @ rm._imag_inv.T)
+    largest = offset_sq.max(initial=0.0)
+    if largest <= rm._rho * rm._rho / 4.0:
+        return Z_red, p, offset_sq
+    points = rm.lattice_points(2.0 * math.sqrt(largest))
+    norms_sq = rm._point_norms[:len(points)] ** 2
+    # every row is searched; a row within rho / 2 keeps the origin
+    best = np.empty(len(y), dtype=np.intp)
+    step = max(_BLOCK // len(points), 1)
+    for lo in range(0, len(y), step):
+        best[lo:lo + step] = np.argmax(
+            (2.0 * np.pi * y[lo:lo + step]) @ points.T - norms_sq, axis=1)
+    if not best.any():  # points[0] is the origin
+        return Z_red, p, offset_sq
+    n = points[best]
+    Z_red = Z_red - n @ rm.entries  # tau symmetric: rows of (tau n)^T
+    Z_red -= np.round(Z_red.real)
+    y = Z_red.imag
+    p, offset_sq = p + n, np.pi * np.vecdot(y, y @ rm._imag_inv.T)
+    return Z_red, p, offset_sq
+
+
 #: The largest |Re x| of a factor exp(x) that a split sum may form, inside
 #: floating range (exp overflows past 709).
 _SPLIT_REACH = 600.0
@@ -369,10 +423,11 @@ def _pair_signs(n_hc, d, deriv, n_pow, n_par):
     return signs
 
 
-def _series(rm, Z_red, tol, deriv, by_parity=False):
+def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
     """Truncated theta sums at reduced points, all orders 0..deriv at once.
 
-    Z_red: (N, g) reduced arguments, summed at zero characteristic.  The
+    Z_red: (N, g) reduced arguments, summed at zero characteristic, and
+    offset_sq (N,) their squared offsets ||T c||^2 (_nearest_translates).  The
     terms are summed into one class, or with ``by_parity`` into the 2^g
     classes of n mod 2 in the eps order.  Returns (results, radius,
     tail_bound) where results lists the values (N, C), then gradients
@@ -416,13 +471,10 @@ def _series(rm, Z_red, tol, deriv, by_parity=False):
     matrix product.
     """
     y = Z_red.imag
-    yinv_y = y @ rm._imag_inv.T
-    offset = yinv_y @ rm._chol.T  # ||T c|| per row, c = Im(tau)^-1 Im z
-    offset = float(np.sqrt(np.add.reduce(offset * offset, axis=1)
-                           .max(initial=0.0)))
-    # omitted terms carry the factor exp(pi y^T Y^{-1} y)
-    boost = float(np.exp(np.pi * np.einsum("ng,ng->n", y, yinv_y)
-                         .max(initial=0.0)))
+    largest = float(offset_sq.max(initial=0.0))
+    offset = math.sqrt(largest)
+    # omitted terms carry the factor exp(||T c||^2) = exp(pi y^T Y^-1 y)
+    boost = float(np.exp(largest))  # inf past floating range: refused
     margin = float(deriv)
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
     stop = len(rm.lattice_points(radius))  # may rebuild the caches
@@ -558,7 +610,8 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
     a, b = char.a, char.b
     tau = rm.entries
     W_red, _, p = rm.reduce(Z + b + tau @ a)
-    outs, radius, tail = _series(rm, W_red, tol, deriv)
+    W_red, p, offset_sq = _nearest_translates(rm, W_red, p)
+    outs, radius, tail = _series(rm, W_red, offset_sq, tol, deriv)
     log_pre = 1j * np.pi * (a @ tau @ a) + _TWO_PI_I * ((Z + b) @ a) \
         + _lattice_exponent(rm, p, W_red)
     jet, tail = _unreduce(log_pre, _TWO_PI_I * (a - p), outs, tail)
@@ -588,7 +641,9 @@ def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     if rm._half is None:
         rm._half = RiemannMatrix(rm.entries / 2.0)
     Z_red, _, q = rm._half.reduce(Z)
-    outs, radius, tail = _series(rm._half, Z_red, tol, deriv, by_parity=True)
+    Z_red, q, offset_sq = _nearest_translates(rm._half, Z_red, q)
+    outs, radius, tail = _series(rm._half, Z_red, offset_sq, tol, deriv,
+                                 by_parity=True)
     # class eps at Z is class eps XOR (q mod 2) at Z_red
     classes = np.arange(2 ** rm.g)[None, :] ^ _class_index(q)[:, None]
     rows = np.arange(len(Z))[:, None]

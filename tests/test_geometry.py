@@ -112,6 +112,16 @@ class TestOnTheta:
         member, _ = geo.on_theta(rm, z + shift)
         assert member
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_probe_offsets_are_drawn_once_per_genus(self, g):
+        rng = np.random.default_rng(7)
+        want = 0.2 * (rng.standard_normal((6, g))
+                      + 1j * rng.standard_normal((6, g)))
+        got = geo._probe_offsets(g)
+        np.testing.assert_array_equal(got, want)
+        assert geo._probe_offsets(g) is got
+        assert not got.flags.writeable
+
 
 class TestGaussMap:
 

@@ -13,7 +13,8 @@ from trisect.selftest import reference_curve
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps,
-                           _pick_radius, _series)
+                           _nearest_translates, _pick_radius,
+                           _series)
 
 TAU1 = np.array([[1.0j]])
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
@@ -260,6 +261,16 @@ class TestErrorControl:
         with pytest.raises(InvalidInput):
             theta_batch(TAU2, [0.0, 0.0], deriv=3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_offset_past_floating_range_is_refused(self):
+        # exp(||T c||^2) overflows: the series is refused, not an exception
+        # from the arithmetic
+        tau = np.array([[4000j]])
+        with pytest.raises(InvalidInput):
+            theta_batch(tau, [1960j])
+        with pytest.raises(InvalidInput):
+            second_order_basis(tau, [980j])
+
     def test_riemann_matrix_validation(self):
         with pytest.raises(InvalidInput):
             RiemannMatrix(np.array([[1.0j, 0.5], [0.2, 1.0j]]))
@@ -349,10 +360,16 @@ class TestSummedPointSet:
             rm = rm._half
         else:
             _, got_radius, _ = theta_batch(rm, Z, tol=tol, deriv=deriv)
-        Z_red, _, _ = rm.reduce(Z)
-        centres = Z_red.imag @ np.linalg.inv(rm.entries.imag).T
+        Z_red, _, p = rm.reduce(Z)
         chol = np.linalg.cholesky(np.pi * rm.entries.imag).T
-        offset = np.max(np.linalg.norm(centres @ chol.T, axis=1))
+        to_image = np.linalg.inv(rm.entries.imag).T @ chol.T
+        rounded = np.linalg.norm(Z_red.imag @ to_image, axis=1)
+        # the centres of the rows the kernel sums: its nearest translates
+        Z_red, _, _ = _nearest_translates(rm, Z_red, p)
+        centres = Z_red.imag @ np.linalg.inv(rm.entries.imag).T
+        offsets = np.linalg.norm(centres @ chol.T, axis=1)
+        assert np.all(offsets <= rounded * (1 + 1e-12))
+        offset = np.max(offsets)
         # the terms carry exp(||T c||^2) = exp(pi y^T Im(tau)^-1 y)
         radius = _pick_radius(rm, tol / max(np.exp(offset ** 2), 1.0),
                               offset, deriv) + deriv
@@ -408,9 +425,11 @@ class TestSummedPointSet:
         tau = random_tau(5, 5)
         rm = RiemannMatrix(tau)
         rng = np.random.default_rng(deriv)
-        Z_red, _, _ = rm.reduce(rng.uniform(-0.5, 0.5, (4, 5))
+        Z_red, _, p = rm.reduce(rng.uniform(-0.5, 0.5, (4, 5))
                                 + rng.uniform(-0.5, 0.5, (4, 5)) @ tau.T)
-        outs, radius, _ = _series(rm, Z_red, 1e-10, deriv, by_parity)
+        Z_red, _, offset_sq = _nearest_translates(rm, Z_red, p)
+        outs, radius, _ = _series(rm, Z_red, offset_sq, 1e-10, deriv,
+                                  by_parity)
         n = rm.lattice_points(radius).astype(float)
         terms = np.exp(1j * np.pi * np.einsum("tg,gh,th->t", n, tau, n)
                        + 2j * np.pi * Z_red @ n.T)
@@ -469,12 +488,16 @@ class TestSplitBound:
 
     @pytest.mark.parametrize("U", UNIMODULAR[:2], ids=lambda u: str(u))
     def test_no_split_on_a_skewed_tau(self, jac2, U, head_widths):
+        # U^2: each row is summed around its nearest translate, whose offset
+        # no basis can make exceed the covering radius, so the skew of U
+        # alone keeps the intermediate bound below _SPLIT_REACH
         tau = jac2[1].tau.entries
-        U = np.asarray(U)
+        U = np.linalg.matrix_power(np.asarray(U), 2)
         rng = np.random.default_rng(5)
         Z = rng.standard_normal((6, 2)) + 0.4j * rng.standard_normal((6, 2))
-        theta_batch(U.T @ tau @ U, Z @ U)
+        (values,), _, _ = theta_batch(U.T @ tau @ U, Z @ U)
         assert head_widths == [2]
+        assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("by_parity", [False, True],
                              ids=["one-class", "by-parity"])
@@ -483,18 +506,137 @@ class TestSplitBound:
                                            deriv, by_parity):
         rm = RiemannMatrix(random_tau(4, 4))
         rng = np.random.default_rng(deriv)
-        Z_red, _, _ = rm.reduce(rng.uniform(-0.5, 0.5, (5, 4))
+        Z_red, _, p = rm.reduce(rng.uniform(-0.5, 0.5, (5, 4))
                                 + rng.uniform(-0.5, 0.5, (5, 4))
                                 @ rm.entries.T)
-        split, radius, tail = _series(rm, Z_red, 1e-10, deriv, by_parity)
+        Z_red, _, offset_sq = _nearest_translates(rm, Z_red, p)
+        split, radius, tail = _series(rm, Z_red, offset_sq, 1e-10, deriv,
+                                      by_parity)
         theta_module = sys.modules[RiemannMatrix.__module__]
         monkeypatch.setattr(theta_module, "_SPLIT_REACH", -1.0)
-        whole = _series(rm, Z_red, 1e-10, deriv, by_parity)
+        whole = _series(rm, Z_red, offset_sq, 1e-10, deriv, by_parity)
         assert whole[1:] == (radius, tail)
         assert head_widths == [3, 4]
         for got, want in zip(whole[0], split):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-13 * np.max(np.abs(want)))
+
+
+def near_corner_arguments(tau, seed, rows):
+    """Points x + tau p of the cell, p within 0.05 of the corner s / 2,
+    s in {-1, 1}^g, farthest from the origin in the ||T .|| metric, moved
+    by a lattice vector: rounding keeps the centre p near that corner,
+    although another corner, a translate of it, is nearer whenever
+    Im(tau) is not diagonal."""
+    g = len(tau)
+    rng = np.random.default_rng(seed)
+    signs = np.array(list(itertools.product((-0.5, 0.5), repeat=g)))
+    chol = np.linalg.cholesky(np.pi * np.asarray(tau).imag).T
+    corner = signs[np.argmax(np.linalg.norm(signs @ chol.T, axis=1))]
+    x = 0.5 + rng.uniform(-0.05, 0.05, (rows, g))
+    p = corner * rng.uniform(0.9, 1.0, (rows, g))
+    shift = rng.integers(-2, 3, (rows, g)) \
+        + rng.integers(-2, 3, (rows, g)) @ np.asarray(tau).T
+    return x + p @ np.asarray(tau).T + shift
+
+
+#: tau per genus for the nearest-translate check, a skewed one included
+TRANSLATE_CASES = {
+    "g1": TAU1, "g2": TAU2, "g3": TAU3, "g3-random": random_tau(3, 3),
+    "g2-skewed": np.asarray(UNIMODULAR[0]).T @ TAU2
+    @ np.asarray(UNIMODULAR[0]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def second_order_oracle(case):
+    """mp_theta_jet of theta[eps/2, 0](2 tau, 2 z) per eps, for each row z
+    of near_corner_arguments(tau / 2, 20 + g, 2), tau = CASES[case][0]."""
+    tau = CASES[case][0]
+    g = len(tau)
+    return [[mp_theta_jet(2.0 * tau, 2.0 * row, np.asarray(eps) / 2.0,
+                          np.zeros(g)) for eps in all_epsilons(g)]
+            for row in near_corner_arguments(tau / 2.0, 20 + g, 2)]
+
+
+class TestNearestTranslate:
+    """Each row is summed around the lattice translate whose Gaussian
+    centre is nearest the origin in the ||T .|| metric."""
+
+    @pytest.mark.parametrize("case", list(TRANSLATE_CASES))
+    def test_matches_a_box_search(self, case):
+        tau = TRANSLATE_CASES[case]
+        g = len(tau)
+        rm = RiemannMatrix(tau)
+        rng = np.random.default_rng(g)
+        Z = np.concatenate([
+            near_corner_arguments(tau, g, 6),
+            rng.uniform(-3, 3, (10, g)) + rng.uniform(-3, 3, (10, g)) @ tau.T])
+        Z_red, m, p = rm.reduce(Z)
+        moved, p_moved, offset_sq = _nearest_translates(rm, Z_red, p)
+        chol = np.linalg.cholesky(np.pi * tau.imag).T
+        # the offsets of every translate Z_red - tau n, n in {-2..2}^g
+        box = np.stack(np.meshgrid(*[np.arange(-2, 3)] * g, indexing="ij"),
+                       axis=-1).reshape(-1, g)
+        centres = Z_red.imag @ np.linalg.inv(tau.imag).T
+        offsets = np.linalg.norm(
+            (centres[:, None, :] - box) @ chol.T, axis=2)
+        nearest = offsets.min(axis=1)
+        got = np.linalg.norm(
+            moved.imag @ np.linalg.inv(tau.imag).T @ chol.T, axis=1)
+        np.testing.assert_allclose(got, nearest, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.sqrt(offset_sq), got, rtol=0,
+                                   atol=1e-12)
+        # at g = 1 rounding is the nearest translate; above it, not always
+        assert g == 1 or np.any(nearest < offsets[:, len(box) // 2] - 1e-3)
+        # the same point: Z = moved + m' + tau p_moved, m' and p_moved
+        # integers, and moved has real parts in the cell
+        np.testing.assert_array_equal(p_moved, np.round(p_moved))
+        rest = Z - moved - p_moved @ tau.T
+        np.testing.assert_allclose(rest.imag, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rest.real, np.round(rest.real),
+                                   atol=1e-12)
+        assert np.all(np.abs(moved.real) <= 0.5 + 1e-12)
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["g2", "g3-random", "g2-skewed"])
+    def test_theta_batch_matches_mpmath_near_the_corner(self, case, deriv):
+        # on the near-diagonal TAU3 rounding is already nearest at the
+        # corners; random_tau(3, 3) is not
+        tau = TRANSLATE_CASES[case]
+        g = len(tau)
+        bits = CASES[case.split("-random")[0]][1]
+        Z = near_corner_arguments(tau, 10 + g, 2)
+        rm = RiemannMatrix(tau)
+        Z_red, _, p = rm.reduce(Z)
+        assert not np.array_equal(_nearest_translates(rm, Z_red, p)[1], p)
+        for char in (HalfCharacteristic.zero(g), HalfCharacteristic(*bits)):
+            jet, _, tail = theta_batch(rm, Z, char=char, deriv=deriv)
+            for k, row in enumerate(Z):
+                oracle = mp_theta_jet(tau, row, char.a, char.b)
+                for got, want in zip(jet, oracle):
+                    assert np.max(np.abs(got[k] - want)) \
+                        <= tail + 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["g2", "g3"])
+    def test_second_order_basis_matches_mpmath_near_the_corner(self, case,
+                                                               deriv):
+        # near a corner of the tau/2 cell
+        tau = CASES[case][0]
+        g = len(tau)
+        Z = near_corner_arguments(tau / 2.0, 20 + g, 2)
+        rm = RiemannMatrix(tau)
+        half = RiemannMatrix(tau / 2.0)
+        Z_red, _, q = half.reduce(Z)
+        assert not np.array_equal(_nearest_translates(half, Z_red, q)[1], q)
+        jet, _, tail = second_order_basis(rm, Z, deriv=deriv)
+        for k, oracles in enumerate(second_order_oracle(case)):
+            for e, oracle in enumerate(oracles):
+                for order, (got, want) in enumerate(zip(jet, oracle)):
+                    want = 2.0 ** order * want
+                    assert np.max(np.abs(got[k, e] - want)) \
+                        <= tail + 1e-13 * np.max(np.abs(want))
 
 
 class TestSkewedTau:
