@@ -23,7 +23,11 @@ cached points with ||T n|| <= 2 ||T c|| (the short-vector search of
 Fincke & Pohst, Math. Comp. 44 (1985)), needed only for rows farther
 than rho / 2, half the shortest lattice vector: nearer rows are nearest
 already.  The translate is applied to the reduction's lattice part, so
-the exact prefactors and the tau/2 class relabelling follow it.
+the exact prefactors and the tau/2 class relabelling follow it.  The
+basis does not enter the translate, the radius or the summed set; on a
+skewed tau only the coordinates of n and of the lattice part p grow, and
+the products in i pi n^T tau n and tau p then cancel, so both are formed
+exactly (_split).
 
 One pass over the lattice points returns the whole jet up to the requested
 order: values, gradients and Hessians come from the same sums (the
@@ -52,8 +56,10 @@ of the whole series (the half-period action, Mumford, Tata Lectures on
 Theta I, Ch. II 1), so the classes are relabelled after the sum.
 
 Returned tail bounds hold at the raw arguments: the bound at the reduced
-arguments is scaled by the largest prefactor and by its product-rule
-growth for derivatives.
+arguments, the nearest translates, is scaled by the largest prefactor and
+by its product-rule growth for derivatives.  So the bound follows |theta|
+at the nearest translate; it exceeds a bound summed where rounding left
+an argument by the ratio of the two prefactors.
 
 Characteristic ordering convention: eps in {0,1}^g is indexed
 lexicographically with eps_1 most significant.  Every other module and the
@@ -89,6 +95,55 @@ def _box(half_widths, start, stop):
     return np.stack(np.unravel_index(index, shape), axis=1) - shape // 2
 
 
+#: Integral vectors with entries up to this size, the int16 range of the
+#: lattice points, multiply the split of tau cached on the matrix (_split).
+_EXACT_SIZE = 2.0 ** 15
+
+
+def _split(rm, size):
+    """tau = coarse + fine for integral vectors with entries up to ``size``,
+    as one real (g, 4g) array [coarse | fine], each part holding the real
+    and imaginary part of every entry side by side: n @ split, reshaped to
+    (N, 2, 2g) and viewed as complex, is (n^T coarse, n^T fine).
+
+    coarse is tau rounded to a grid 2^k so fine that for such n and p every
+    product n_g coarse_gh p_h, and every partial sum of them, is an integer
+    multiple of the grid below 2^51 grids: n^T coarse and n^T coarse p are
+    exact, summed in any order.  fine is at most half the grid, so its
+    products are small and carry roundings of their own size.  Where
+    n^T tau n or tau p cancel, as they do on a skewed tau, the sum of the
+    two parts keeps the relative accuracy that a plain product loses.
+    Cached on rm for size <= _EXACT_SIZE.
+    """
+    cached = size <= _EXACT_SIZE
+    if cached and rm._split is not None:
+        return rm._split
+    size = max(size, _EXACT_SIZE)
+    parts = rm.entries.view(float)
+    grid = 2.0 ** (math.ceil(math.log2(size * size * np.abs(parts).sum()))
+                   - 50)
+    coarse = np.round(parts / grid) * grid
+    split = np.concatenate([coarse, parts - coarse], axis=1)
+    if cached:
+        rm._split = split
+    return split
+
+
+def _split_products(rm, n):
+    """(N, 2, g) complex: n^T coarse and n^T fine (_split) of every row of
+    the integral n, (N, g)."""
+    split = _split(rm, float(np.abs(n).max(initial=0)))
+    return (n @ split).reshape(len(n), 2, 2 * len(split)).view(complex)
+
+
+def _i_pi_quadratic(rm, n):
+    """i pi n^T tau n for each row of the integral n, its phase
+    pi n^T Re(tau) n reduced modulo 2 pi exactly (_split)."""
+    whole, rest = np.vecdot(n[:, None, :], _split_products(rm, n)).T
+    return np.pi * (1j * (np.fmod(whole.real, 2.0) + rest.real)
+                    - (whole.imag + rest.imag))
+
+
 class RiemannMatrix:
     """A g x g complex symmetric matrix with positive definite imaginary part.
 
@@ -120,6 +175,8 @@ class RiemannMatrix:
         # T with ||T v||^2 = pi v^T Im(tau) v
         self._chol = np.linalg.cholesky(np.pi * entries.imag).T
         self._chol_inv = np.linalg.inv(self._chol)
+        self._split = None  # _split of tau for the int16 range
+        self._search = None  # _search_points
         self._points = np.zeros((0, self.g), dtype=np.int16)  # by ||T n||
         self._point_norms = np.zeros(0)
         self._points_radius = -1.0  # _points is complete up to this norm
@@ -163,9 +220,7 @@ class RiemannMatrix:
                 kept, kept_norms = slab[keep], slab_norms[keep]
                 pts.append(kept.astype(np.int16))
                 norms.append(kept_norms)
-                # Re(i pi n^T tau n) = -pi n^T Im(tau) n = -||T n||^2
-                quads.append(-kept_norms ** 2 + 1j * np.pi * np.einsum(
-                    "tg,gh,th->t", kept, self.entries.real, kept))
+                quads.append(_i_pi_quadratic(self, kept))
             pts, norms = np.concatenate(pts), np.concatenate(norms)
             order = np.argsort(norms, kind="stable")
             self._points = pts[order]
@@ -303,18 +358,25 @@ def _prepare(tau, Z, tol, deriv):
 
 
 def _tail_bound(rm, radius, offset, deriv_order):
-    g = rm.g
-    rho = rm._rho
-    arg = max(radius - offset - rho / 2.0, 0.0) ** 2
-    eps = rm._tail_scale * gammaincc(g / 2.0, arg)
+    arg = max(radius - offset - rm._rho / 2.0, 0.0) ** 2
+    eps = rm._tail_scale * gammaincc(rm.g / 2.0, arg)
     if deriv_order:
-        eps *= (2.0 * np.pi * (radius + 1.0) / rm._smin) ** deriv_order
+        eps *= (2.0 * math.pi * (radius + 1.0) / rm._smin) ** deriv_order
     return eps
 
 
 def _pick_radius(rm, tol, offset, deriv_order):
-    radius = float(rm._rho / 2.0 + offset
-                   + np.sqrt(max(-np.log(tol), 1.0)))
+    """The first of 200 radii, r0 and then steps of 0.4, r0 = rho / 2
+    + offset + sqrt(max(-log tol, 1)), whose tail bound is below tol.
+
+    Scalar arithmetic throughout: most calls stop within four steps, and an
+    array form over the candidates costs more in numpy calls than it saves
+    in gammaincc calls.
+    """
+    if not tol > 0.0:  # the budget left floating range
+        raise InvalidInput("theta series does not converge at this "
+                           "tolerance", tol=tol)
+    radius = rm._rho / 2.0 + offset + math.sqrt(max(-math.log(tol), 1.0))
     for _ in range(200):
         if _tail_bound(rm, radius, offset, deriv_order) < tol:
             return radius
@@ -323,45 +385,72 @@ def _pick_radius(rm, tol, offset, deriv_order):
                        tol=tol)
 
 
-def _nearest_translates(rm, Z_red, p):
-    """Move every row of a reduction Z = Z_red + m + tau p to the lattice
-    translate whose Gaussian centre is nearest the origin.
+def _search_points(rm, radius):
+    """(n, 2 pi n^T, ||T n||^2) of the n with ||T n|| <= radius: a float
+    copy of a lattice_points prefix, kept on rm for the nearest-translate
+    search and rebuilt only for a larger radius."""
+    if rm._search is None or rm._search[0] < radius:
+        points = rm.lattice_points(radius)
+        norms = rm._point_norms[:len(points)]
+        rm._search = (math.ceil(radius * 4.0) / 4.0, points.copy(),
+                      np.ascontiguousarray(2.0 * np.pi * points.T),
+                      norms.copy(), norms ** 2)
+    _, points, scaled, norms, norms_sq = rm._search
+    stop = norms.searchsorted(radius + 1e-12, side="right")
+    return points[:stop], scaled[:, :stop], norms_sq[:stop]
 
-    The terms of row z are Gaussian in n around -c, c = Im(tau)^-1 Im z,
-    and the translate z - tau n has centre c - n; its offset ||T (c - n)||
-    sets the radius and the boost of the sum.  A row with ||T c|| <= rho / 2
-    is already nearest, since every other translate is at least
-    rho - rho / 2 away.  For the others the optimum n has ||T n|| <=
-    ||T (c - n)|| + ||T c|| <= 2 ||T c||, so the search over
-    lattice_points(2 ||T c||) is exact: it maximises ||T c||^2
-    - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.  The real parts are rounded
-    again, an integer shift that changes no prefactor.
 
-    Returns (Z_red, p, offset_sq), the same reduction of Z with the moved
-    rows and offset_sq (N,) the squared offset ||T c||^2 = pi y^T Im(tau)^-1
-    y, y = Im z, of every row.
+def _nearest_translates(rm, W):
+    """Reduce the arguments W (N, g) modulo the lattice Z^g + tau Z^g to
+    the translates whose Gaussian centres are nearest the origin.
+
+    RiemannMatrix.reduce rounds first.  The terms of its residual z are
+    Gaussian in n around -c, c = Im(tau)^-1 Im z, and the translate
+    z - tau n has centre c - n; its offset ||T (c - n)|| sets the radius
+    and the boost of the sum.  A row with ||T c|| <= rho / 2 is already
+    nearest, since every other translate is at least rho - rho / 2 away.
+    For the others the optimum n has ||T n|| <= ||T (c - n)|| + ||T c||
+    <= 2 ||T c||, so the search over the points of that norm is exact: it
+    maximises ||T c||^2 - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.
+
+    Unless every row is near and its lattice part zero, the residual
+    W_red = W - m - tau p is then formed again with tau p exact (_split),
+    so it carries roundings of its own size, not of |tau p|: summed with
+    lattice points n, an error d in it is a phase error 2 pi n^T d, and on
+    a skewed tau both n and tau p are large.
+
+    Returns (W_red, p, offset_sq, shift): W = W_red + m + tau p with m
+    and p integral and the real parts of W_red in [-1/2, 1/2]; offset_sq
+    (N,) the squared offset ||T c||^2 = pi y^T Im(tau)^-1 y, y = Im W_red,
+    of every row; and shift (N,) = log theta(W) - log theta(W_red)
+    = -i pi p^T tau p - 2 pi i p^T W_red, its phase reduced exactly.
     """
-    y = Z_red.imag
+    W_red, _, p = rm.reduce(W)
+    y = W_red.imag
     offset_sq = np.pi * np.vecdot(y, y @ rm._imag_inv.T)
-    largest = offset_sq.max(initial=0.0)
-    if largest <= rm._rho * rm._rho / 4.0:
-        return Z_red, p, offset_sq
-    points = rm.lattice_points(2.0 * math.sqrt(largest))
-    norms_sq = rm._point_norms[:len(points)] ** 2
-    # every row is searched; a row within rho / 2 keeps the origin
-    best = np.empty(len(y), dtype=np.intp)
-    step = max(_BLOCK // len(points), 1)
-    for lo in range(0, len(y), step):
-        best[lo:lo + step] = np.argmax(
-            (2.0 * np.pi * y[lo:lo + step]) @ points.T - norms_sq, axis=1)
-    if not best.any():  # points[0] is the origin
-        return Z_red, p, offset_sq
-    n = points[best]
-    Z_red = Z_red - n @ rm.entries  # tau symmetric: rows of (tau n)^T
-    Z_red -= np.round(Z_red.real)
-    y = Z_red.imag
-    p, offset_sq = p + n, np.pi * np.vecdot(y, y @ rm._imag_inv.T)
-    return Z_red, p, offset_sq
+    far = np.flatnonzero(offset_sq > rm._rho * rm._rho / 4.0)
+    moved = False
+    if len(far):
+        points, scaled, norms_sq = _search_points(
+            rm, 2.0 * math.sqrt(offset_sq[far].max()))
+        step = max(_BLOCK // len(points), 1)
+        for lo in range(0, len(far), step):
+            rows = far[lo:lo + step]
+            n = points[np.argmax(y[rows] @ scaled - norms_sq, axis=1)]
+            p[rows] += n
+            moved = moved or n.any()
+    if not moved and not p.any():  # W_red = W - m exactly
+        return W_red, p, offset_sq, np.zeros(len(W), dtype=complex)
+    tau_p = _split_products(rm, p)
+    W_red = (W - tau_p[:, 0]) - tau_p[:, 1]  # tau symmetric: (tau p)^T
+    W_red -= np.round(W_red.real)
+    quad = np.vecdot(p[:, None, :], tau_p)
+    np.fmod(quad.real[:, 0], 2.0, out=quad.real[:, 0])
+    shift = -1j * np.pi * (quad.sum(axis=1) + 2.0 * np.vecdot(p, W_red))
+    if moved:
+        y = W_red.imag
+        offset_sq = np.pi * np.vecdot(y, y @ rm._imag_inv.T)
+    return W_red, p, offset_sq, shift
 
 
 #: The largest |Re x| of a factor exp(x) that a split sum may form, inside
@@ -465,16 +554,13 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
     inside floating range.  Otherwise each representative is its own head
     of all g coordinates and the inner range is {0}: the same code with one
     exp per pair, whose exponents stay below 2 R offset.
-
-    The absolute sum of the terms, for a rounding bound, comes from the
-    same blocks: |E| (|C| |V|) + |E|^-1 (|C| |V[::-1]|), one more real
-    matrix product.
     """
     y = Z_red.imag
     largest = float(offset_sq.max(initial=0.0))
     offset = math.sqrt(largest)
     # omitted terms carry the factor exp(||T c||^2) = exp(pi y^T Y^-1 y)
-    boost = float(np.exp(largest))  # inf past floating range: refused
+    # inf past floating range: refused
+    boost = math.exp(largest) if largest < 709.0 else math.inf
     margin = float(deriv)
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
     stop = len(rm.lattice_points(radius))  # may rebuild the caches
@@ -547,13 +633,6 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
     return outs, radius, tail
 
 
-def _lattice_exponent(rm, p, Z_red):
-    """log theta(Z_red + m + tau p) - log theta(Z_red), tau = rm.entries:
-    -i pi p^T tau p - 2 pi i p^T Z_red per row."""
-    return -1j * np.pi * np.einsum("ng,gh,nh->n", p, rm.entries, p) \
-        - _TWO_PI_I * np.einsum("ng,ng->n", p, Z_red)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _unreduce(log_pre, shift, outs, tail):
     """The jet of exp(log_pre) f from the jet ``outs`` of f, and its tail
@@ -568,8 +647,10 @@ def _unreduce(log_pre, shift, outs, tail):
     warning, when any entry overflows.
     """
     pre = np.exp(log_pre)[:, None]
-    growth = np.abs(pre[:, 0]) * (1.0 + np.linalg.norm(
-        shift, axis=1)) ** (len(outs) - 1)
+    growth = np.abs(pre[:, 0])
+    if len(outs) > 1:
+        growth = growth * (1.0 + np.sqrt(np.vecdot(shift, shift).real)) \
+            ** (len(outs) - 1)
     shift = shift[:, None, :]
     jet = [pre * outs[0]]
     if len(outs) > 1:
@@ -604,17 +685,17 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
     every entry of every order at the raw arguments.
     """
     rm, Z, squeeze = _prepare(tau, Z, tol, deriv)
-    char = char or HalfCharacteristic.zero(rm.g)
-    if char.g != rm.g:
+    if char is not None and char.g != rm.g:
         raise InvalidInput("characteristic length does not match genus")
-    a, b = char.a, char.b
-    tau = rm.entries
-    W_red, _, p = rm.reduce(Z + b + tau @ a)
-    W_red, p, offset_sq = _nearest_translates(rm, W_red, p)
+    if char is None or not any(char.eps_prime + char.eps_dblprime):
+        W, log_pre, a = Z, 0.0, 0.0
+    else:
+        a, b, tau = char.a, char.b, rm.entries
+        W = Z + b + tau @ a
+        log_pre = 1j * np.pi * (a @ tau @ a) + _TWO_PI_I * ((Z + b) @ a)
+    W_red, p, offset_sq, shift = _nearest_translates(rm, W)
     outs, radius, tail = _series(rm, W_red, offset_sq, tol, deriv)
-    log_pre = 1j * np.pi * (a @ tau @ a) + _TWO_PI_I * ((Z + b) @ a) \
-        + _lattice_exponent(rm, p, W_red)
-    jet, tail = _unreduce(log_pre, _TWO_PI_I * (a - p), outs, tail)
+    jet, tail = _unreduce(log_pre + shift, _TWO_PI_I * (a - p), outs, tail)
     return tuple(o[0, 0] if squeeze else o[:, 0] for o in jet), radius, tail
 
 
@@ -640,14 +721,12 @@ def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     rm, Z, squeeze = _prepare(tau, Z, tol, deriv)
     if rm._half is None:
         rm._half = RiemannMatrix(rm.entries / 2.0)
-    Z_red, _, q = rm._half.reduce(Z)
-    Z_red, q, offset_sq = _nearest_translates(rm._half, Z_red, q)
+    Z_red, q, offset_sq, shift = _nearest_translates(rm._half, Z)
     outs, radius, tail = _series(rm._half, Z_red, offset_sq, tol, deriv,
                                  by_parity=True)
     # class eps at Z is class eps XOR (q mod 2) at Z_red
     classes = np.arange(2 ** rm.g)[None, :] ^ _class_index(q)[:, None]
     rows = np.arange(len(Z))[:, None]
     outs = [o[rows, classes] for o in outs]
-    jet, tail = _unreduce(_lattice_exponent(rm._half, q, Z_red),
-                          -_TWO_PI_I * q, outs, tail)
+    jet, tail = _unreduce(shift, -_TWO_PI_I * q, outs, tail)
     return tuple(o[0] if squeeze else o for o in jet), radius, tail

@@ -5,7 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammaincc
 
 from trisect.curves import period_matrix
 from trisect.errors import InvalidInput
@@ -271,6 +271,33 @@ class TestErrorControl:
         with pytest.raises(InvalidInput):
             second_order_basis(tau, [980j])
 
+    @pytest.mark.parametrize("g", [1, 3, 5])
+    def test_pick_radius_equals_the_stepping_loop(self, g):
+        # the first of r0, r0 + 0.4, ... whose tail bound is below tol, as
+        # the stepping loop in numpy arithmetic found it
+        rm = RiemannMatrix(random_tau(g, g))
+
+        def stepped(tol, offset, deriv):
+            radius = float(rm._rho / 2.0 + offset
+                           + np.sqrt(max(-np.log(tol), 1.0)))
+            for _ in range(200):
+                arg = max(radius - offset - rm._rho / 2.0, 0.0) ** 2
+                eps = rm._tail_scale * gammaincc(rm.g / 2.0, arg)
+                if deriv:
+                    eps *= (2.0 * np.pi * (radius + 1.0) / rm._smin) ** deriv
+                if eps < tol:
+                    return radius
+                radius += 0.4
+
+        for tol in (5e-4, 1e-7, 1e-10, 3e-13, 1e-14, 2e-15, 1e-40):
+            for offset in (0.0, 0.37, 1.35, 2.69, 6.0):
+                for deriv in (0, 1, 2):
+                    assert _pick_radius(rm, tol, offset, deriv) \
+                        == stepped(tol, offset, deriv)
+        # a budget that left floating range is refused
+        with pytest.raises(InvalidInput):
+            _pick_radius(rm, 0.0, 1.0, 0)
+
     def test_riemann_matrix_validation(self):
         with pytest.raises(InvalidInput):
             RiemannMatrix(np.array([[1.0j, 0.5], [0.2, 1.0j]]))
@@ -360,12 +387,11 @@ class TestSummedPointSet:
             rm = rm._half
         else:
             _, got_radius, _ = theta_batch(rm, Z, tol=tol, deriv=deriv)
-        Z_red, _, p = rm.reduce(Z)
         chol = np.linalg.cholesky(np.pi * rm.entries.imag).T
         to_image = np.linalg.inv(rm.entries.imag).T @ chol.T
-        rounded = np.linalg.norm(Z_red.imag @ to_image, axis=1)
+        rounded = np.linalg.norm(rm.reduce(Z)[0].imag @ to_image, axis=1)
         # the centres of the rows the kernel sums: its nearest translates
-        Z_red, _, _ = _nearest_translates(rm, Z_red, p)
+        Z_red, _, _, _ = _nearest_translates(rm, Z)
         centres = Z_red.imag @ np.linalg.inv(rm.entries.imag).T
         offsets = np.linalg.norm(centres @ chol.T, axis=1)
         assert np.all(offsets <= rounded * (1 + 1e-12))
@@ -425,9 +451,9 @@ class TestSummedPointSet:
         tau = random_tau(5, 5)
         rm = RiemannMatrix(tau)
         rng = np.random.default_rng(deriv)
-        Z_red, _, p = rm.reduce(rng.uniform(-0.5, 0.5, (4, 5))
-                                + rng.uniform(-0.5, 0.5, (4, 5)) @ tau.T)
-        Z_red, _, offset_sq = _nearest_translates(rm, Z_red, p)
+        Z_red, _, offset_sq, _ = _nearest_translates(
+            rm, rng.uniform(-0.5, 0.5, (4, 5))
+            + rng.uniform(-0.5, 0.5, (4, 5)) @ tau.T)
         outs, radius, _ = _series(rm, Z_red, offset_sq, 1e-10, deriv,
                                   by_parity)
         n = rm.lattice_points(radius).astype(float)
@@ -487,17 +513,21 @@ class TestSplitBound:
         assert head_widths == [g - 1] * len(head_widths)
 
     @pytest.mark.parametrize("U", UNIMODULAR[:2], ids=lambda u: str(u))
-    def test_no_split_on_a_skewed_tau(self, jac2, U, head_widths):
-        # U^2: each row is summed around its nearest translate, whose offset
-        # no basis can make exceed the covering radius, so the skew of U
-        # alone keeps the intermediate bound below _SPLIT_REACH
-        tau = jac2[1].tau.entries
+    def test_no_split_on_a_skewed_tau(self, U, head_widths):
+        # theta(z; tau) = theta(U^T z; U^T tau U).  Each row is summed
+        # around its nearest translate, whose offset no basis changes, so
+        # it takes U^2 for the skew alone to pass _SPLIT_REACH.  tau and z
+        # on a 2^-8 grid make U^T tau U and U^T z exact, so the two calls
+        # share their inputs and must agree within both tail bounds.
+        tau = np.round(TAU2 * 256.0) / 256.0
         U = np.linalg.matrix_power(np.asarray(U), 2)
         rng = np.random.default_rng(5)
-        Z = rng.standard_normal((6, 2)) + 0.4j * rng.standard_normal((6, 2))
-        (values,), _, _ = theta_batch(U.T @ tau @ U, Z @ U)
-        assert head_widths == [2]
-        assert np.all(np.isfinite(values))
+        Z = np.round(256.0 * (rng.standard_normal((6, 2))
+                              + 0.4j * rng.standard_normal((6, 2)))) / 256.0
+        (want,), _, tail = theta_batch(tau, Z)
+        (got,), _, tail_skewed = theta_batch(U.T @ tau @ U, Z @ U)
+        assert head_widths == [1, 2]
+        assert np.all(np.abs(got - want) <= tail + tail_skewed)
 
     @pytest.mark.parametrize("by_parity", [False, True],
                              ids=["one-class", "by-parity"])
@@ -506,10 +536,9 @@ class TestSplitBound:
                                            deriv, by_parity):
         rm = RiemannMatrix(random_tau(4, 4))
         rng = np.random.default_rng(deriv)
-        Z_red, _, p = rm.reduce(rng.uniform(-0.5, 0.5, (5, 4))
-                                + rng.uniform(-0.5, 0.5, (5, 4))
-                                @ rm.entries.T)
-        Z_red, _, offset_sq = _nearest_translates(rm, Z_red, p)
+        Z_red, _, offset_sq, _ = _nearest_translates(
+            rm, rng.uniform(-0.5, 0.5, (5, 4))
+            + rng.uniform(-0.5, 0.5, (5, 4)) @ rm.entries.T)
         split, radius, tail = _series(rm, Z_red, offset_sq, 1e-10, deriv,
                                       by_parity)
         theta_module = sys.modules[RiemannMatrix.__module__]
@@ -540,11 +569,14 @@ def near_corner_arguments(tau, seed, rows):
     return x + p @ np.asarray(tau).T + shift
 
 
-#: tau per genus for the nearest-translate check, a skewed one included
-TRANSLATE_CASES = {
-    "g1": TAU1, "g2": TAU2, "g3": TAU3, "g3-random": random_tau(3, 3),
-    "g2-skewed": np.asarray(UNIMODULAR[0]).T @ TAU2
-    @ np.asarray(UNIMODULAR[0]),
+#: (tau, a characteristic other than zero) per genus
+CASES = {
+    "g1": (TAU1, ((1,), (1,))),
+    "g2": (TAU2, ((1, 0), (1, 1))),
+    "g3": (TAU3, ((1, 0, 1), (0, 1, 1))),
+    "g3-random": (random_tau(3, 3), ((0, 1, 1), (1, 1, 0))),
+    "g2-skewed": (np.asarray(UNIMODULAR[0]).T @ TAU2
+                  @ np.asarray(UNIMODULAR[0]), ((0, 1), (1, 0))),
 }
 
 
@@ -563,17 +595,17 @@ class TestNearestTranslate:
     """Each row is summed around the lattice translate whose Gaussian
     centre is nearest the origin in the ||T .|| metric."""
 
-    @pytest.mark.parametrize("case", list(TRANSLATE_CASES))
+    @pytest.mark.parametrize("case", list(CASES))
     def test_matches_a_box_search(self, case):
-        tau = TRANSLATE_CASES[case]
+        tau = CASES[case][0]
         g = len(tau)
         rm = RiemannMatrix(tau)
         rng = np.random.default_rng(g)
         Z = np.concatenate([
             near_corner_arguments(tau, g, 6),
             rng.uniform(-3, 3, (10, g)) + rng.uniform(-3, 3, (10, g)) @ tau.T])
-        Z_red, m, p = rm.reduce(Z)
-        moved, p_moved, offset_sq = _nearest_translates(rm, Z_red, p)
+        Z_red, _, _ = rm.reduce(Z)
+        moved, p_moved, offset_sq, shift = _nearest_translates(rm, Z)
         chol = np.linalg.cholesky(np.pi * tau.imag).T
         # the offsets of every translate Z_red - tau n, n in {-2..2}^g
         box = np.stack(np.meshgrid(*[np.arange(-2, 3)] * g, indexing="ij"),
@@ -597,26 +629,11 @@ class TestNearestTranslate:
         np.testing.assert_allclose(rest.real, np.round(rest.real),
                                    atol=1e-12)
         assert np.all(np.abs(moved.real) <= 0.5 + 1e-12)
-
-    @pytest.mark.parametrize("deriv", [0, 1, 2])
-    @pytest.mark.parametrize("case", ["g2", "g3-random", "g2-skewed"])
-    def test_theta_batch_matches_mpmath_near_the_corner(self, case, deriv):
-        # on the near-diagonal TAU3 rounding is already nearest at the
-        # corners; random_tau(3, 3) is not
-        tau = TRANSLATE_CASES[case]
-        g = len(tau)
-        bits = CASES[case.split("-random")[0]][1]
-        Z = near_corner_arguments(tau, 10 + g, 2)
-        rm = RiemannMatrix(tau)
-        Z_red, _, p = rm.reduce(Z)
-        assert not np.array_equal(_nearest_translates(rm, Z_red, p)[1], p)
-        for char in (HalfCharacteristic.zero(g), HalfCharacteristic(*bits)):
-            jet, _, tail = theta_batch(rm, Z, char=char, deriv=deriv)
-            for k, row in enumerate(Z):
-                oracle = mp_theta_jet(tau, row, char.a, char.b)
-                for got, want in zip(jet, oracle):
-                    assert np.max(np.abs(got[k] - want)) \
-                        <= tail + 1e-13 * np.max(np.abs(want))
+        # theta(Z) = exp(shift) theta(moved)
+        np.testing.assert_allclose(np.exp(shift), np.exp(
+            -1j * np.pi * np.einsum("ng,gh,nh->n", p_moved, tau, p_moved)
+            - 2j * np.pi * np.einsum("ng,ng->n", p_moved, moved)),
+            rtol=1e-12)
 
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     @pytest.mark.parametrize("case", ["g2", "g3"])
@@ -628,8 +645,8 @@ class TestNearestTranslate:
         Z = near_corner_arguments(tau / 2.0, 20 + g, 2)
         rm = RiemannMatrix(tau)
         half = RiemannMatrix(tau / 2.0)
-        Z_red, _, q = half.reduce(Z)
-        assert not np.array_equal(_nearest_translates(half, Z_red, q)[1], q)
+        assert not np.array_equal(_nearest_translates(half, Z)[1],
+                                  half.reduce(Z)[2])
         jet, _, tail = second_order_basis(rm, Z, deriv=deriv)
         for k, oracles in enumerate(second_order_oracle(case)):
             for e, oracle in enumerate(oracles):
@@ -710,16 +727,6 @@ def mp_theta_jet(tau, z, a, b):
                           for row in hess]))
 
 
-#: (tau, a characteristic other than zero) per genus
-CASES = {
-    "g1": (TAU1, ((1,), (1,))),
-    "g2": (TAU2, ((1, 0), (1, 1))),
-    "g3": (TAU3, ((1, 0, 1), (0, 1, 1))),
-    "g2-skewed": (np.asarray(UNIMODULAR[0]).T @ TAU2
-                  @ np.asarray(UNIMODULAR[0]), ((0, 1), (1, 0))),
-}
-
-
 class TestMpmathOracle:
     """theta_batch against mp_theta_jet, which shares no code with it."""
 
@@ -734,8 +741,12 @@ class TestMpmathOracle:
         z = rng.uniform(-0.5, 0.5, g) + 0.3j * rng.standard_normal(g)
         m = np.array([2.0, -1.0, 3.0])[:g]
         p = np.array([1.0, -1.0, 1.0])[:g]
-        # one reduced argument and one far one, z + m + tau p, in one call
-        Z = np.stack([z, z + m + tau @ p])
+        # one reduced argument, one far one, z + m + tau p, and two near a
+        # corner of the cell, where the nearest translate can differ from
+        # the rounded one (it does on g2, g3-random and g2-skewed), in one
+        # call
+        Z = np.concatenate([[z, z + m + tau @ p],
+                            near_corner_arguments(tau, 10 + g, 2)])
         jet, _, tail = theta_batch(tau, Z, char=char, deriv=2)
         oracle = [mp_theta_jet(tau, row, char.a, char.b) for row in Z]
         for order, got in enumerate(jet):
