@@ -5,12 +5,19 @@ Every sum runs at zero characteristic over the origin-centred point set
 the Gaussian tail estimate so that the omitted mass is below the requested
 tolerance; the estimate charges the offset of each row's Gaussian centre
 from the origin once, and that ball around the origin contains every
-centred ball the estimate leaves unbounded.  A characteristic [a, b] is
-folded into the argument, theta[a, b](z) = exp(i pi a^T tau a
-+ 2 pi i a^T (z + b)) theta(z + b + tau a).  Arguments are reduced modulo
-the period lattice and the exact prefactors are reapplied, with their
-product-rule terms for derivatives, so returned values and derivatives are
-the true (unreduced) ones at any argument.
+centred ball the estimate leaves unbounded.  The estimate (Deconinck et
+al., Math. Comp. 73 (2004)) is (g/2) (2/rho)^g Gamma(g/2) Q(g/2, x),
+x = (R - offset - rho/2)^2, rho the shortest ||T n|| and Q the regularized
+upper incomplete gamma function.  Its order g/2 is an integer or a
+half-integer, where Q has a closed form (NIST DLMF 8.4): Q(k, x) = e^-x
+times the sum of x^j / j! over j < k, and Q(1/2, x) = erfc(sqrt x) raised
+by Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) (_gammaincc_half).
+
+A characteristic [a, b] is folded into the argument, theta[a, b](z)
+= exp(i pi a^T tau a + 2 pi i a^T (z + b)) theta(z + b + tau a).
+Arguments are reduced modulo the period lattice and the exact prefactors
+are reapplied, with their product-rule terms for derivatives, so returned
+values and derivatives are the true (unreduced) ones at any argument.
 
 The offset sets both R and the factor exp(||T c||^2) that the tail bound
 carries, so each row is summed at its nearest lattice translate in the
@@ -71,7 +78,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
 
 from .errors import InvalidInput, NumericalFailure
 
@@ -80,6 +86,7 @@ TOL_CEIL = 1e-3
 DEFAULT_THETA_TOL = 1e-10
 
 _TWO_PI_I = 2j * np.pi
+_SQRT_PI = math.sqrt(math.pi)
 
 
 #: Lattice points x (rows + term weights) per block of a theta sum, and box
@@ -149,7 +156,11 @@ class RiemannMatrix:
 
     Caches the Cholesky data and the lattice points used by the theta
     series, and per-matrix results of other modules; the entries are
-    immutable.
+    immutable.  A tau symmetric to 1e-10 relative is accepted and stored
+    as the average 0.5 (tau + tau^T), and theta is that of the stored
+    average.  So a tau symmetric only up to rounding (U^T tau U formed in
+    floating point, say) is taken at that average, which can differ from a
+    sum over its entries as given by more than the tail bound.
     """
 
     def __init__(self, entries):
@@ -197,7 +208,7 @@ class RiemannMatrix:
         self._smin = float(np.linalg.svd(self._chol, compute_uv=False)[-1])
         # the factor of the tail bound that depends on the matrix only
         self._tail_scale = (self.g / 2.0) * (2.0 / self._rho) ** self.g \
-            * gamma_fn(self.g / 2.0)
+            * math.gamma(self.g / 2.0)
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
         self._theta_scales = None  # geometry._theta_scales
         self._gamma00_conditions = None  # gamma00._condition_data
@@ -263,6 +274,11 @@ class RiemannMatrix:
         Raises NumericalFailure when Z is too large for floating point to
         shift it into the cell.
         """
+        return self._reduce(Z)[:3]
+
+    def _reduce(self, Z):
+        """reduce(Z) and the Gaussian centres Y^-1 Im Z_reduced of its
+        rows, which the cell check forms."""
         Z = np.asarray(Z, dtype=complex)
         if Z.ndim not in (1, 2) or Z.shape[-1] != self.g:
             raise InvalidInput("argument dimension does not match genus",
@@ -276,12 +292,12 @@ class RiemannMatrix:
             Z_red = Z - m - p @ self.entries.T
             # rounding leaves both coordinates in [-1/2, 1/2]; past that,
             # the argument is too large for its shift to be exact
-            cell = np.maximum(np.abs(Z_red.real),
-                              np.abs(Z_red.imag @ self._imag_inv.T))
+            centres = Z_red.imag @ self._imag_inv.T
+            cell = np.maximum(np.abs(Z_red.real), np.abs(centres))
         if not np.all(cell <= 0.5 + 1e-6):
             raise NumericalFailure("argument is too far from the "
                                    "fundamental cell to reduce exactly")
-        return Z_red, m, p
+        return Z_red, m, p, centres
 
 
 @dataclass(frozen=True)
@@ -357,9 +373,38 @@ def _prepare(tau, Z, tol, deriv):
     return rm, Z, squeeze
 
 
+def _gammaincc_half(g, x):
+    """Q(g / 2, x) = Gamma(g / 2, x) / Gamma(g / 2) for x >= 0, in the
+    closed form of the module docstring.  Every term is positive, so the
+    sum keeps their relative accuracy; where e^-x underflows they are 0.
+    """
+    e = math.exp(-x)
+    if g % 2 == 0:
+        total, term, s = 0.0, e, 1.0
+    else:
+        t = math.sqrt(x)
+        total, term, s = math.erfc(t), 2.0 * t * e / _SQRT_PI, 1.5
+        if g == 1 and x:
+            # erfc(t) is Q(1/2, t^2), and t^2 misses x by r = x - t^2, up
+            # to an ulp of x; to first order that moves Q by -term r / (2 x),
+            # relatively about r at large x (1e-13 near x = 700).  r comes
+            # accurately from the halves of t (Veltkamp's split, Dekker's
+            # product).  At g >= 3 the erfc term is about 1 / (2 x) of Q
+            # there, and the slip stays at rounding level.
+            c = 134217729.0 * t
+            hi = c - (c - t)
+            lo = t - hi
+            r = ((x - hi * hi) - 2.0 * hi * lo) - lo * lo
+            total -= term * r / (2.0 * x)
+    for j in range(g // 2):
+        total += term
+        term *= x / (s + j)
+    return total
+
+
 def _tail_bound(rm, radius, offset, deriv_order):
     arg = max(radius - offset - rm._rho / 2.0, 0.0) ** 2
-    eps = rm._tail_scale * gammaincc(rm.g / 2.0, arg)
+    eps = rm._tail_scale * _gammaincc_half(rm.g, arg)
     if deriv_order:
         eps *= (2.0 * math.pi * (radius + 1.0) / rm._smin) ** deriv_order
     return eps
@@ -369,9 +414,10 @@ def _pick_radius(rm, tol, offset, deriv_order):
     """The first of 200 radii, r0 and then steps of 0.4, r0 = rho / 2
     + offset + sqrt(max(-log tol, 1)), whose tail bound is below tol.
 
-    Scalar arithmetic throughout: most calls stop within four steps, and an
-    array form over the candidates costs more in numpy calls than it saves
-    in gammaincc calls.
+    Scalar arithmetic throughout: most calls stop within four or five
+    steps of about 1 us each, the closed form _gammaincc_half on math
+    scalars, and an array form over the candidates costs more in numpy
+    calls than those steps.
     """
     if not tol > 0.0:  # the budget left floating range
         raise InvalidInput("theta series does not converge at this "
@@ -404,8 +450,9 @@ def _nearest_translates(rm, W):
     """Reduce the arguments W (N, g) modulo the lattice Z^g + tau Z^g to
     the translates whose Gaussian centres are nearest the origin.
 
-    RiemannMatrix.reduce rounds first.  The terms of its residual z are
-    Gaussian in n around -c, c = Im(tau)^-1 Im z, and the translate
+    RiemannMatrix._reduce rounds first, as reduce does, and returns the
+    centres c = Im(tau)^-1 Im z of its residuals z, which its cell check
+    forms.  The terms of z are Gaussian in n around -c, and the translate
     z - tau n has centre c - n; its offset ||T (c - n)|| sets the radius
     and the boost of the sum.  A row with ||T c|| <= rho / 2 is already
     nearest, since every other translate is at least rho - rho / 2 away.
@@ -425,9 +472,9 @@ def _nearest_translates(rm, W):
     of every row; and shift (N,) = log theta(W) - log theta(W_red)
     = -i pi p^T tau p - 2 pi i p^T W_red, its phase reduced exactly.
     """
-    W_red, _, p = rm.reduce(W)
+    W_red, _, p, centres = rm._reduce(W)
     y = W_red.imag
-    offset_sq = np.pi * np.vecdot(y, y @ rm._imag_inv.T)
+    offset_sq = np.pi * np.vecdot(y, centres)
     far = np.flatnonzero(offset_sq > rm._rho * rm._rho / 4.0)
     moved = False
     if len(far):

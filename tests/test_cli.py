@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trisect
 import trisect.curves as cv
 import trisect.gamma00 as g00
 import trisect.secants as se
@@ -241,6 +246,19 @@ class TestErrorPaths:
                             parse_constant=_reject_non_finite)
         assert report["code"] == {2: "INVALID_INPUT",
                                   3: "NUMERICAL_FAILURE"}[code]
+
+
+def test_cli_import_loads_no_scipy():
+    # the package runs on numpy alone: a fresh interpreter that imports the
+    # CLI, as every command does, has no scipy module loaded
+    src = str(Path(trisect.__file__).resolve().parents[1])
+    code = ("import sys, trisect.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _reject_non_finite(token):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,8 +14,8 @@ from trisect.selftest import reference_curve
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps,
-                           _nearest_translates, _pick_radius,
-                           _series)
+                           _gammaincc_half, _nearest_translates,
+                           _pick_radius, _series)
 
 TAU1 = np.array([[1.0j]])
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
@@ -297,6 +298,25 @@ class TestErrorControl:
         # a budget that left floating range is refused
         with pytest.raises(InvalidInput):
             _pick_radius(rm, 0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_gammaincc_half_matches_mpmath(self, g):
+        # the closed form of Q(g/2, x) against mpmath's regularized upper
+        # incomplete gamma function, on through the underflow of e^-x; at
+        # g = 1 erfc(fl(sqrt x)) alone is 9e-14 off near x = 700
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 750.0, 241),
+                             np.linspace(680.0, 750.0, 36)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [_gammaincc_half(g, float(x)) for x in xs]
+        with mpmath.workdps(40):
+            for x, q in zip(xs, got):
+                exact = mpmath.gammainc(mpmath.mpf(g) / 2, mpmath.mpf(x),
+                                        regularized=True)
+                if exact > 1e-300:
+                    assert abs(q - exact) <= 1e-14 * exact, x
+                else:
+                    assert 0.0 <= q <= 2e-300, x
 
     def test_riemann_matrix_validation(self):
         with pytest.raises(InvalidInput):
