@@ -18,10 +18,13 @@ The global b-orientation is fixed by requiring Im(tau) positive definite.
 
 Abel-Jacobi paths are canonical and deterministic: from infinity along the
 real axis to an anchor x0 right of the largest root, then a rectangular
-polyline through the upper half plane to the target x, with the y-branch
-tracked by continuity.  A sheet-flip loop anchor -> e_{2g+1} -> anchor is
-inserted when the tracked branch lands on the conjugate point; its value
-is 2 (AJ(e_{2g+1}) - L) = -omega_b[:, g-1] - 2 L, unnormalized, with L the
+polyline anchor -> anchor + ih -> x + ih -> x.  y_+ is continuous off the
+real axis, so y = y_+ on the polyline until it crosses the axis, at most
+once, downwards at a point c; there exactly the factors sqrt(x - e_j) with
+e_j > c change sign, so below the axis y = -y_+ when an odd number of roots
+lie right of c.  A sheet-flip loop anchor -> e_{2g+1} -> anchor is inserted
+when the continued branch lands on the conjugate point; its value is
+2 (AJ(e_{2g+1}) - L) = -omega_b[:, g-1] - 2 L, unnormalized, with L the
 integral from infinity to x0.
 
 Branch points are not integrated: the canonical-path lift of e_k is the
@@ -380,25 +383,16 @@ def _integral_to_anchor(curve, anchor, tol):
     return _node_doubling(integrand, 1, tol)[0]
 
 
-def _tracked_branch(curve, xs, y_start):
-    """y values along the ordered points of each row of xs (R, M) with
-    branch continuity from y_start (R,); xs[:, 0] must be the path start."""
-    w = np.sqrt(curve.f(xs))
-    flips = np.abs(np.diff(w, axis=1)) > np.abs(w[:, 1:] + w[:, :-1])
-    signs = np.cumprod(np.concatenate(
-        (np.ones((len(w), 1)), np.where(flips, -1.0, 1.0)), axis=1), axis=1)
-    start = np.where(np.abs(w[:, 0] - y_start) > np.abs(w[:, 0] + y_start),
-                     -1.0, 1.0)
-    return start[:, None] * signs * w
+def _segment_quadrature(curve, x_from, x_to, cross):
+    """Integrate x^{k-1} dx / y along R straight segments x_from -> x_to of
+    paths that cross the real axis at most once, downwards, at the real
+    points cross; returns (integrals (R, g), y at each x_to).
 
-
-def _segment_quadrature(curve, x_from, x_to, y_start):
-    """Integrate x^{k-1} dx / y along R straight segments x_from -> x_to,
-    each with its branch continued from y_start; returns (integrals (R, g),
-    y at each segment end).
-
-    The nodes and the dense tracking grid are shared by all segments, none
-    of which may pass a branch point.
+    y is continued from y_+ above the axis (module docstring): below it
+    y = -y_+ when an odd number of roots lie right of cross.  A zero
+    imaginary part, -0.0 included, is read as +0, so a segment ending on
+    the real axis takes the limit from above.  No segment may pass a
+    branch point.
     """
     g = curve.genus
     delta = x_to - x_from
@@ -416,23 +410,21 @@ def _segment_quadrature(curve, x_from, x_to, y_start):
                              root=float(curve.roots[j]),
                              distance=float(dist[k, j]))
 
-    dense = np.linspace(0.0, 1.0, 513)
-    y_end = y_start.copy()
+    sign = np.where(np.sum(roots > cross[:, None], axis=1) % 2, -1.0, 1.0)
+
+    def branch(x, s):
+        x = x + 0.0                 # -0.0 imaginary parts become +0
+        return np.where(x.imag < 0, s, 1.0) * curve.y_branch(x)
+
     powers = np.arange(g)[None, :, None]
 
-    def integrand(ts, idx):
-        # continuity tracking over the merged dense+quadrature grid
-        merged = np.unique(np.concatenate((dense, ts)))
-        xs = x_from[idx, None] + merged * delta[idx, None]
-        ys = _tracked_branch(curve, xs, y_start[idx])
-        y_end[idx] = np.where(moving[idx], ys[:, -1], y_start[idx])
-        at = np.searchsorted(merged, ts)
-        xs, ys = xs[:, at], ys[:, at]
+    def integrand(t, idx):
+        xs = x_from[idx, None] + t * delta[idx, None]
         return xs[:, None, :] ** powers \
-            * (delta[idx, None] / ys)[:, None, :]
+            * (delta[idx, None] / branch(xs, sign[idx, None]))[:, None, :]
 
     est = _node_doubling(integrand, len(x_from), _LIFT_TOL)
-    return est, y_end
+    return est, branch(x_to, sign)
 
 
 def _branch_halves(g, k):
@@ -460,9 +452,9 @@ def _abel_jacobi_points(curve, points, periods):
     infinity: branch points from the _branch_halves table, the others
     from one batched polyline quadrature.
 
-    The leg anchor -> anchor + i h is shared by every target; the legs
-    -> x + i h and -> x run for all targets at once with shared nodes,
-    and each target keeps the estimate of the node count at which it
+    All legs run in one _segment_quadrature: the leg anchor -> anchor + i h,
+    shared by every target, is one row, then K rows -> x + i h and K rows
+    -> x.  Each row keeps the estimate of the node count at which it
     converged, so a lift agrees with its single-point lift to rounding.
     """
     lifts = np.zeros((len(points), curve.genus), dtype=complex)
@@ -481,16 +473,20 @@ def _abel_jacobi_points(curve, points, periods):
     x = np.array([points[k].x for k in rows], dtype=complex)
     y = np.array([points[k].y for k in rows], dtype=complex)
 
+    K = len(rows)
     height = 0.75 * curve.span + 1.0
-    anchor = np.array([periods.anchor], dtype=complex)
-    top = anchor + 1j * height
-    leg1, y_top = _segment_quadrature(curve, anchor, top,
-                                      curve.y_branch(anchor))
+    top = periods.anchor + 1j * height
     over = x + 1j * height
-    leg2, y_over = _segment_quadrature(curve, np.repeat(top, len(rows)), over,
-                                       np.repeat(y_top, len(rows)))
-    leg3, y_end = _segment_quadrature(curve, over, x, y_over)
-    path = leg1 + leg2 + leg3
+    # the path crosses the real axis on the last leg, at Re x, or on the
+    # leg top -> over when Im x < -height puts over below the axis
+    cross = periods.anchor + (x.real - periods.anchor) \
+        * height / np.maximum(-x.imag, height)
+    legs, y_end = _segment_quadrature(
+        curve, np.concatenate(([periods.anchor], np.repeat(top, K), over)),
+        np.concatenate(([top], over, x)),
+        np.concatenate(([periods.anchor], cross, cross)))
+    path = legs[0] + legs[1:K + 1] + legs[K + 1:]
+    y_end = y_end[K + 1:]
     same_sheet = np.abs(y_end - y) <= np.abs(y_end + y)
     raw = periods._leg_infinity + np.where(
         same_sheet[:, None], path, periods._sheet_flip - path)

@@ -236,6 +236,41 @@ class TestAbelJacobi:
             zq = cv.abel_jacobi(curve, cv.involution(p), periods)
             assert (zp + zq).lattice_distance() < 1e-8
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_zeros_of_y_minus_p_sum_to_a_lattice_vector(self, g):
+        """Abel's theorem: for a real polynomial p of degree <= g, y - p(x)
+        has divisor sum (x_i, p(x_i)) - (2g+1) inf over the 2g+1 roots x_i
+        of f - p^2, so the lifts of those zeros sum to a lattice vector.
+        The roots come in conjugate pairs, about half of them below the
+        real axis.  A draw is skipped when a zero lies below the polyline's
+        height or has Re x within 0.05 span of a branch point, so that
+        every path keeps that distance from the branch points."""
+        curve = reference_curve(g)
+        periods = cv.period_matrix(curve)
+        height = 0.75 * curve.span + 1.0
+        poly = np.polynomial.Polynomial
+        # p(x) = s r((x - m) / span), r with standard normal coefficients
+        u = poly([-0.5 * (curve.roots[0] + curve.roots[-1]), 1.0]) \
+            / curve.span
+        s = np.sqrt(curve.leading * curve.span ** (2 * g + 1))
+        rng = np.random.default_rng(17)
+        under_cut, draws = 0, 0
+        while draws < 3:
+            p = s * poly(rng.normal(size=g + 1))(u)
+            xs = (poly(curve.f_coeffs) - p * p).roots()
+            if np.min(xs.imag) < -height or np.min(np.abs(
+                    xs.real[:, None] - curve.roots)) < 0.05 * curve.span:
+                continue
+            draws += 1
+            under_cut += sum(x.imag < 0 and np.sum(curve.roots > x.real) % 2
+                             for x in xs)
+            points = [cv.CurvePoint(x=complex(x), y=complex(p(x)))
+                      for x in xs]
+            total = cv._abel_jacobi_points(curve, points, periods).sum(axis=0)
+            assert cv.JacobianLift(total, periods.tau).lattice_distance() \
+                < 1e-9
+        assert under_cut > 0
+
     def test_weierstrass_points_are_half_periods(self, jac2):
         curve, periods, _ = jac2
         for i in range(5):
@@ -284,6 +319,20 @@ class TestAbelJacobi:
         points += [curve.point(0.5 - 0.7j, 1),       # below the real axis
                    curve.point(curve.roots[-1] + 2.0, -1),   # the anchor line
                    curve.weierstrass_point(2), cv.CurvePoint.infinity()]
+        gap = 0.5 * (curve.roots[0] + curve.roots[1])    # inside (e_1, e_2)
+        cut = 0.5 * (curve.roots[1] + curve.roots[2])    # inside (e_2, e_3)
+        on_cut = 0.5 * (curve.roots[3] + curve.roots[4])
+        height = 0.75 * curve.span + 1.0
+        for x in (cut - 0.6j,                        # below a cut
+                  curve.roots[0] - 0.5 - 0.4j,       # below (-inf, e_1]
+                  # below a gap, but so far below that the leg to x + ih
+                  # crosses the axis first, inside the cut at Re = cut
+                  gap - 1j * height * (periods.anchor - gap)
+                  / (periods.anchor - cut),
+                  complex(on_cut, 0.0),              # on a cut, from above
+                  complex(on_cut, -0.0)):            # and written with -0.0
+            p = curve.point(x, 1)
+            points += [p, cv.involution(p)]
         batch = cv._abel_jacobi_points(curve, points, periods)
         for point, lift in zip(points, batch):
             reference = single_point_lift(curve, point, periods)
