@@ -2,14 +2,18 @@
 combinatorics.
 
 Projective objects (Kummer points, Gauss directions) are returned
-max-modulus normalized; all membership and smoothness decisions are
-relative, calibrated against sampled points of the theta divisor, because
-absolute theta magnitudes vary over many orders with tau.
+max-modulus normalized.  Membership and smoothness are judged at the point
+against the theta series' own absolute sums A_k, the norm of the order-k
+sums of the moduli of the terms (theta._theta): a computed sum is zero to
+working precision relative to them (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., Ch. 3-4).  A point is on the divisor when
+its residual |theta| / A_0 is below ON_THETA_TOL, and smooth when
+||grad theta|| > SMOOTHNESS_THRESHOLD A_1.  The residual is a relative
+size, not a proven distance to the divisor.
 """
 
 from dataclasses import dataclass
 from math import comb
-import functools
 import itertools
 
 import numpy as np
@@ -17,15 +21,13 @@ import numpy as np
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
 from .numeric import projective_angle
 from .curves import Divisor, divisor_is_special
-from .theta import RiemannMatrix, theta_batch, second_order_basis
+from .theta import (RiemannMatrix, theta_batch, second_order_basis, _theta,
+                    DEFAULT_THETA_TOL)
 
-#: Relative |theta| threshold below which a point counts as on the divisor.
+#: |theta| / A_0 below which a point counts as on the divisor.
 ON_THETA_TOL = 1e-8
-#: Relative gradient-norm threshold separating smooth from singular points.
+#: ||grad theta|| / A_1 (||H|| / A_2) above which a point is smooth (order 2).
 SMOOTHNESS_THRESHOLD = 1e-6
-#: The per-matrix calibration: its number of theta-divisor points and seed.
-_CALIBRATION_POINTS = 12
-_CALIBRATION_SEED = 20260823
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class KummerPoint:
 
 @dataclass(frozen=True)
 class GaussImage:
-    """Projectivized theta gradient at a smooth divisor point."""
+    """Projectivized theta gradient at a point of the divisor, ``defined``
+    when gradient_norm > threshold = SMOOTHNESS_THRESHOLD A_1 there."""
 
     direction: np.ndarray       # g-vector, unit norm (zero when undefined)
     defined: bool
@@ -179,115 +182,62 @@ def _theta_divisor_points(rm, rng, n, max_tries=8):
     return np.array(found)
 
 
-def _theta_scales(rm):
-    """Median |theta| near and |grad theta| on the divisor, cached on rm.
-
-    These calibrate all relative membership/smoothness thresholds for this
-    Riemann matrix.
-    """
-    if rm._theta_scales is not None:
-        return rm._theta_scales
-    rng = np.random.default_rng(_CALIBRATION_SEED)
-    pts = _theta_divisor_points(rm, rng, _CALIBRATION_POINTS)
-    (_, grads), _, _ = theta_batch(rm, pts, deriv=1)
-    grad_scale = float(np.median(np.linalg.norm(grads, axis=1)))
-    probes = pts + 0.2 * (rng.standard_normal(pts.shape)
-                          + 1j * rng.standard_normal(pts.shape))
-    (vals,), _, _ = theta_batch(rm, probes)
-    val_scale = float(np.median(np.abs(vals)))
-    scales = (val_scale, grad_scale)
-    rm._theta_scales = scales
-    return scales
+def _judged(rm, Z, deriv):
+    """(jet, sums, residuals, smooth): the theta jet at the points Z (N, g)
+    up to order ``deriv``, its absolute sums A_k (theta._theta), the
+    residuals |theta| / A_0 and, at deriv >= 1, the smoothness verdicts."""
+    jet, sums, _, _ = _theta(rm, Z, None, DEFAULT_THETA_TOL, deriv, True)
+    residuals = np.abs(jet[0]) / sums[0]
+    smooth = deriv and (residuals < ON_THETA_TOL) & (
+        np.linalg.norm(jet[1], axis=1) > SMOOTHNESS_THRESHOLD * sums[1])
+    return jet, sums, residuals, smooth
 
 
 def on_theta(tau, x):
-    """Theta-divisor membership with an explicit relative residual.
-
-    The scale is the larger of the median |theta| over generic probes and
-    the local probe values around x, so the test is meaningful both near
-    and far from the fundamental cell.
+    """Theta-divisor membership and its residual |theta(x)| / A_0(x), the
+    same at every lattice translate of x; not a proven distance to the divisor.
     """
     rm = _as_rm(tau)
-    vec = _reduced(rm, x)
-    (val,), _, _ = theta_batch(rm, vec)
-    members, residuals = _on_theta(rm, vec[None], val[None])
-    return bool(members[0]), float(residuals[0])
-
-
-@functools.lru_cache(maxsize=None)
-def _probe_offsets(g):
-    """The six probe offsets of _on_theta at genus g, drawn once."""
-    rng = np.random.default_rng(7)
-    offsets = 0.2 * (rng.standard_normal((6, g))
-                     + 1j * rng.standard_normal((6, g)))
-    offsets.setflags(write=False)
-    return offsets
-
-
-def _on_theta(rm, vecs, vals):
-    """on_theta at reduced points vecs (N, g) with theta values vals (N,):
-    (members, residuals), from one probe call at the same six offsets
-    around every point."""
-    val_scale, _ = _theta_scales(rm)
-    probes = (vecs[:, None, :] + _probe_offsets(rm.g)).reshape(-1, rm.g)
-    (pvals,), _, _ = theta_batch(rm, probes)
-    scales = np.maximum(val_scale,
-                        np.max(np.abs(pvals).reshape(len(vecs), 6), axis=1))
-    residuals = np.abs(vals) / scales
-    return residuals < ON_THETA_TOL, residuals
+    _, _, (residual,), _ = _judged(rm, _as_vector(x, rm.g)[None], 0)
+    return bool(residual < ON_THETA_TOL), float(residual)
 
 
 def gauss_map(tau, x):
-    """Projectivized theta gradient at a point of the theta divisor.
-
-    ``defined`` is False at singular points, decided by a relative
-    gradient-norm threshold calibrated on sampled smooth divisor points.
-    """
+    """Projectivized theta gradient at x reduced to the fundamental cell;
+    not ``defined`` at singular points, where ||grad theta|| is rounding
+    (<= SMOOTHNESS_THRESHOLD A_1).  Raises NotOnTheta off the divisor."""
     rm = _as_rm(tau)
-    vec = _reduced(rm, x)
-    jet, _, _ = theta_batch(rm, vec, deriv=1)
-    return _gauss_map(rm, vec, jet)
+    return _gauss_image(*_judged(rm, _reduced(rm, x)[None], 1))
 
 
-def _gauss_map(rm, vec, jet):
-    """gauss_map at a reduced point vec with its theta jet (value,
-    gradient, ...)."""
-    val, grad = jet[:2]
-    members, residuals = _on_theta(rm, vec[None], val[None])
-    if not members[0]:
+def _gauss_image(jet, sums, residuals, smooth):
+    """gauss_map from the one-point output of _judged."""
+    if not residuals[0] < ON_THETA_TOL:
         raise NotOnTheta("point is not on the theta divisor",
                          residual=float(residuals[0]))
+    grad = jet[1][0]
     gnorm = float(np.linalg.norm(grad))
-    _, grad_scale = _theta_scales(rm)
-    threshold = SMOOTHNESS_THRESHOLD * grad_scale
-    if gnorm <= threshold:
-        return GaussImage(direction=np.zeros(rm.g, dtype=complex),
-                          defined=False, gradient_norm=gnorm,
-                          threshold=threshold)
-    direction = grad / gnorm
+    defined = bool(smooth[0])
+    direction = grad / gnorm if defined else np.zeros_like(grad)
     direction.setflags(write=False)
-    return GaussImage(direction=direction, defined=True,
-                      gradient_norm=gnorm, threshold=threshold)
+    return GaussImage(direction=direction, defined=defined,
+                      gradient_norm=gnorm,
+                      threshold=SMOOTHNESS_THRESHOLD * float(sums[1][0]))
 
 
 def vanishing_order(tau, x):
     """Order of vanishing of theta at x: 1, 2, or 3 meaning ">= 3".
 
     Orders above 2 are not resolved (third derivatives are out of scope);
-    the return value 3 only asserts that value, gradient and Hessian are
-    all below their relative thresholds.
+    the return value 3 only asserts that gradient and Hessian are both
+    rounding: a singular point with ||H|| <= SMOOTHNESS_THRESHOLD A_2.
     """
     rm = _as_rm(tau)
-    vec = _reduced(rm, x)
-    jet, _, _ = theta_batch(rm, vec, deriv=2)
-    if _gauss_map(rm, vec, jet).defined:
+    judged = _judged(rm, _reduced(rm, x)[None], 2)
+    if _gauss_image(*judged).defined:
         return 1
-    hess = jet[2]
-    _, grad_scale = _theta_scales(rm)
-    # a nonzero Hessian on the scale of the generic gradient marks order 2
-    if np.linalg.norm(hess) > SMOOTHNESS_THRESHOLD * grad_scale:
-        return 2
-    return 3
+    (_, _, hess), (_, _, a_2), _, _ = judged
+    return 2 if np.linalg.norm(hess[0]) > SMOOTHNESS_THRESHOLD * a_2[0] else 3
 
 
 def canonical_direction(curve, periods, point):

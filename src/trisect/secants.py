@@ -16,9 +16,8 @@ import numpy as np
 from .errors import InvalidInput
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis
-from .geometry import (_as_rm, _on_theta, _theta_scales, kummer_map,
-                       canonical_direction, hyperplane_residual,
-                       SMOOTHNESS_THRESHOLD)
+from .geometry import (_as_rm, _judged, kummer_map, canonical_direction,
+                       hyperplane_residual, ON_THETA_TOL)
 from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
                      _divisor_lifts, random_curve_point)
 
@@ -33,6 +32,7 @@ class SecantCertificate:
     theta_residuals: tuple
     gauss_angles: tuple                   # pairwise, smooth points only
     gradient_norms: tuple
+    smooth: tuple                         # bool per lift: on Theta, smooth
     outer_product_residual: object        # float, or None: no identity
 
     @property
@@ -51,6 +51,7 @@ class SecantCertificate:
             "theta_residuals": [float(t) for t in self.theta_residuals],
             "gauss_angles": [float(a) for a in self.gauss_angles],
             "gradient_norms": [float(n) for n in self.gradient_norms],
+            "smooth": [bool(s) for s in self.smooth],
             "outer_product_residual": (
                 None if self.outer_product_residual is None
                 else float(self.outer_product_residual)),
@@ -167,7 +168,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
     # every figure is taken at the reduced lifts: a lattice shift scales a
     # point's Kummer row by s^2 and, on the divisor, its gradient by s, so
     # rank, angles and the outer-product identity do not see it, and the
-    # gradient norms are on the calibrated scale
+    # gradient norms are those of the fundamental cell
     Z, _, _ = rm.reduce(_lift_array(lifts, rm.g))
     r = len(lifts)
 
@@ -179,12 +180,10 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
         sub_cert = numerical_rank(rows[list(subset)], tol=rank_tol)
         general.append(sub_cert.decided_rank == r - 1)
 
-    (vals, grads), _, _ = theta_batch(rm, Z, deriv=1)
-    members, theta_res = _on_theta(rm, Z, vals)
+    (_, grads), _, theta_res, smooth_flags = _judged(rm, Z, 1)
+    members = theta_res < ON_THETA_TOL
     gnorms = np.linalg.norm(grads, axis=1)
-    _, grad_scale = _theta_scales(rm)
-    smooth = [i for i in range(r)
-              if members[i] and gnorms[i] > SMOOTHNESS_THRESHOLD * grad_scale]
+    smooth = list(np.flatnonzero(smooth_flags))
     angles = [projective_angle(grads[i], grads[j])
               for i, j in combinations(smooth, 2)]
 
@@ -208,6 +207,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
         theta_residuals=tuple(float(t) for t in theta_res),
         gauss_angles=tuple(angles),
         gradient_norms=tuple(float(n) for n in gnorms),
+        smooth=tuple(bool(s) for s in smooth_flags),
         outer_product_residual=outer_res)
 
 

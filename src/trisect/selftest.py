@@ -375,11 +375,9 @@ def criterion_outer_product(ctx, seed):
         if not cert.passes or cert.outer_product_residual is None:
             return {"passed": False, "failed_at": g}
         worst_outer = max(worst_outer, cert.outer_product_residual)
-        _, grad_scale = ge._theta_scales(periods.tau)
         red, _, _ = periods.tau.reduce(np.stack([l.z for l in cert.lifts]))
         (_, grads), _, _ = theta_batch(periods.tau, red, deriv=1)
-        threshold = ge.SMOOTHNESS_THRESHOLD * grad_scale
-        smooth = [gr for gr in grads if np.linalg.norm(gr) > threshold]
+        smooth = grads[np.array(cert.smooth)]
         if len(smooth) >= 2:
             rank = se.igusa_span_check(smooth).decided_rank
             span_ok = span_ok and rank <= 1

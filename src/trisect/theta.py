@@ -210,7 +210,6 @@ class RiemannMatrix:
         self._tail_scale = (self.g / 2.0) * (2.0 / self._rho) ** self.g \
             * math.gamma(self.g / 2.0)
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
-        self._theta_scales = None  # geometry._theta_scales
         self._gamma00_conditions = None  # gamma00._condition_data
 
     def lattice_points(self, radius):
@@ -559,15 +558,15 @@ def _pair_signs(n_hc, d, deriv, n_pow, n_par):
     return signs
 
 
-def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
+def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
+            absolute=False):
     """Truncated theta sums at reduced points, all orders 0..deriv at once.
 
     Z_red: (N, g) reduced arguments, summed at zero characteristic, and
     offset_sq (N,) their squared offsets ||T c||^2 (_nearest_translates).  The
     terms are summed into one class, or with ``by_parity`` into the 2^g
-    classes of n mod 2 in the eps order.  Returns (results, radius,
-    tail_bound) where results lists the values (N, C), then gradients
-    (N, C, g) and Hessians (N, C, g, g) as needed.
+    classes of n mod 2 in the eps order.  results lists the values (N, C),
+    then gradients (N, C, g) and Hessians (N, C, g, g) as needed.
 
     The terms of row z are Gaussian in n around -c, c = Im(tau)^-1 Im z,
     and the tail bound covers the n with ||T (n + c)|| > radius - offset,
@@ -601,6 +600,12 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
     inside floating range.  Otherwise each representative is its own head
     of all g coordinates and the inner range is {0}: the same code with one
     exp per pair, whose exponents stay below 2 R offset.
+
+    With ``absolute`` (one class only) the pass also sums the moduli of the
+    terms, (2 pi)^k |n_i ...| |term| per entry of order k: over a pair
+    |e^q| (|e| + 1/|e|), the same sums on |C|, |V|, |E| and |weight|.  They
+    add a quarter to a one-row call, so only callers that read them ask.
+    Returns (results, moduli or None, radius, tail_bound).
     """
     y = Z_red.imag
     largest = float(offset_sq.max(initial=0.0))
@@ -629,6 +634,8 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
     n_cls = n_hc * n_par
     outs = [np.empty((n_rows, n_cls) + (g,) * k, dtype=complex)
             for k in range(deriv + 1)]
+    moduli = [np.empty((n_rows, 1) + (g,) * k)
+              for k in range(deriv + 1)] if absolute else None
     step = max(_BLOCK // (n_up * (min(n_rows, 128) + len(ms))), 1)
     for start in range(0, n_rows, 128):
         rows = slice(start, min(start + 128, n_rows))
@@ -638,6 +645,9 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
             len(ms), -1)
         e = np.empty((min(step, len(heads)), 1, 2 * n_b), dtype=complex)
         acc = np.zeros((n_hc * n_mono, n_up, 2, n_b), dtype=complex)
+        if absolute:
+            abs_lines, abs_V = np.abs(lines), np.abs(V)
+            abs_acc = np.zeros((n_mono,) + acc.shape[1:])
         for lo in range(0, len(heads), step):
             h = heads[lo:lo + step]
             k = len(h)
@@ -652,6 +662,11 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
                 mono[1:1 + d] = h.T
             if deriv >= 2:
                 mono[1 + d:] = (h.T[:, None] * h.T).reshape(d * d, k)
+            if absolute:
+                mods = (abs_lines[lo:lo + step] @ abs_V).reshape(
+                    k, n_up, -1) * np.abs(e[:k])
+                abs_acc += (np.abs(mono) @ mods.reshape(k, -1)).reshape(
+                    abs_acc.shape)
             if by_parity:
                 onehot = _class_index(h) == np.arange(n_hc)[:, None]
                 mono = (onehot[:, None] * mono).reshape(-1, k)
@@ -662,26 +677,37 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False):
         sums = (acc[:, :, 0] + signs * acc[:, :, 1]).reshape(
             n_hc, n_mono, n_pow, n_par, n_b).transpose(4, 0, 3, 2, 1) \
             .reshape(n_b, n_cls, n_pow, n_mono)
-        outs[0][rows] = sums[..., 0, 0]
-        if deriv >= 1:
-            outs[1][rows, :, :d] = sums[..., 0, 1:1 + d]
-        if deriv >= 2:
-            outs[2][rows, :, :d, :d] = sums[..., 0, 1 + d:].reshape(
-                n_b, n_cls, d, d)
-        if d < g and deriv >= 1:
-            outs[1][rows, :, -1] = sums[..., 1, 0]
-        if d < g and deriv >= 2:
-            outs[2][rows, :, :d, -1] = outs[2][rows, :, -1, :d] \
-                = sums[..., 1, 1:1 + d]
-            outs[2][rows, :, -1, -1] = sums[..., 2, 0]
+        _place(outs, rows, sums, d)
+        if absolute:
+            _place(moduli, rows,
+                   abs_acc.sum(axis=2).transpose(2, 1, 0)[:, None], d)
     for k in range(1, deriv + 1):
         outs[k] *= _TWO_PI_I ** k
+        if absolute:
+            moduli[k] *= (2.0 * np.pi) ** k
     tail = boost * _tail_bound(rm, radius - margin, offset, deriv)
-    return outs, radius, tail
+    return outs, moduli, radius, tail
+
+
+def _place(outs, rows, sums, d):
+    """Write block sums (rows, classes, powers of m, head weights) of
+    _series into the jet ``outs`` at ``rows``."""
+    outs[0][rows] = sums[..., 0, 0]
+    if len(outs) > 1:
+        outs[1][rows, :, :d] = sums[..., 0, 1:1 + d]
+    if len(outs) > 2:
+        outs[2][rows, :, :d, :d] = sums[..., 0, 1 + d:].reshape(
+            sums.shape[:2] + (d, d))
+    if len(outs) > 1 and d < outs[1].shape[-1]:
+        outs[1][rows, :, -1] = sums[..., 1, 0]
+    if len(outs) > 2 and d < outs[1].shape[-1]:
+        outs[2][rows, :, :d, -1] = outs[2][rows, :, -1, :d] \
+            = sums[..., 1, 1:1 + d]
+        outs[2][rows, :, -1, -1] = sums[..., 2, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _unreduce(log_pre, shift, outs, tail):
+def _unreduce(log_pre, shift, outs, moduli, tail):
     """The jet of exp(log_pre) f from the jet ``outs`` of f, and its tail
     bound, where log_pre (N,) is affine in z with gradient shift (N, g).
 
@@ -689,9 +715,10 @@ def _unreduce(log_pre, shift, outs, tail):
     its z-dependence for the derivatives.  Each product-rule term
     multiplies an order whose error is below ``tail`` by entries of shift,
     so the error of the jet is below |prefactor| (1 + ||shift||)^deriv
-    tail.  Returns (jet, tail_bound), jet a list of the shapes of
-    ``outs``.  Raises NumericalFailure, and issues no floating-point
-    warning, when any entry overflows.
+    tail.  The absolute sums ``moduli`` (or None) take the product rule on
+    |prefactor| and |shift|.  Returns (jet, moduli, tail_bound).  Raises
+    NumericalFailure, and issues no floating-point warning, when any entry
+    overflows.
     """
     pre = np.exp(log_pre)[:, None]
     growth = np.abs(pre[:, 0])
@@ -699,6 +726,21 @@ def _unreduce(log_pre, shift, outs, tail):
         growth = growth * (1.0 + np.sqrt(np.vecdot(shift, shift).real)) \
             ** (len(outs) - 1)
     shift = shift[:, None, :]
+    jet = _product_rule(pre, shift, outs)
+    if moduli is not None:
+        moduli = _product_rule(np.abs(pre), np.abs(shift), moduli)
+    tail = tail * float(np.max(growth))
+    if not (np.isfinite(tail)
+            and all(np.all(np.isfinite(order))
+                    for order in jet + (moduli or []))):
+        raise NumericalFailure("theta value is not finite: the argument is "
+                               "too far from the fundamental cell")
+    return jet, moduli, tail
+
+
+def _product_rule(pre, shift, outs):
+    """The jet of pre(z) f(z) from the jet ``outs`` (N, C, g, ...) of f,
+    where pre (N, 1) has gradient pre shift, shift (N, 1, g) constant."""
     jet = [pre * outs[0]]
     if len(outs) > 1:
         jet.append(pre[..., None] * (outs[1] + shift * outs[0][..., None]))
@@ -709,12 +751,7 @@ def _unreduce(log_pre, shift, outs, tail):
             + shift[..., None, :] * outs[1][..., :, None]
             + shift[..., :, None] * shift[..., None, :]
             * outs[0][..., None, None]))
-    tail = tail * float(np.max(growth))
-    if not (np.isfinite(tail)
-            and all(np.all(np.isfinite(order)) for order in jet)):
-        raise NumericalFailure("theta value is not finite: the argument is "
-                               "too far from the fundamental cell")
-    return jet, tail
+    return jet
 
 
 def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
@@ -734,6 +771,15 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
     rm, Z, squeeze = _prepare(tau, Z, tol, deriv)
     if char is not None and char.g != rm.g:
         raise InvalidInput("characteristic length does not match genus")
+    jet, _, radius, tail = _theta(rm, Z, char, tol, deriv, False)
+    return tuple(o[0] if squeeze else o for o in jet), radius, tail
+
+
+def _theta(rm, Z, char, tol, deriv, absolute):
+    """theta_batch at the arguments Z (N, g) of the RiemannMatrix rm:
+    (jet, sums, radius, tail_bound), sums None or, with ``absolute``, the
+    A_k (N,), k <= deriv: the norm over the order-k entries of the sums of
+    the moduli of their terms at the raw arguments (_series, _unreduce)."""
     if char is None or not any(char.eps_prime + char.eps_dblprime):
         W, log_pre, a = Z, 0.0, 0.0
     else:
@@ -741,9 +787,13 @@ def theta_batch(tau, Z, char=None, tol=DEFAULT_THETA_TOL, deriv=0):
         W = Z + b + tau @ a
         log_pre = 1j * np.pi * (a @ tau @ a) + _TWO_PI_I * ((Z + b) @ a)
     W_red, p, offset_sq, shift = _nearest_translates(rm, W)
-    outs, radius, tail = _series(rm, W_red, offset_sq, tol, deriv)
-    jet, tail = _unreduce(log_pre + shift, _TWO_PI_I * (a - p), outs, tail)
-    return tuple(o[0, 0] if squeeze else o[:, 0] for o in jet), radius, tail
+    outs, moduli, radius, tail = _series(rm, W_red, offset_sq, tol, deriv,
+                                         absolute=absolute)
+    jet, moduli, tail = _unreduce(log_pre + shift, _TWO_PI_I * (a - p),
+                                  outs, moduli, tail)
+    sums = moduli and [np.linalg.norm(m.reshape(len(m), -1), axis=1)
+                       for m in moduli]
+    return [o[:, 0] for o in jet], sums, radius, tail
 
 
 def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
@@ -769,11 +819,11 @@ def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):
     if rm._half is None:
         rm._half = RiemannMatrix(rm.entries / 2.0)
     Z_red, q, offset_sq, shift = _nearest_translates(rm._half, Z)
-    outs, radius, tail = _series(rm._half, Z_red, offset_sq, tol, deriv,
-                                 by_parity=True)
+    outs, _, radius, tail = _series(rm._half, Z_red, offset_sq, tol, deriv,
+                                    by_parity=True)
     # class eps at Z is class eps XOR (q mod 2) at Z_red
     classes = np.arange(2 ** rm.g)[None, :] ^ _class_index(q)[:, None]
     rows = np.arange(len(Z))[:, None]
     outs = [o[rows, classes] for o in outs]
-    jet, tail = _unreduce(shift, -_TWO_PI_I * q, outs, tail)
+    jet, _, tail = _unreduce(shift, -_TWO_PI_I * q, outs, None, tail)
     return tuple(o[0] if squeeze else o for o in jet), radius, tail

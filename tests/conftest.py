@@ -26,3 +26,11 @@ def jac4():
     periods = cv.period_matrix(curve)
     kappa, _ = cv.riemann_constant(curve, periods)
     return curve, periods, kappa
+
+
+@pytest.fixture(scope="session")
+def jac5():
+    curve = reference_curve(5)
+    periods = cv.period_matrix(curve)
+    kappa, _ = cv.riemann_constant(curve, periods)
+    return curve, periods, kappa

@@ -8,7 +8,16 @@ from trisect.theta import RiemannMatrix, theta_batch, DEFAULT_THETA_TOL
 from trisect.curves import random_curve_point
 
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
-CALIBRATION_SEED = 20260823
+SEARCH_SEED = 20260823
+
+
+def random_tau(g):
+    """A Riemann matrix with unit-scale, non-diagonal real and imaginary
+    parts."""
+    rng = np.random.default_rng(100 + g)
+    A = rng.normal(size=(g, g))
+    X = rng.normal(size=(g, g)) * 0.3
+    return X + X.T + 1j * (np.eye(g) + 0.3 * A @ A.T / g)
 
 
 def serial_theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL,
@@ -112,15 +121,33 @@ class TestOnTheta:
         member, _ = geo.on_theta(rm, z + shift)
         assert member
 
-    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
-    def test_probe_offsets_are_drawn_once_per_genus(self, g):
-        rng = np.random.default_rng(7)
-        want = 0.2 * (rng.standard_normal((6, g))
-                      + 1j * rng.standard_normal((6, g)))
-        got = geo._probe_offsets(g)
-        np.testing.assert_array_equal(got, want)
-        assert geo._probe_offsets(g) is got
-        assert not got.flags.writeable
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_point_moved_off_the_divisor_is_refused(self, g):
+        """A point of the divisor moved 1e-6 along conj(grad theta), the
+        direction in which |theta| grows fastest, is not a member."""
+        rm = RiemannMatrix(random_tau(g))
+        z = geo.theta_divisor_point(rm, np.random.default_rng(g))
+        member, _ = geo.on_theta(rm, z)
+        assert member
+        (_, grad), _, _ = theta_batch(rm, z, deriv=1)
+        moved = z + 1e-6 * grad.conj() / np.linalg.norm(grad)
+        member, residual = geo.on_theta(rm, moved)
+        assert not member
+        assert residual > 10.0 * geo.ON_THETA_TOL
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_residual_is_invariant_under_lattice_translation(self, g):
+        """|theta| and A_0 pick up the same |prefactor| at z + m + tau p."""
+        rm = RiemannMatrix(random_tau(g))
+        rng = np.random.default_rng(10 + g)
+        z = rng.uniform(-0.5, 0.5, g) \
+            + rm.entries @ rng.uniform(-0.5, 0.5, g)
+        far = z + rng.integers(-3, 4, g) \
+            + rm.entries @ rng.integers(-2, 3, g)
+        _, near = geo.on_theta(rm, z)
+        _, moved = geo.on_theta(rm, far)
+        assert near > 1e-4
+        assert abs(moved - near) <= 1e-12 * near
 
 
 class TestGaussMap:
@@ -277,12 +304,13 @@ class TestFiberEnumeration:
 
 
 class TestBatchedNewton:
-    """_theta_divisor_points runs the calibration's Newton searches as one
-    batch; it must return the serial search's points and leave the rng in
-    the serial search's state, retries included."""
+    """_theta_divisor_points runs n Newton searches as one batch; it must
+    return the serial search's points and leave the rng in the serial
+    search's state, retries included."""
 
-    # roots of y^2 = f(x); the calibration of the first (the g=3 reference
-    # curve) retries once, of the second twice, of the third never
+    # roots of y^2 = f(x); twelve searches from SEARCH_SEED retry once on
+    # the first (the g=3 reference curve), twice on the second, never on
+    # the third
     ROOTS = {"reference-g3": [0, 1, 2, 3, 4, 5, 6],
              "two-retries": [-0.3, 1.1, 1.9, 3.2, 3.9, 4.8, 5.7],
              "no-retry": [0.2, 0.8, 1.9, 3.1, 3.8, 5.1, 5.9]}
@@ -295,9 +323,9 @@ class TestBatchedNewton:
     @pytest.mark.parametrize("name", list(ROOTS))
     def test_matches_serial_search(self, name):
         rm = self.riemann_matrix(self.ROOTS[name])
-        rng_serial = np.random.default_rng(CALIBRATION_SEED)
-        rng_batch = np.random.default_rng(CALIBRATION_SEED)
-        rng_single = np.random.default_rng(CALIBRATION_SEED)
+        rng_serial = np.random.default_rng(SEARCH_SEED)
+        rng_batch = np.random.default_rng(SEARCH_SEED)
+        rng_single = np.random.default_rng(SEARCH_SEED)
         serial, attempts = serial_theta_divisor_points(rm, rng_serial, 12)
         batch = geo._theta_divisor_points(rm, rng_batch, 12)
         single = np.array([geo.theta_divisor_point(rm, rng_single)
@@ -313,17 +341,17 @@ class TestBatchedNewton:
 
     @pytest.mark.parametrize("name", ["reference-g3", "two-retries"])
     def test_consecutive_failures_raise(self, name):
-        # every failure in these calibrations is a single attempt, followed
+        # every failure in these searches is a single attempt, followed
         # by a success: one failure on the reference curve, two apart on
         # the other
         rm = self.riemann_matrix(self.ROOTS[name])
         for search in (geo._theta_divisor_points,
                        serial_theta_divisor_points):
             with pytest.raises(NumericalFailure):
-                search(rm, np.random.default_rng(CALIBRATION_SEED), 12,
+                search(rm, np.random.default_rng(SEARCH_SEED), 12,
                        max_tries=1)
         points = geo._theta_divisor_points(
-            rm, np.random.default_rng(CALIBRATION_SEED), 12, max_tries=2)
+            rm, np.random.default_rng(SEARCH_SEED), 12, max_tries=2)
         serial, _ = serial_theta_divisor_points(
-            rm, np.random.default_rng(CALIBRATION_SEED), 12, max_tries=2)
+            rm, np.random.default_rng(SEARCH_SEED), 12, max_tries=2)
         assert np.max(np.abs(points - serial)) < 1e-12

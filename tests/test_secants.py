@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import trisect.curves as cv
+import trisect.geometry as geo
 import trisect.secants as sec
 from trisect.errors import InvalidInput
 from trisect.curves import random_curve_point
-from trisect.geometry import SMOOTHNESS_THRESHOLD, _theta_scales
 
 
 def four_points(curve, seed):
@@ -158,10 +158,7 @@ class TestOuterProductIdentity:
         curve, periods, kappa = jac3
         sample = cv.sample_B_ell(curve, 3, seed=20260823)
         certs, _ = sec.multisecant_sweep(curve, periods, sample, kappa)
-        _, grad_scale = _theta_scales(periods.tau)
-        singular_first = [
-            cert for cert in certs
-            if cert.gradient_norms[0] <= SMOOTHNESS_THRESHOLD * grad_scale]
+        singular_first = [cert for cert in certs if not cert.smooth[0]]
         assert singular_first
         for cert in singular_first:
             assert cert.outer_product_residual < 1e-8
@@ -173,6 +170,26 @@ class TestOuterProductIdentity:
         mixed = sec.certify_secant(periods.tau, [a, b, a + 0.1])
         assert mixed.theta_residuals[2] > 1e-3
         assert mixed.outer_product_residual is None
+
+
+class TestSmoothness:
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_singular_third_lift_is_never_smooth(self, g, jac3, jac4, jac5):
+        """The third lift of the theta trisecant of the B3 sample of seed 1
+        is a singular point of the divisor (its gradient is rounding, about
+        1e-13): neither the certificate nor the Gauss map calls it smooth,
+        and both call the other two smooth."""
+        curve, periods, kappa = {3: jac3, 4: jac4, 5: jac5}[g]
+        sample = cv.sample_B_ell(curve, 3, seed=1)
+        triple, cert, _ = sec.theta_trisecant(curve, periods, sample, kappa)
+        assert cert.smooth == (True, True, False)
+        assert cert.to_dict()["smooth"] == [True, True, False]
+        assert all(t < 1e-8 for t in cert.theta_residuals)
+        images = [geo.gauss_map(periods.tau, lift) for lift in triple.lifts]
+        assert [image.defined for image in images] == [True, True, False]
+        assert images[2].gradient_norm <= images[2].threshold
+        assert geo.vanishing_order(periods.tau, triple.c) == 2
 
 
 class TestIgusaSpan:

@@ -14,8 +14,9 @@ from trisect.selftest import reference_curve
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps,
-                           _gammaincc_half, _nearest_translates,
-                           _pick_radius, _series)
+                           DEFAULT_THETA_TOL, _gammaincc_half,
+                           _nearest_translates, _pick_radius, _series,
+                           _theta)
 
 TAU1 = np.array([[1.0j]])
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
@@ -347,6 +348,7 @@ class TestErrorControl:
         points = RiemannMatrix(TAU3).lattice_points(3.0)
         whole = theta_batch(TAU3, Z, deriv=deriv)[0] \
             + second_order_basis(TAU3, Z, deriv=deriv)[0]
+        sums = absolute_sums(TAU3, Z, deriv)
         theta_module = sys.modules[RiemannMatrix.__module__]
         monkeypatch.setattr(theta_module, "_BLOCK", 40)
         np.testing.assert_array_equal(
@@ -356,6 +358,15 @@ class TestErrorControl:
         for got, want in zip(blocked, whole):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want)))
+        np.testing.assert_allclose(absolute_sums(TAU3, Z, deriv), sums,
+                                   rtol=1e-13)
+
+
+def absolute_sums(tau, Z, deriv):
+    """The absolute sums A_0..A_deriv (N,) of _theta at the rows of Z."""
+    _, sums, _, _ = _theta(RiemannMatrix(tau), Z, None, DEFAULT_THETA_TOL,
+                           deriv, True)
+    return np.stack(sums)
 
 
 def random_tau(g, seed):
@@ -474,8 +485,8 @@ class TestSummedPointSet:
         Z_red, _, offset_sq, _ = _nearest_translates(
             rm, rng.uniform(-0.5, 0.5, (4, 5))
             + rng.uniform(-0.5, 0.5, (4, 5)) @ tau.T)
-        outs, radius, _ = _series(rm, Z_red, offset_sq, 1e-10, deriv,
-                                  by_parity)
+        outs, moduli, radius, _ = _series(rm, Z_red, offset_sq, 1e-10,
+                                          deriv, by_parity, not by_parity)
         n = rm.lattice_points(radius).astype(float)
         terms = np.exp(1j * np.pi * np.einsum("tg,gh,th->t", n, tau, n)
                        + 2j * np.pi * Z_red @ n.T)
@@ -490,12 +501,62 @@ class TestSummedPointSet:
             want = np.tensordot(terms, weight, axes=1)
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-13 * np.max(np.abs(want)))
+        # the absolute sums: the same sums on the moduli of the terms and
+        # of the weights, of the one-class series only
+        assert (moduli is None) == by_parity
+        for got, weight in zip(moduli or [], weights):
+            want = np.tensordot(np.abs(terms), np.abs(weight), axes=1)
+            np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 #: unimodular U (det 1); tau' = U^T tau U is the same lattice in a skewed
 #: basis, on which the +-1 box overestimates the shortest vector
 UNIMODULAR = [[[3, 1], [2, 1]], [[5, 2], [2, 1]], [[1, -3], [0, 1]],
               [[0, 1], [-1, 0]]]
+
+
+class TestAbsoluteSums:
+    """The absolute sums A_0 and A_1 of _theta against numpy box sums of
+    the moduli of the terms, |exp(i pi n^T tau n + 2 pi i n^T w)|, over the
+    test-local box_ball."""
+
+    @staticmethod
+    def box_moduli(tau, n, w):
+        """(sum of |term|, norm of the sums of 2 pi |n_i| |term|) at w."""
+        moduli = np.exp(-np.pi * np.einsum("tg,gh,th->t", n, tau.imag, n)
+                        - 2.0 * np.pi * n @ w.imag)
+        return moduli.sum(), np.linalg.norm(2.0 * np.pi * np.abs(n).T
+                                            @ moduli)
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_absolute_sums_match_a_box_sum(self, g):
+        tau = random_tau(g, g)
+        n = box_ball(g, g, False)[0].astype(float)
+        rng = np.random.default_rng(30 + g)
+        z = rng.uniform(-0.5, 0.5, g) + tau @ rng.uniform(-0.25, 0.25, g)
+        p = np.array([1.0, -1.0, 1.0, 0.0, -1.0])[:g]
+        far = z + rng.integers(-3, 4, g) + tau @ p
+        rm = RiemannMatrix(tau)
+        _, (a0, a1), _, tail = _theta(rm, z[None], None, DEFAULT_THETA_TOL,
+                                      1, True)
+        _, (far_a0, far_a1), _, far_tail = _theta(
+            rm, far[None], None, DEFAULT_THETA_TOL, 1, True)
+        want_a0, want_a1 = self.box_moduli(tau, n, z)
+        assert abs(a0[0] - want_a0) <= tail
+        assert abs(a1[0] - want_a1) <= tail
+        # the terms at z + m + tau p are those at z, reindexed n -> n - p
+        # and scaled by |prefactor| = exp(pi p^T Im tau p + 2 pi p^T Im z)
+        want_a0, want_a1 = self.box_moduli(tau, n, far)
+        scale = np.exp(np.pi * p @ tau.imag @ p + 2.0 * np.pi * p @ z.imag)
+        assert scale > 1e3
+        assert abs(scale * a0[0] - want_a0) <= far_tail
+        assert abs(far_a0[0] - want_a0) <= far_tail
+        # the gradient's moduli at the far argument are those of the
+        # product rule, 2 pi |n_i - p_i| <= 2 pi |n_i| + 2 pi |p_i|: no
+        # smaller than the box sum, and larger by at most 2 pi ||p|| A_0
+        assert want_a1 - far_tail <= far_a1[0]
+        assert far_a1[0] <= want_a1 + 2.0 * np.pi * np.linalg.norm(p) \
+            * 2.0 * want_a0 + far_tail
 
 
 @pytest.fixture
@@ -559,16 +620,19 @@ class TestSplitBound:
         Z_red, _, offset_sq, _ = _nearest_translates(
             rm, rng.uniform(-0.5, 0.5, (5, 4))
             + rng.uniform(-0.5, 0.5, (5, 4)) @ rm.entries.T)
-        split, radius, tail = _series(rm, Z_red, offset_sq, 1e-10, deriv,
-                                      by_parity)
+        split, moduli, radius, tail = _series(rm, Z_red, offset_sq, 1e-10,
+                                              deriv, by_parity, not by_parity)
         theta_module = sys.modules[RiemannMatrix.__module__]
         monkeypatch.setattr(theta_module, "_SPLIT_REACH", -1.0)
-        whole = _series(rm, Z_red, offset_sq, 1e-10, deriv, by_parity)
-        assert whole[1:] == (radius, tail)
+        whole = _series(rm, Z_red, offset_sq, 1e-10, deriv, by_parity,
+                        not by_parity)
+        assert whole[2:] == (radius, tail)
         assert head_widths == [3, 4]
         for got, want in zip(whole[0], split):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-13 * np.max(np.abs(want)))
+        for got, want in zip(whole[1] or [], moduli or []):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def near_corner_arguments(tau, seed, rows):
