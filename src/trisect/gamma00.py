@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis
-from .geometry import (_as_rm, _as_vector, _theta_divisor_points,
+from .geometry import (_as_rm, _as_vector, theta_divisor_point,
                        gauss_fiber_enumerate)
 from .curves import _divisor_lifts
 
@@ -193,14 +193,13 @@ def trisecant_gamma00_test(tau, x1, x2, x3, rank_tol=DEFAULT_RANK_TOL):
 
 def gamma00_controls(tau, rng, n_triples, rank_tol=DEFAULT_RANK_TOL):
     """trisecant_gamma00_test dimensions of n_triples triples of random
-    theta-divisor points, drawn from rng triple by triple; a non-trisecant
-    triple gives 0."""
+    theta-divisor points, three theta_divisor_point calls on rng per
+    triple; a non-trisecant triple gives 0."""
     rm = _as_rm(tau)
-    dims = []
-    for _ in range(n_triples):
-        pts = _theta_divisor_points(rm, rng, 3)
-        dims.append(trisecant_gamma00_test(rm, *pts, rank_tol=rank_tol)[0])
-    return dims
+    triples = ([theta_divisor_point(rm, rng) for _ in range(3)]
+               for _ in range(n_triples))
+    return [trisecant_gamma00_test(rm, *pts, rank_tol=rank_tol)[0]
+            for pts in triples]
 
 
 def span_VpWp(curve, periods, sample, kappa, rank_tol=DEFAULT_RANK_TOL):

@@ -13,8 +13,8 @@ size, not a proven distance to the divisor.
 """
 
 from dataclasses import dataclass
-from math import comb
 import itertools
+import math
 
 import numpy as np
 
@@ -28,6 +28,12 @@ from .theta import (RiemannMatrix, theta_batch, second_order_basis, _theta,
 ON_THETA_TOL = 1e-8
 #: ||grad theta|| / A_1 (||H|| / A_2) above which a point is smooth (order 2).
 SMOOTHNESS_THRESHOLD = 1e-6
+#: consecutive failed attempts after which theta_divisor_point gives up.
+MAX_ATTEMPTS = 8
+#: float64 unit roundoff u: Fourier coefficients below u relative are rounding.
+_ROUNDING = 2.0 ** -53
+#: Newton steps allowed to the polish of a line's root.
+_POLISH_CALLS = 4
 
 
 @dataclass(frozen=True)
@@ -110,76 +116,70 @@ def kummer_map(tau, z):
 
 
 def theta_divisor_point(tau, rng):
-    """A point of the theta divisor found by Newton iteration on a line.
+    """A point of the theta divisor, a root of theta on a coordinate line.
 
-    Draws a random base point and complex direction, then solves
-    theta(z0 + t d) = 0 for scalar t.  Retries with fresh draws if the
-    iteration stalls.
+    An attempt draws z0 and an axis j (_draw_line), takes the root s of the
+    line's Fourier model with the least |Im s| (_line_root) and polishes it
+    by Newton's method, one deriv-1 theta_batch call a step.  It returns
+    the point of the call whose step is below 1e-14 max(1, |s|) if there
+    |theta| < 1e-9 ||grad theta||.  MAX_ATTEMPTS consecutive failed
+    attempts, one draw each, raise NumericalFailure.
     """
-    return _theta_divisor_points(_as_rm(tau), rng, 1)[0]
+    rm = _as_rm(tau)
+    for _ in range(MAX_ATTEMPTS):
+        z0, j = _draw_line(rng, rm.g)
+        z, s = z0.copy(), _line_root(rm, z0, j)
+        for _ in range(0 if s is None else _POLISH_CALLS):
+            z[j] = z0[j] + s
+            (val, grad), _, _ = theta_batch(rm, z, deriv=1)
+            step = val / grad[j]
+            if abs(step) < 1e-14 * max(1.0, abs(s)):
+                if abs(val) < 1e-9 * np.linalg.norm(grad):
+                    return z
+                break
+            s -= step
+            if not abs(s.imag) <= 1.0:
+                break
+    raise NumericalFailure("no theta-divisor point on %d consecutive lines"
+                           % MAX_ATTEMPTS)
 
 
-def _theta_divisor_points(rm, rng, n, max_tries=8):
-    """n points (n, g) of the theta divisor: theta_divisor_point n times,
-    with every pending Newton iteration in one theta_batch call per step.
+def _draw_line(rng, g):
+    """An attempt's draw: a base point z0 near the origin and an axis j."""
+    z0 = (rng.standard_normal(g) + 1j * rng.standard_normal(g)) * 0.25
+    return z0, int(rng.integers(g))
 
-    Whether an attempt succeeds depends only on its own draw of z0 and d,
-    so attempts are drawn from rng in stream order, only as many as points
-    are still missing: the successes in stream order are the points that
-    n successive theta_divisor_point calls return, and rng ends in the
-    same state.  max_tries consecutive failed attempts raise
-    NumericalFailure.
+
+def _line_fourier(rm, z0, j):
+    """Coefficients P_m, m = -h..h, of theta(z0 + s e_j) = sum_m P_m
+    e^{2 pi i m s}, the FFT of one theta_batch call at s = k / N, N = 2h + 1.
+
+    e_j is a period, and the terms of P_m are those with n_j = m: with
+    Y = Im tau they are at most e^{pi c^T Y c - pi (m - c_j)^2 / (Y^-1)_jj}
+    in modulus, c = -Y^-1 Im z0.  So h = |c_j| + sqrt((Y^-1)_jj ln(1/u) / pi),
+    rounded up, leaves the coefficients that alias onto |m| <= h below
+    _ROUNDING u relative to the largest.
     """
-    g = rm.g
-    found = []
-    failures = 0
-    while len(found) < n:
-        k = n - len(found)
-        Z0 = np.empty((k, g), dtype=complex)
-        D = np.empty((k, g), dtype=complex)
-        for i in range(k):
-            Z0[i] = (rng.standard_normal(g)
-                     + 1j * rng.standard_normal(g)) * 0.25
-            d = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-            D[i] = d / np.linalg.norm(d)
-        t = np.full(k, 0.1 + 0.1j)
-        live = np.ones(k, dtype=bool)
-        converged = np.zeros(k, dtype=bool)
-        for _ in range(60):
-            live &= np.isfinite(t) & (np.abs(t) <= 4.0)
-            idx = np.flatnonzero(live)
-            if not len(idx):
-                break
-            Z = Z0[idx] + t[idx, None] * D[idx]
-            (val, grad), _, _ = theta_batch(rm, Z, deriv=1)
-            dd = np.einsum("ij,ij->i", grad, D[idx])
-            stalled = ~np.isfinite(dd) | (np.abs(dd) < 1e-14)
-            live[idx[stalled]] = False
-            idx, val, dd = idx[~stalled], val[~stalled], dd[~stalled]
-            step = val / dd
-            big = np.abs(step) > 0.5
-            step[big] *= 0.5 / np.abs(step[big])
-            t[idx] -= step
-            done = np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(t[idx]))
-            converged[idx[done]] = True
-            live[idx[done]] = False
-        Z = Z0 + t[:, None] * D
-        ok = converged.copy()
-        if ok.any():
-            (val, grad), _, _ = theta_batch(rm, Z[converged], deriv=1)
-            ok[converged] = np.abs(val) < 1e-9 * np.linalg.norm(grad, axis=1)
-        for z, success in zip(Z, ok):
-            if failures >= max_tries:
-                break
-            if success:
-                found.append(z)
-                failures = 0
-            else:
-                failures += 1
-        if failures >= max_tries:
-            raise NumericalFailure(
-                "Newton search for a theta-divisor point failed")
-    return np.array(found)
+    y_inv = rm._imag_inv
+    h = math.ceil(abs(y_inv[j] @ z0.imag)
+                  + math.sqrt(-y_inv[j, j] * math.log(_ROUNDING) / math.pi))
+    n = 2 * h + 1
+    Z = np.repeat(z0[None], n, axis=0)
+    Z[:, j] += np.arange(n) / n
+    (values,), _, _ = theta_batch(rm, Z)
+    return np.fft.fftshift(np.fft.fft(values)) / n
+
+
+def _line_root(rm, z0, j):
+    """The root s of the Fourier model of theta(z0 + s e_j) with the least
+    |Im s|, None if that is above 1: the Laurent polynomial in e^{2 pi i s},
+    its end coefficients below _ROUNDING of the largest trimmed, solved by
+    np.roots."""
+    coeffs = _line_fourier(rm, z0, j)
+    kept = np.flatnonzero(np.abs(coeffs) > _ROUNDING * np.abs(coeffs).max())
+    s = np.log(np.roots(coeffs[kept[0]:kept[-1] + 1][::-1])) / (2j * np.pi)
+    s = s[np.abs(s.imag) <= 1.0]
+    return complex(s[np.argmin(np.abs(s.imag))]) if len(s) else None
 
 
 def _judged(rm, Z, deriv):
@@ -309,7 +309,7 @@ def gauss_fiber_enumerate(k0, genus, curve=None):
             continue
         mult = 1
         for n, l in zip(mults, lvec):
-            mult *= comb(n, l)
+            mult *= math.comb(n, l)
         sub = tuple((lab, l) for lab, l in zip(labels, lvec) if l > 0)
         special = None
         if curve is not None and hasattr(k0, "terms"):

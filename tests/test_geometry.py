@@ -4,11 +4,17 @@ import pytest
 import trisect.curves as cv
 import trisect.geometry as geo
 from trisect.errors import InvalidInput, NotOnTheta, NumericalFailure
-from trisect.theta import RiemannMatrix, theta_batch, DEFAULT_THETA_TOL
+from trisect.theta import RiemannMatrix, theta_batch
 from trisect.curves import random_curve_point
+from trisect.selftest import reference_curve
 
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
 SEARCH_SEED = 20260823
+#: Riemann matrices with a small Im tau_11 (0.15 and 0.2), so a large
+#: (Im tau)^-1_11: the line search's Fourier model on axis 0 needs more
+#: samples, and aliasing shows first there if too few are taken
+SMALL_IMAG = {1: np.array([[0.3 + 0.15j]]),
+              2: np.array([[0.1 + 0.2j, 0.05 + 0.05j], [0.05 + 0.05j, 1.0j]])}
 
 
 def random_tau(g):
@@ -18,46 +24,6 @@ def random_tau(g):
     A = rng.normal(size=(g, g))
     X = rng.normal(size=(g, g)) * 0.3
     return X + X.T + 1j * (np.eye(g) + 0.3 * A @ A.T / g)
-
-
-def serial_theta_divisor_points(rm, rng, n, tol=DEFAULT_THETA_TOL,
-                                max_tries=8):
-    """Reference: the one-point-at-a-time Newton search, one single-row
-    theta_batch call per step.  Returns the points and the number of
-    attempts each needed."""
-    points, attempts = [], []
-    for _ in range(n):
-        for attempt in range(1, max_tries + 1):
-            z0 = (rng.standard_normal(rm.g)
-                  + 1j * rng.standard_normal(rm.g)) * 0.25
-            d = rng.standard_normal(rm.g) + 1j * rng.standard_normal(rm.g)
-            d /= np.linalg.norm(d)
-            t, ok = 0.1 + 0.1j, False
-            for _ in range(60):
-                if not np.isfinite(t) or abs(t) > 4.0:
-                    break
-                (val, grad), _, _ = theta_batch(rm, z0 + t * d, tol=tol,
-                                                deriv=1)
-                dd = complex(grad @ d)
-                if not np.isfinite(dd) or abs(dd) < 1e-14:
-                    break
-                step = complex(val) / dd
-                if abs(step) > 0.5:
-                    step *= 0.5 / abs(step)
-                t = t - step
-                if abs(step) < 1e-14 * max(1.0, abs(t)):
-                    ok = True
-                    break
-            if ok:
-                (val, grad), _, _ = theta_batch(rm, z0 + t * d, tol=tol,
-                                                deriv=1)
-                if abs(complex(val)) < 1e-9 * np.linalg.norm(grad):
-                    points.append(z0 + t * d)
-                    attempts.append(attempt)
-                    break
-        else:
-            raise NumericalFailure("serial Newton search failed")
-    return np.array(points), attempts
 
 
 class TestKummerMap:
@@ -303,55 +269,105 @@ class TestFiberEnumeration:
                 == entry.special
 
 
-class TestBatchedNewton:
-    """_theta_divisor_points runs n Newton searches as one batch; it must
-    return the serial search's points and leave the rng in the serial
-    search's state, retries included."""
+class TestLineRootSearch:
+    """theta_divisor_point: the roots of a coordinate line's Fourier model,
+    polished by Newton's method on the line, one draw per attempt."""
 
-    # roots of y^2 = f(x); twelve searches from SEARCH_SEED retry once on
-    # the first (the g=3 reference curve), twice on the second, never on
-    # the third
-    ROOTS = {"reference-g3": [0, 1, 2, 3, 4, 5, 6],
-             "two-retries": [-0.3, 1.1, 1.9, 3.2, 3.9, 4.8, 5.7],
-             "no-retry": [0.2, 0.8, 1.9, 3.1, 3.8, 5.1, 5.9]}
+    TAUS = [("reference", g) for g in range(1, 6)] \
+        + [("random", g) for g in range(1, 6)] \
+        + [("small-imag", 1), ("small-imag", 2)]
 
     @staticmethod
-    def riemann_matrix(roots):
-        curve = cv.HyperellipticCurve(np.poly(roots)[::-1].tolist())
-        return cv.period_matrix(curve).tau
+    def riemann_matrix(kind, g):
+        if kind == "reference":
+            return cv.period_matrix(reference_curve(g)).tau
+        return RiemannMatrix(random_tau(g) if kind == "random"
+                             else SMALL_IMAG[g])
 
-    @pytest.mark.parametrize("name", list(ROOTS))
-    def test_matches_serial_search(self, name):
-        rm = self.riemann_matrix(self.ROOTS[name])
-        rng_serial = np.random.default_rng(SEARCH_SEED)
-        rng_batch = np.random.default_rng(SEARCH_SEED)
-        rng_single = np.random.default_rng(SEARCH_SEED)
-        serial, attempts = serial_theta_divisor_points(rm, rng_serial, 12)
-        batch = geo._theta_divisor_points(rm, rng_batch, 12)
-        single = np.array([geo.theta_divisor_point(rm, rng_single)
-                           for _ in range(12)])
-        assert sum(a > 1 for a in attempts) == {
-            "reference-g3": 1, "two-retries": 2, "no-retry": 0}[name]
-        for points in (batch, single):
-            assert points.shape == (12, 3)
-            assert np.max(np.abs(points - serial)) < 1e-12
-        state = rng_serial.bit_generator.state
-        assert rng_batch.bit_generator.state == state
-        assert rng_single.bit_generator.state == state
+    @staticmethod
+    def drawn_lines(monkeypatch):
+        """The (z0, j) of every draw theta_divisor_point makes."""
+        lines = []
+        draw = geo._draw_line
 
-    @pytest.mark.parametrize("name", ["reference-g3", "two-retries"])
-    def test_consecutive_failures_raise(self, name):
-        # every failure in these searches is a single attempt, followed
-        # by a success: one failure on the reference curve, two apart on
-        # the other
-        rm = self.riemann_matrix(self.ROOTS[name])
-        for search in (geo._theta_divisor_points,
-                       serial_theta_divisor_points):
-            with pytest.raises(NumericalFailure):
-                search(rm, np.random.default_rng(SEARCH_SEED), 12,
-                       max_tries=1)
-        points = geo._theta_divisor_points(
-            rm, np.random.default_rng(SEARCH_SEED), 12, max_tries=2)
-        serial, _ = serial_theta_divisor_points(
-            rm, np.random.default_rng(SEARCH_SEED), 12, max_tries=2)
-        assert np.max(np.abs(points - serial)) < 1e-12
+        def recording(rng, g):
+            lines.append(draw(rng, g))
+            return lines[-1]
+        monkeypatch.setattr(geo, "_draw_line", recording)
+        return lines
+
+    @pytest.mark.parametrize("kind, g", TAUS)
+    def test_fourier_model_matches_theta_between_samples(self, kind, g):
+        """The N-sample model reproduces theta_batch at s = (k + 1/2) / N,
+        midway between the samples, so the coefficients it drops are below
+        rounding."""
+        rm = self.riemann_matrix(kind, g)
+        rng = np.random.default_rng(SEARCH_SEED)
+        for _ in range(4):
+            z0, _ = geo._draw_line(rng, g)
+            for j in range(g):
+                coeffs = geo._line_fourier(rm, z0, j)
+                n = len(coeffs)
+                Z = np.repeat(z0[None], 2 * n, axis=0)
+                Z[:, j] += np.arange(2 * n) / (2 * n)
+                (values,), _, _ = theta_batch(rm, Z)
+                samples, midway = values[::2], values[1::2]
+                s = (np.arange(n) + 0.5) / n
+                m = np.arange(n) - n // 2
+                model = np.exp(2j * np.pi * np.outer(s, m)) @ coeffs
+                assert np.max(np.abs(model - midway)) \
+                    <= 1e-12 * np.max(np.abs(samples))
+
+    def test_small_imaginary_part_takes_more_samples(self):
+        rm = RiemannMatrix(SMALL_IMAG[2])
+        z0 = np.zeros(2, dtype=complex)
+        assert len(geo._line_fourier(rm, z0, 0)) \
+            > 1.5 * len(geo._line_fourier(rm, z0, 1))
+
+    @pytest.mark.parametrize("kind, g", [("reference", 3), ("random", 4),
+                                         ("random", 5), ("small-imag", 2)])
+    def test_point_lies_on_its_line(self, kind, g, monkeypatch):
+        rm = self.riemann_matrix(kind, g)
+        lines = self.drawn_lines(monkeypatch)
+        rng = np.random.default_rng(SEARCH_SEED)
+        for _ in range(6):
+            z = geo.theta_divisor_point(rm, rng)
+            z0, j = lines[-1]
+            off_axis = np.arange(g) != j
+            assert np.array_equal(z[off_axis], z0[off_axis])
+            assert abs((z[j] - z0[j]).imag) <= 1.0
+            member, residual = geo.on_theta(rm, z)
+            assert member
+            assert residual < 1e-12
+
+    def test_consecutive_failures_raise(self, monkeypatch):
+        """With no root qualifying, every attempt takes exactly one draw
+        and the MAX_ATTEMPTS-th consecutive failure raises."""
+        rm = RiemannMatrix(random_tau(3))
+        draw = geo._draw_line
+        lines = self.drawn_lines(monkeypatch)
+        monkeypatch.setattr(geo, "_line_root", lambda rm, z0, j: None)
+        rng = np.random.default_rng(SEARCH_SEED)
+        with pytest.raises(NumericalFailure):
+            geo.theta_divisor_point(rm, rng)
+        assert geo.MAX_ATTEMPTS == 8
+        assert len(lines) == geo.MAX_ATTEMPTS
+        reference = np.random.default_rng(SEARCH_SEED)
+        for z0, j in lines:
+            z0_ref, j_ref = draw(reference, 3)
+            assert np.array_equal(z0, z0_ref) and j == j_ref
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_last_attempt_may_succeed(self, monkeypatch):
+        """Seven failures, then a point on the eighth line."""
+        rm = RiemannMatrix(random_tau(3))
+        lines = self.drawn_lines(monkeypatch)
+        line_root = geo._line_root
+        monkeypatch.setattr(
+            geo, "_line_root", lambda rm, z0, j: line_root(rm, z0, j)
+            if len(lines) == geo.MAX_ATTEMPTS else None)
+        z = geo.theta_divisor_point(rm, np.random.default_rng(SEARCH_SEED))
+        assert len(lines) == geo.MAX_ATTEMPTS
+        z0, j = lines[-1]
+        assert np.array_equal(np.delete(z, j), np.delete(z0, j))
+        assert geo.on_theta(rm, z)[0]
