@@ -26,7 +26,7 @@ from .secants import (SecantCertificate, TrisecantTriple, fay_construct,
                       multisecant_sweep, igusa_span_check,
                       degenerate_trisecant)
 from .gamma00 import (SectionCoefficients, TaylorConditions,
-                      section_from_point, taylor_conditions,
+                      taylor_conditions,
                       expected_gamma00_dimension, gamma00_dimension,
                       gamma00_combination, trisecant_gamma00_test,
                       gamma00_controls, span_VpWp)

@@ -25,7 +25,8 @@ from . import geometry as ge
 from . import secants as se
 from . import gamma00 as g00
 from .errors import TrisectError, InvalidInput, NumericalFailure
-from .theta import theta_batch, HalfCharacteristic, DEFAULT_THETA_TOL
+from .theta import (theta_batch, HalfCharacteristic, DEFAULT_THETA_TOL,
+                    ON_THETA_TOL)
 from .numeric import DEFAULT_RANK_TOL
 from .selftest import run_selftest, CRITERIA, DEFAULT_SEED
 
@@ -76,7 +77,7 @@ def _cmd_periods(args):
         "im_tau_min_eigenvalue":
             float(np.linalg.eigvalsh(periods.tau.entries.imag).min()),
     }
-    passed = residual < 1e-9
+    passed = residual < cv.BILINEAR_TOL
     return ({"curve": raw, "tol": args.tol}, results,
             {"period_tol": args.tol}, passed)
 
@@ -154,7 +155,7 @@ def _cmd_trisecant(args):
         "certificate": cert.to_dict(),
         "halving_residual": halving,
     }
-    passed = cert.passes and max(cert.theta_residuals) < 1e-7 \
+    passed = cert.passes and max(cert.theta_residuals) < ON_THETA_TOL \
         and halving < 1e-7
     return ({"curve": raw, "seed": args.seed}, results,
             {"rank_tol": args.rank_tol}, passed)
@@ -164,7 +165,7 @@ def _cmd_multisecant(args):
     curve, raw, periods, kappa, sample = _theta_divisor_setup(args, args.ell)
     certs, distinct = se.multisecant_sweep(curve, periods, sample, kappa,
                                            rank_tol=args.rank_tol)
-    passed = all(cert.passes and max(cert.theta_residuals) < 1e-6
+    passed = all(cert.passes and max(cert.theta_residuals) < ON_THETA_TOL
                  for cert in certs)
     results = {
         "ell": args.ell,

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (AmbiguousConstant, IllConditionedCurve, InvalidInput,
                      NumericalFailure, PathDegenerate)
 from .numeric import quadrature_nodes
-from .theta import RiemannMatrix, theta_batch
+from .theta import RiemannMatrix, _judged, ON_THETA_TOL
 
 _MAX_NODES = 1 << 12
 #: Node-doubling tolerance of every Abel-Jacobi lift.
@@ -47,6 +47,8 @@ _LIFT_TOL = 1e-10
 #: divisors and their seed.
 _KAPPA_DIVISORS = 20
 _KAPPA_SEED = 20260823
+#: Largest Riemann bilinear residual of a period matrix that is accepted.
+BILINEAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -360,7 +362,7 @@ def period_matrix(curve, tol=1e-11):
     periods = PeriodData(omega_a=omega_a, omega_b=omega_b, tau=rm,
                          normalization=norm, curve=curve, anchor=anchor,
                          tol=tol)
-    if periods.bilinear_residual() > 1e-9:
+    if periods.bilinear_residual() > BILINEAR_TOL:
         raise NumericalFailure("Riemann bilinear relation violated",
                                residual=periods.bilinear_residual())
     periods._leg_infinity = _integral_to_anchor(curve, anchor, tol)
@@ -544,7 +546,7 @@ def random_effective_divisor(curve, degree, rng):
     return Divisor.of(*points)
 
 
-def riemann_constant(curve, periods, tol=1e-7):
+def riemann_constant(curve, periods):
     """The Riemann constant kappa for base point infinity.
 
     For the odd model kappa is the half-period AJ(e_2) + AJ(e_4) + ...
@@ -554,8 +556,8 @@ def riemann_constant(curve, periods, tol=1e-7):
     _branch_halves rows mod 2, in closed form: m = (1, 0, 1, 0, ...) and
     n = (1, ..., 1).  The certificate requires theta(AJ(D) - kappa) to
     vanish on _KAPPA_DIVISORS seeded random effective divisors D of degree
-    g-1: the worst Newton residual |theta| / ||grad theta|| must lie below
-    tol, else AmbiguousConstant is raised.
+    g-1: the worst residual |theta| / A_0 (_kappa_residual) must lie below
+    ON_THETA_TOL, else AmbiguousConstant is raised.
     """
     g = curve.genus
     tau = periods.tau
@@ -564,20 +566,22 @@ def riemann_constant(curve, periods, tol=1e-7):
     kappa = (m + tau.entries @ n) / 2.0
 
     rng = np.random.default_rng(_KAPPA_SEED)
-    Z = _divisor_lifts(curve, [random_effective_divisor(curve, g - 1, rng)
-                               for _ in range(_KAPPA_DIVISORS)],
-                       periods) - kappa
-    # Newton residual: an estimate of the distance from the theta divisor,
-    # invariant under the quasi-periodic scale of theta
-    (vals, grads), _, _ = theta_batch(tau, Z, deriv=1)
-    residual = float(np.max(np.abs(vals) / np.maximum(
-        np.linalg.norm(grads, axis=1), 1e-300)))
+    residual = _kappa_residual(curve, periods, kappa, [
+        random_effective_divisor(curve, g - 1, rng)
+        for _ in range(_KAPPA_DIVISORS)])
     info = {"residual": residual, "m": m.astype(int).tolist(),
             "n": n.astype(int).tolist()}
-    if not residual < tol:
+    if not residual < ON_THETA_TOL:
         raise AmbiguousConstant(
             "theta(AJ(D) - kappa) does not vanish on W_{g-1}", **info)
     return JacobianLift(kappa, tau), info
+
+
+def _kappa_residual(curve, periods, kappa, divisors):
+    """The worst theta-divisor residual |theta| / A_0 (theta._judged) of
+    AJ(D) - kappa over the divisors D, lifted in one _divisor_lifts call."""
+    Z = _divisor_lifts(curve, divisors, periods) - kappa
+    return float(np.max(_judged(periods.tau, Z, 0)[2]))
 
 
 def count_conjugate_pairs(curve, divisor):

@@ -81,19 +81,6 @@ def _condition_data(rm):
     return data
 
 
-def section_from_point(tau, x):
-    """The section z -> theta(z-x) theta(z+x) as a coefficient vector.
-
-    The coefficients are the raw second-order theta values at the given
-    lift, keeping the scale consistent with theta gradients evaluated at
-    the same lift.
-    """
-    rm = _as_rm(tau)
-    vec = _as_vector(x, rm.g)
-    (coeffs,), _, _ = second_order_basis(rm, vec)
-    return SectionCoefficients(coeffs=coeffs)
-
-
 def taylor_conditions(tau, section):
     """Order-4 vanishing conditions applied to a section.
 

@@ -2,14 +2,8 @@
 combinatorics.
 
 Projective objects (Kummer points, Gauss directions) are returned
-max-modulus normalized.  Membership and smoothness are judged at the point
-against the theta series' own absolute sums A_k, the norm of the order-k
-sums of the moduli of the terms (theta._theta): a computed sum is zero to
-working precision relative to them (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., Ch. 3-4).  A point is on the divisor when
-its residual |theta| / A_0 is below ON_THETA_TOL, and smooth when
-||grad theta|| > SMOOTHNESS_THRESHOLD A_1.  The residual is a relative
-size, not a proven distance to the divisor.
+max-modulus normalized.  Membership and smoothness are theta._judged's
+verdicts against the series' absolute sums.
 """
 
 from dataclasses import dataclass
@@ -21,13 +15,9 @@ import numpy as np
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
 from .numeric import projective_angle
 from .curves import Divisor, divisor_is_special
-from .theta import (RiemannMatrix, theta_batch, second_order_basis, _theta,
-                    DEFAULT_THETA_TOL)
+from .theta import (RiemannMatrix, theta_batch, second_order_basis, _judged,
+                    ON_THETA_TOL, SMOOTHNESS_THRESHOLD)
 
-#: |theta| / A_0 below which a point counts as on the divisor.
-ON_THETA_TOL = 1e-8
-#: ||grad theta|| / A_1 (||H|| / A_2) above which a point is smooth (order 2).
-SMOOTHNESS_THRESHOLD = 1e-6
 #: consecutive failed attempts after which theta_divisor_point gives up.
 MAX_ATTEMPTS = 8
 #: float64 unit roundoff u: Fourier coefficients below u relative are rounding.
@@ -180,17 +170,6 @@ def _line_root(rm, z0, j):
     s = np.log(np.roots(coeffs[kept[0]:kept[-1] + 1][::-1])) / (2j * np.pi)
     s = s[np.abs(s.imag) <= 1.0]
     return complex(s[np.argmin(np.abs(s.imag))]) if len(s) else None
-
-
-def _judged(rm, Z, deriv):
-    """(jet, sums, residuals, smooth): the theta jet at the points Z (N, g)
-    up to order ``deriv``, its absolute sums A_k (theta._theta), the
-    residuals |theta| / A_0 and, at deriv >= 1, the smoothness verdicts."""
-    jet, sums, _, _ = _theta(rm, Z, None, DEFAULT_THETA_TOL, deriv, True)
-    residuals = np.abs(jet[0]) / sums[0]
-    smooth = deriv and (residuals < ON_THETA_TOL) & (
-        np.linalg.norm(jet[1], axis=1) > SMOOTHNESS_THRESHOLD * sums[1])
-    return jet, sums, residuals, smooth
 
 
 def on_theta(tau, x):

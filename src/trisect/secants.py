@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import InvalidInput
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
-from .theta import theta_batch, second_order_basis
-from .geometry import (_as_rm, _judged, kummer_map, canonical_direction,
-                       hyperplane_residual, ON_THETA_TOL)
+from .theta import theta_batch, second_order_basis, _judged, ON_THETA_TOL
+from .geometry import (_as_rm, kummer_map, canonical_direction,
+                       hyperplane_residual)
 from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
                      _divisor_lifts, random_curve_point)
 

@@ -19,7 +19,7 @@ from . import secants as se
 from . import gamma00 as g00
 from .errors import InvalidInput
 from .theta import (theta_batch, second_order_basis, all_epsilons,
-                    HalfCharacteristic)
+                    HalfCharacteristic, ON_THETA_TOL)
 
 DEFAULT_SEED = 20260823
 
@@ -180,16 +180,12 @@ def criterion_riemann_constant(ctx, seed):
     worst = 0.0
     for g in (2, 3, 4):
         curve = ctx.curve(g)
-        periods = ctx.periods(g)
-        kappa = ctx.kappa(g)
         rng = np.random.default_rng(seed + 17 * g)
-        Z = np.stack([(cv.abel_jacobi_divisor(
-            curve, cv.random_effective_divisor(curve, g - 1, rng), periods)
-            - kappa).z for _ in range(20)])
-        (vals, grads), _, _ = theta_batch(periods.tau, Z, deriv=1)
-        worst = max(worst, float(np.max(np.abs(vals) / np.maximum(
-            np.linalg.norm(grads, axis=1), 1e-300))))
-    return {"passed": bool(worst < 1e-7), "worst_residual": float(worst)}
+        worst = max(worst, cv._kappa_residual(
+            curve, ctx.periods(g), ctx.kappa(g).z,
+            [cv.random_effective_divisor(curve, g - 1, rng)
+             for _ in range(20)]))
+    return {"passed": bool(worst < ON_THETA_TOL), "worst_residual": worst}
 
 
 def criterion_fay(ctx, seed):
@@ -226,7 +222,7 @@ def criterion_theta_trisecant(ctx, seed):
     ok = True
     for g in (3, 4):
         _, cert, rep = ctx.theta_trisecant(g, seed + g)
-        ok = ok and max(rep["theta_residuals"]) < 1e-7 \
+        ok = ok and max(rep["theta_residuals"]) < ON_THETA_TOL \
             and rep["collinearity_gap"] < 1e-6 \
             and (not rep["gauss_angles"]
                  or max(rep["gauss_angles"]) < 1e-6) \

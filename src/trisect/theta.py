@@ -68,6 +68,15 @@ by its product-rule growth for derivatives.  So the bound follows |theta|
 at the nearest translate; it exceeds a bound summed where rounding left
 an argument by the ratio of the two prefactors.
 
+Theta-divisor membership and smoothness have one judge, _judged, at the
+point against the series' own absolute sums A_k, the norm of the order-k
+sums of the moduli of the terms: a computed sum is zero to working
+precision relative to them (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., Ch. 3-4).  A point is on the divisor when its
+residual |theta| / A_0 is below ON_THETA_TOL, and smooth when
+||grad theta|| > SMOOTHNESS_THRESHOLD A_1.  The residual is a relative
+size, not a proven distance to the divisor.
+
 Characteristic ordering convention: eps in {0,1}^g is indexed
 lexicographically with eps_1 most significant.  Every other module and the
 CLI file formats rely on this ordering.
@@ -84,6 +93,10 @@ from .errors import InvalidInput, NumericalFailure
 TOL_FLOOR = 1e-15
 TOL_CEIL = 1e-3
 DEFAULT_THETA_TOL = 1e-10
+#: |theta| / A_0 below which a point counts as on the divisor (_judged).
+ON_THETA_TOL = 1e-8
+#: ||grad theta|| / A_1 (||H|| / A_2) above which a point is smooth (order 2).
+SMOOTHNESS_THRESHOLD = 1e-6
 
 _TWO_PI_I = 2j * np.pi
 _SQRT_PI = math.sqrt(math.pi)
@@ -794,6 +807,18 @@ def _theta(rm, Z, char, tol, deriv, absolute):
     sums = moduli and [np.linalg.norm(m.reshape(len(m), -1), axis=1)
                        for m in moduli]
     return [o[:, 0] for o in jet], sums, radius, tail
+
+
+def _judged(rm, Z, deriv):
+    """(jet, sums, residuals, smooth): the theta jet at the points Z (N, g)
+    up to order ``deriv``, its absolute sums A_k (_theta), the residuals
+    |theta| / A_0 and, at deriv >= 1, the smoothness verdicts.  A point is
+    on the divisor when its residual is below ON_THETA_TOL."""
+    jet, sums, _, _ = _theta(rm, Z, None, DEFAULT_THETA_TOL, deriv, True)
+    residuals = np.abs(jet[0]) / sums[0]
+    smooth = deriv and (residuals < ON_THETA_TOL) & (
+        np.linalg.norm(jet[1], axis=1) > SMOOTHNESS_THRESHOLD * sums[1])
+    return jet, sums, residuals, smooth
 
 
 def second_order_basis(tau, Z, tol=DEFAULT_THETA_TOL, deriv=0):

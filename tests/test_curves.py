@@ -7,7 +7,8 @@ from trisect.errors import (AmbiguousConstant, InvalidInput,
                             PathDegenerate)
 from trisect.curves import random_curve_point
 from trisect.numeric import quadrature_nodes
-from trisect.theta import theta_batch
+from trisect.geometry import on_theta
+from trisect.theta import theta_batch, ON_THETA_TOL
 from conftest import reference_curve
 
 
@@ -422,11 +423,39 @@ class TestRiemannConstant:
         assert info["m"] == m.astype(int).tolist()
         assert info["n"] == n.astype(int).tolist()
 
-    def test_refuses_kappa_that_fails_the_certificate(self, jac2):
-        curve, periods, _ = jac2
-        with pytest.raises(AmbiguousConstant) as exc:
-            cv.riemann_constant(curve, periods, tol=1e-30)
-        assert exc.value.details["residual"] >= 1e-30
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_refuses_kappa_that_fails_the_certificate(self, g, monkeypatch):
+        """A kappa with one bit of m or n flipped is another half-period;
+        theta stays far from zero on its certificate divisors (the smallest
+        residual over g = 1..5 and every bit is 0.17)."""
+        curve = reference_curve(g)
+        periods = cv.period_matrix(curve)
+        table = cv._branch_halves
+        for which in range(2):
+            for i in range(g):
+                def flipped(g_, k, which=which, i=i):
+                    halves = [v.copy() for v in table(g_, k)]
+                    halves[which][0, i] += 1
+                    return tuple(halves)
+
+                monkeypatch.setattr(cv, "_branch_halves", flipped)
+                with pytest.raises(AmbiguousConstant) as exc:
+                    cv.riemann_constant(curve, periods)
+                assert exc.value.details["residual"] >= 0.1
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_certificate_residual_is_the_on_theta_residual(self, g):
+        """The certificate and on_theta are one judge: info["residual"] is
+        the worst on_theta residual over the certificate's divisors."""
+        curve = reference_curve(g)
+        periods = cv.period_matrix(curve)
+        kappa, info = cv.riemann_constant(curve, periods)
+        rng = np.random.default_rng(cv._KAPPA_SEED)
+        worst = max(on_theta(periods.tau, (cv.abel_jacobi_divisor(
+            curve, cv.random_effective_divisor(curve, g - 1, rng), periods)
+            - kappa).z)[1] for _ in range(cv._KAPPA_DIVISORS))
+        assert info["residual"] == pytest.approx(worst, rel=1e-12)
+        assert info["residual"] < ON_THETA_TOL
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_kappa_annihilates_fresh_divisors(self, g, jac2, jac3):
