@@ -23,8 +23,7 @@ from .secants import (SecantCertificate, TrisecantTriple, fay_construct,
                       fay_trisecant, theta_trisecant_construct,
                       theta_trisecant, certify_secant, gunning_construct,
                       multisecant_from_Bl, all_partitions,
-                      multisecant_sweep, igusa_span_check,
-                      degenerate_trisecant)
+                      multisecant_sweep, igusa_span_check)
 from .gamma00 import (SectionCoefficients, TaylorConditions,
                       taylor_conditions,
                       expected_gamma00_dimension, gamma00_dimension,

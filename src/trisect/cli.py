@@ -25,8 +25,7 @@ from . import geometry as ge
 from . import secants as se
 from . import gamma00 as g00
 from .errors import TrisectError, InvalidInput, NumericalFailure
-from .theta import (theta_batch, HalfCharacteristic, DEFAULT_THETA_TOL,
-                    ON_THETA_TOL)
+from .theta import theta_batch, HalfCharacteristic, DEFAULT_THETA_TOL
 from .numeric import DEFAULT_RANK_TOL
 from .selftest import run_selftest, CRITERIA, DEFAULT_SEED
 
@@ -155,8 +154,7 @@ def _cmd_trisecant(args):
         "certificate": cert.to_dict(),
         "halving_residual": halving,
     }
-    passed = cert.passes and max(cert.theta_residuals) < ON_THETA_TOL \
-        and halving < 1e-7
+    passed = cert.passes and cert.on_theta and halving < se.HALVING_TOL
     return ({"curve": raw, "seed": args.seed}, results,
             {"rank_tol": args.rank_tol}, passed)
 
@@ -165,8 +163,7 @@ def _cmd_multisecant(args):
     curve, raw, periods, kappa, sample = _theta_divisor_setup(args, args.ell)
     certs, distinct = se.multisecant_sweep(curve, periods, sample, kappa,
                                            rank_tol=args.rank_tol)
-    passed = all(cert.passes and max(cert.theta_residuals) < ON_THETA_TOL
-                 for cert in certs)
+    passed = all(cert.passes and cert.on_theta for cert in certs)
     results = {
         "ell": args.ell,
         "n_partitions": len(certs),

@@ -252,7 +252,6 @@ class PeriodData:
     normalization: np.ndarray
     curve: HyperellipticCurve
     anchor: float
-    tol: float
     _leg_infinity: np.ndarray = field(default=None, repr=False)
     _sheet_flip: np.ndarray = field(default=None, repr=False)
 
@@ -360,8 +359,7 @@ def period_matrix(curve, tol=1e-11):
 
     anchor = roots[-1] + max(1.0, 0.25 * curve.span)
     periods = PeriodData(omega_a=omega_a, omega_b=omega_b, tau=rm,
-                         normalization=norm, curve=curve, anchor=anchor,
-                         tol=tol)
+                         normalization=norm, curve=curve, anchor=anchor)
     if periods.bilinear_residual() > BILINEAR_TOL:
         raise NumericalFailure("Riemann bilinear relation violated",
                                residual=periods.bilinear_residual())

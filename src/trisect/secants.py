@@ -15,11 +15,13 @@ import numpy as np
 
 from .errors import InvalidInput
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
-from .theta import theta_batch, second_order_basis, _judged, ON_THETA_TOL
-from .geometry import (_as_rm, kummer_map, canonical_direction,
-                       hyperplane_residual)
+from .theta import second_order_basis, _judged, ON_THETA_TOL
+from .geometry import _as_rm
 from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
                      _divisor_lifts, random_curve_point)
+
+#: Largest halving residual of a theta trisecant that is accepted.
+HALVING_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,17 @@ class SecantCertificate:
     gradient_norms: tuple
     smooth: tuple                         # bool per lift: on Theta, smooth
     outer_product_residual: object        # float, or None: no identity
+    # (r, g) theta gradients at the reduced lifts; not printed
+    gradients: np.ndarray = field(repr=False, compare=False)
 
     @property
     def r(self):
         return len(self.lifts)
+
+    @property
+    def on_theta(self):
+        """Every lift lies on the theta divisor."""
+        return all(t < ON_THETA_TOL for t in self.theta_residuals)
 
     @property
     def passes(self):
@@ -67,7 +76,6 @@ class TrisecantTriple:
     b: JacobianLift
     c: JacobianLift
 
-    source: str = "fay"
     data: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -76,17 +84,13 @@ class TrisecantTriple:
 
 
 def fay_construct(curve, periods, p, q, r, s):
-    """Fay trisecant from four curve points via literal lift halving.
+    """Fay trisecant from four distinct curve points: the l = 3 Gunning
+    secant with p-points (s, r, q) and q-point p.
 
     a = (z(p)-z(q)-z(r)+z(s))/2 and cyclic relabelings; the pairwise-sum
     identities a+b = z(p)-z(q), a+c = z(p)-z(r) then hold exactly.
     """
-    zp, zq, zr, zs = (JacobianLift(z, periods.tau) for z in
-                      _abel_jacobi_points(curve, (p, q, r, s), periods))
-    a = (zp - zq - zr + zs) / 2.0
-    b = (zp - zq + zr - zs) / 2.0
-    c = (zp + zq - zr - zs) / 2.0
-    return TrisecantTriple(a=a, b=b, c=c, source="fay",
+    return TrisecantTriple(*_gunning_lifts(curve, periods, (s, r, q), (p,)),
                            data={"points": (p, q, r, s)})
 
 
@@ -105,7 +109,7 @@ def fay_trisecant(curve, periods, rng, rank_tol=DEFAULT_RANK_TOL):
 
 def theta_trisecant_construct(curve, periods, sample, kappa):
     """Trisecant through three theta-divisor points from a B3 canonical
-    divisor K0 = p+q+r+s+2D.
+    divisor K0 = p+q+r+s+2D: the l = 3 multisecant of partition (1, 2, 3).
 
     a = z(p)+z(s)+z(D)-kappa, b = z(p)+z(r)+z(D)-kappa,
     c = z(p)+z(q)+z(D)-kappa, with q = sigma(p), s = sigma(r).
@@ -113,16 +117,11 @@ def theta_trisecant_construct(curve, periods, sample, kappa):
     if sample.ell != 3:
         raise InvalidInput("theta trisecant needs an ell=3 sample",
                            ell=sample.ell)
-    divisors = [Divisor.of(pt) for pt in sample.labeled_pqrs]
-    divisors.append(Divisor.of(*sample.double_points))
-    zp, zq, zr, zs, zD = (JacobianLift(z, periods.tau) for z in
-                          _divisor_lifts(curve, divisors, periods))
-    a = zp + zs + zD - kappa
-    b = zp + zr + zD - kappa
-    c = zp + zq + zD - kappa
-    return TrisecantTriple(a=a, b=b, c=c, source="theta",
-                           data={"sample": sample,
-                                 "zetas": (zp, zq, zr, zs)})
+    zs, zQ = _sample_lifts(curve, periods, sample)
+    c, b, a = _multisecant_lifts(periods, kappa, zs, zQ, (1, 2, 3))
+    return TrisecantTriple(a=a, b=b, c=c, data={
+        "sample": sample,
+        "zetas": tuple(JacobianLift(z, periods.tau) for z in zs)})
 
 
 def theta_trisecant(curve, periods, sample, kappa,
@@ -208,7 +207,8 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
         gauss_angles=tuple(angles),
         gradient_norms=tuple(float(n) for n in gnorms),
         smooth=tuple(bool(s) for s in smooth_flags),
-        outer_product_residual=outer_res)
+        outer_product_residual=outer_res,
+        gradients=grads)
 
 
 def gunning_construct(curve, periods, ps, qs, rank_tol=DEFAULT_RANK_TOL):
@@ -218,6 +218,12 @@ def gunning_construct(curve, periods, ps, qs, rank_tol=DEFAULT_RANK_TOL):
     a_j = (2 z(p_j) + sum z(q_i) - sum z(p_i)) / 2, halving uniformly on
     the universal cover.
     """
+    lifts = _gunning_lifts(curve, periods, ps, qs)
+    return lifts, certify_secant(periods.tau, lifts, rank_tol=rank_tol)
+
+
+def _gunning_lifts(curve, periods, ps, qs):
+    """The lifts of gunning_construct, in p-point order."""
     ell = len(ps)
     if ell < 3:
         raise InvalidInput("need at least 3 p-points", got=ell)
@@ -235,9 +241,7 @@ def gunning_construct(curve, periods, ps, qs, rank_tol=DEFAULT_RANK_TOL):
     zps, zqs = zs[:ell], zs[ell:]
     total = sum(zqs[1:], zqs[0]) - sum(zps[1:], zps[0]) if zqs \
         else -sum(zps[1:], zps[0])
-    lifts = [(2.0 * zp + total) / 2.0 for zp in zps]
-    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol)
-    return lifts, cert
+    return [(2.0 * zp + total) / 2.0 for zp in zps]
 
 
 def multisecant_from_Bl(curve, periods, sample, kappa, partition,
@@ -270,11 +274,15 @@ def _sample_lifts(curve, periods, sample):
 def _multisecant(periods, kappa, zs, zQ, part, rank_tol):
     """multisecant_from_Bl from the lifts zs of the simple points and zQ
     of the doubled part."""
+    lifts = _multisecant_lifts(periods, kappa, zs, zQ, part)
+    return lifts, certify_secant(periods.tau, lifts, rank_tol=rank_tol)
+
+
+def _multisecant_lifts(periods, kappa, zs, zQ, part):
+    """The lifts of _multisecant, in partition order."""
     q_idx = [i for i in range(len(zs)) if i not in part]
     base = JacobianLift(sum(zs[q_idx]) + zQ, periods.tau) - kappa
-    lifts = [base + zs[i] for i in part]
-    cert = certify_secant(periods.tau, lifts, rank_tol=rank_tol)
-    return lifts, cert
+    return [base + zs[i] for i in part]
 
 
 def all_partitions(sample):
@@ -316,60 +324,3 @@ def igusa_span_check(gradients):
     norms = np.linalg.norm(G, axis=1, keepdims=True)
     return numerical_rank(G / np.maximum(norms, 1e-300))
 
-
-def degenerate_trisecant(curve, periods, sample, kappa,
-                         rank_tol=DEFAULT_RANK_TOL):
-    """Tangent line of the Kummer variety from a B2 canonical divisor.
-
-    The ell=3 construction with the fiber r+s collapsed onto a doubled
-    Weierstrass point W forces a = b, so the trisecant degenerates into a
-    line tangent to the Kummer image at Km(a).  The tangency report
-    checks that the merged lifts coincide, that the remaining point stays
-    on the line spanned by Km(a) and the tangent direction, and the Gauss
-    hyperplane containment of the constructing divisor.
-    """
-    if sample.ell != 2:
-        raise InvalidInput("degenerate trisecant needs an ell=2 sample",
-                           ell=sample.ell)
-    p, q = sample.simple_points
-    W = sample.double_points[0]
-    rest = sample.double_points[1:]
-    divisors = [Divisor.of(p), Divisor.of(q), Divisor.of(W), Divisor.of(*rest)]
-    zp, zq, zW, zD = (JacobianLift(z, periods.tau) for z in
-                      _divisor_lifts(curve, divisors, periods))
-    shift = (zD - kappa) if rest else -kappa
-
-    a = zp + zW + shift            # r = s = W merged
-    b = zp + zW + shift
-    c = zp + zq + shift
-    triple = TrisecantTriple(a=a, b=b, c=c, source="degenerate",
-                             data={"sample": sample})
-
-    rm = periods.tau
-    merged_dist = a.lattice_distance(b)
-
-    # tangent direction of the Kummer curve: the doubled point moves along
-    # the curve with velocity given by its canonical direction, so the
-    # tangent is the basis gradient at za contracted with it
-    v = canonical_direction(curve, periods, W)
-    za = a.z
-    (_, basis_grad), _, _ = second_order_basis(rm, za, deriv=1)
-    tangent = basis_grad @ v
-
-    ka = kummer_map(rm, a).coords
-    kc = kummer_map(rm, c).coords
-    rows = np.stack([ka, kc, tangent / np.max(np.abs(tangent))])
-    line_cert = numerical_rank(rows, tol=rank_tol)
-
-    (_, grad), _, _ = theta_batch(rm, za, deriv=1)
-    containment = []
-    for point, _ in sample.k0.terms:
-        d = canonical_direction(curve, periods, point)
-        containment.append(hyperplane_residual(grad, d))
-
-    report = {
-        "merged_lattice_distance": float(merged_dist),
-        "line_rank_cert": line_cert,
-        "gauss_containment_residuals": [float(x) for x in containment],
-    }
-    return triple, report

@@ -222,11 +222,11 @@ def criterion_theta_trisecant(ctx, seed):
     ok = True
     for g in (3, 4):
         _, cert, rep = ctx.theta_trisecant(g, seed + g)
-        ok = ok and max(rep["theta_residuals"]) < ON_THETA_TOL \
+        ok = ok and cert.on_theta \
             and rep["collinearity_gap"] < 1e-6 \
             and (not rep["gauss_angles"]
                  or max(rep["gauss_angles"]) < 1e-6) \
-            and rep["halving_residual"] < 1e-7 \
+            and rep["halving_residual"] < se.HALVING_TOL \
             and min(rep["pairwise_distances"]) > 1e-3 \
             and cert.passes
         out[f"g{g}"] = rep
@@ -366,14 +366,11 @@ def criterion_outer_product(ctx, seed):
     worst_outer = 0.0
     span_ok = True
     for g in (3, 4):
-        periods = ctx.periods(g)
         _, cert, _ = ctx.theta_trisecant(g, seed + g)
         if not cert.passes or cert.outer_product_residual is None:
             return {"passed": False, "failed_at": g}
         worst_outer = max(worst_outer, cert.outer_product_residual)
-        red, _, _ = periods.tau.reduce(np.stack([l.z for l in cert.lifts]))
-        (_, grads), _, _ = theta_batch(periods.tau, red, deriv=1)
-        smooth = grads[np.array(cert.smooth)]
+        smooth = cert.gradients[np.array(cert.smooth)]
         if len(smooth) >= 2:
             rank = se.igusa_span_check(smooth).decided_rank
             span_ok = span_ok and rank <= 1

@@ -60,6 +60,13 @@ class TestFayConstruction:
         assert shifted.rank_cert.decided_rank == base.rank_cert.decided_rank
         assert shifted.general_position == base.general_position
 
+    def test_repeated_point_is_refused(self, jac2):
+        """The four points must be distinct, as for every Gunning secant."""
+        curve, periods, _ = jac2
+        p, q, r, _ = four_points(curve, 31)
+        with pytest.raises(InvalidInput):
+            sec.fay_construct(curve, periods, p, q, r, q)
+
 
 @pytest.fixture(scope="module")
 def triple(jac3):
@@ -75,6 +82,9 @@ class TestThetaTrisecant:
     def test_points_lie_on_theta(self, triple):
         _, cert = triple
         assert all(t < 1e-8 for t in cert.theta_residuals)
+        assert cert.on_theta
+        assert "on_theta" not in cert.to_dict()
+        assert "gradients" not in cert.to_dict()
 
     def test_collinear_and_general(self, triple):
         _, cert = triple
@@ -95,6 +105,27 @@ class TestThetaTrisecant:
         assert len(cert.gauss_angles) == 1
         assert cert.gauss_angles[0] < 1e-6
 
+    def test_merged_pair_breaks_general_position(self, triple, jac3):
+        """Two equal lifts leave a pair of Kummer rows of rank 1, so the
+        certificate refuses the triple however collinear it is."""
+        _, periods, _ = jac3
+        tri, _ = triple
+        cert = sec.certify_secant(periods.tau, [tri.a, tri.a, tri.c])
+        assert not all(cert.general_position)
+        assert not cert.passes
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_is_the_ell_3_multisecant(self, g, jac3, jac4):
+        """The theta trisecant (a, b, c) is the multisecant of partition
+        (1, 2, 3) with its lifts reversed."""
+        curve, periods, kappa = {3: jac3, 4: jac4}[g]
+        sample = cv.sample_B_ell(curve, 3, seed=99)
+        tri = sec.theta_trisecant_construct(curve, periods, sample, kappa)
+        lifts, _ = sec.multisecant_from_Bl(curve, periods, sample, kappa,
+                                           (1, 2, 3))
+        for got, want in zip(tri.lifts, lifts[::-1]):
+            assert np.array_equal(got.z, want.z)
+
     def test_requires_ell_3(self, jac3):
         curve, periods, kappa = jac3
         sample = cv.sample_B_ell(curve, 2, seed=5)
@@ -105,12 +136,17 @@ class TestThetaTrisecant:
 class TestGunning:
 
     def test_matches_fay_relabeled(self, jac2):
-        """The l = 3 case reduces to the four-point construction: with
-        p-points (s, q, r) and q-point (p) the lifts come out as
-        (a, c, b) of the four-point triple, exactly."""
+        """The l = 3 case is the four-point construction: with p-points
+        (s, r, q) and q-point (p) the lifts are (a, b, c) of the four-point
+        triple, exactly, and with p-points (s, q, r) they come out as
+        (a, c, b)."""
         curve, periods, _ = jac2
         p, q, r, s = four_points(curve, 44)
         tri = sec.fay_construct(curve, periods, p, q, r, s)
+        lifts, cert = sec.gunning_construct(curve, periods, [s, r, q], [p])
+        for got, want in zip(lifts, tri.lifts):
+            assert np.array_equal(got.z, want.z)
+        assert cert.passes
         lifts, cert = sec.gunning_construct(curve, periods, [s, q, r], [p])
         for got, want in zip(lifts, (tri.a, tri.c, tri.b)):
             assert np.allclose(got.z, want.z, atol=1e-12)
@@ -164,6 +200,7 @@ class TestOuterProductIdentity:
             assert cert.outer_product_residual < 1e-8
         _, fay = sec.fay_trisecant(curve, periods, np.random.default_rng(1))
         assert fay.outer_product_residual is None
+        assert not fay.on_theta
         assert fay.to_dict()["outer_product_residual"] is None
         # two smooth lifts on the divisor and one moved off it
         a, b, _ = certs[0].lifts
@@ -205,31 +242,3 @@ class TestIgusaSpan:
         with pytest.raises(InvalidInput):
             sec.igusa_span_check([np.ones(3)])
 
-
-class TestDegenerateTrisecant:
-
-    def test_tangent_line(self, jac3):
-        curve, periods, kappa = jac3
-        sample = cv.sample_B_ell(curve, 2, seed=42)
-        tri, report = sec.degenerate_trisecant(curve, periods, sample, kappa)
-        assert report["merged_lattice_distance"] < 1e-12
-        assert tri.a.lattice_distance(tri.b) < 1e-12
-        line = report["line_rank_cert"]
-        assert line.decided_rank == 2
-        assert line.gap_ratio < 1e-8
-        assert all(r < 1e-8
-                   for r in report["gauss_containment_residuals"])
-
-    def test_merged_pair_breaks_general_position(self, jac3):
-        curve, periods, kappa = jac3
-        sample = cv.sample_B_ell(curve, 2, seed=42)
-        tri, _ = sec.degenerate_trisecant(curve, periods, sample, kappa)
-        cert = sec.certify_secant(periods.tau, tri.lifts)
-        assert not all(cert.general_position)
-        assert not cert.passes
-
-    def test_requires_ell_2(self, jac3):
-        curve, periods, kappa = jac3
-        sample = cv.sample_B_ell(curve, 3, seed=1)
-        with pytest.raises(InvalidInput):
-            sec.degenerate_trisecant(curve, periods, sample, kappa)
