@@ -75,6 +75,7 @@ def _cmd_periods(args):
         "bilinear_residual": residual,
         "im_tau_min_eigenvalue":
             float(np.linalg.eigvalsh(periods.tau.entries.imag).min()),
+        "quadrature": periods.quadrature,
     }
     passed = residual < cv.BILINEAR_TOL
     return ({"curve": raw, "tol": args.tol}, results,

@@ -40,9 +40,16 @@ from .errors import (AmbiguousConstant, IllConditionedCurve, InvalidInput,
 from .numeric import quadrature_nodes
 from .theta import RiemannMatrix, _judged, ON_THETA_TOL
 
-_MAX_NODES = 1 << 12
-#: Node-doubling tolerance of every Abel-Jacobi lift.
+#: Bound on the quadrature error of each leg of an Abel-Jacobi lift.
 _LIFT_TOL = 1e-10
+#: Gauss-Legendre rule sizes of a leg; a leg that no rule meets is bisected.
+_LEG_RULES = np.array([8, 12, 16, 20, 24, 32, 48, 64])
+#: The quadrature bounds are taken on the ellipses E_r, r = rho ** power.
+_RADIUS_POWERS = np.array([0.5, 0.7, 0.85, 0.95])
+#: Most bisections of a leg, and most pieces pending per leg, before a
+#: quadrature is refused.
+_MAX_HALVINGS = 60
+_MAX_PENDING = 64
 #: The Riemann constant's certificate: its number of random W_{g-1}
 #: divisors and their seed.
 _KAPPA_DIVISORS = 20
@@ -175,18 +182,28 @@ class HyperellipticCurve:
     def weierstrass_point(self, i):
         return CurvePoint(x=complex(self.roots[i]), y=0.0)
 
-    def validate_point(self, point):
-        if point.at_infinity:
-            return
+    def validate_points(self, x, y):
+        """Refuse the first of the finite points (x, y) (arrays) that does
+        not satisfy y^2 = f(x)."""
         scale = max(np.max(np.abs(self.f_coeffs)), 1.0) \
-            * max(1.0, abs(point.x)) ** (2 * self.genus + 1)
-        if abs(point.y ** 2 - self.f(point.x)) > 1e-10 * scale:
+            * np.maximum(1.0, np.abs(x)) ** (2 * self.genus + 1)
+        defect = np.abs(y * y - self.f(x))
+        bad = np.flatnonzero(defect > 1e-10 * scale)
+        if len(bad):
             raise InvalidInput("point does not satisfy y^2 = f(x)",
-                               defect=float(abs(point.y ** 2
-                                                - self.f(point.x))))
+                               defect=float(defect[bad[0]]))
+
+    def validate_point(self, point):
+        if not point.at_infinity:
+            self.validate_points(np.array([point.x], dtype=complex),
+                                 np.array([point.y], dtype=complex))
 
     def is_branch_x(self, x):
-        return bool(np.min(np.abs(self.roots - x)) <= 1e-8 * self.span)
+        """Whether x (a scalar, or each entry of an array) lies within
+        1e-8 span of a branch point."""
+        near = np.min(np.abs(np.subtract.outer(x, self.roots)), axis=-1) \
+            <= 1e-8 * self.span
+        return near if near.ndim else bool(near)
 
 
 @dataclass(frozen=True)
@@ -254,6 +271,9 @@ class PeriodData:
     anchor: float
     _leg_infinity: np.ndarray = field(default=None, repr=False)
     _sheet_flip: np.ndarray = field(default=None, repr=False)
+    #: node counts of the period integrals and of the leg infinity ->
+    #: anchor, and the largest of their error bounds
+    quadrature: dict = field(default=None, repr=False)
 
     def bilinear_residual(self):
         s = self.omega_a @ self.omega_b.T - self.omega_b @ self.omega_a.T
@@ -272,67 +292,138 @@ def _leggauss01(n):
     return _LEGGAUSS_CACHE[n]
 
 
-def _node_doubling(func, rows, tol, rule=_leggauss01):
-    """Quadratures of a batch of rows (vector-valued each) with the nodes
-    and weights rule(n).
+def _ellipses(lo, hi, poles):
+    """The Bernstein ellipses E_r of the intervals lo -> hi (rows) that
+    hold none of the poles (rows, J): radii r (rows, P), r = rho **
+    _RADIUS_POWERS with rho the least Joukowski radius of the poles, the
+    largest |x| on each E_r (rows, P), and lower bounds (rows, P, J) on the
+    distances from the poles to E_r.
 
-    func(t, idx) returns the integrand values (len(idx), g, n) of rows idx
-    at the nodes t.  n doubles from 32; a row keeps its estimate from the
-    first n at which two successive estimates agree, and only the rows
-    still pending are evaluated at the next n.
+    In the interval's coordinate s in [-1, 1], E_r is the image of |u| = r
+    under J(u) = (u + 1/u) / 2.  A pole s_j = J(w_j), |w_j| = rho_j, lies
+    |w_j - u| |1 - 1/(w_j u)| / 2 >= (rho_j - r) (1 - 1/(r rho_j)) / 2 from
+    J(u), which x scales by |hi - lo| / 2.
     """
-    est = None
-    pending = np.arange(rows)
-    prev = None
-    n = 32
-    while n <= _MAX_NODES:
-        t, w = rule(n)
-        cur = func(t, pending) @ w
-        if est is None:
-            est = np.empty((rows, cur.shape[1]), dtype=cur.dtype)
-        if prev is not None:
-            done = np.max(np.abs(cur - prev), axis=1) < tol * np.maximum(
-                1.0, np.max(np.abs(cur), axis=1))
-            est[pending[done]] = cur[done]
-            pending, cur = pending[~done], cur[~done]
-            if not len(pending):
-                return est
-        prev = cur
-        n *= 2
+    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+    s = (poles - mid) / half
+    axis = 0.5 * (np.abs(s - 1.0) + np.abs(s + 1.0))
+    rho = axis + np.sqrt(axis * axis - 1.0)
+    r = np.min(rho, axis=1)[:, None] ** _RADIUS_POWERS
+    reach = np.abs(mid) + np.abs(half) * 0.5 * (r + 1.0 / r)
+    rho, r3 = rho[:, None, :], r[:, :, None]
+    gap = np.abs(half)[:, :, None] * 0.5 * (rho - r3) \
+        * (1.0 - 1.0 / (r3 * rho))
+    return r, reach, gap
+
+
+def _legendre_bound(r, M):
+    """Bounds (rows, len(_LEG_RULES)) on the error of each Gauss-Legendre
+    rule on [0, 1] for an integrand analytic with |f| <= M (rows, P) on
+    the ellipses E_r: (64/15) M r^-2n / (r^2 - 1) on [-1, 1] (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013,
+    Thm 19.3), halved on [0, 1], and the least over the radii."""
+    r, M = r[:, :, None], M[:, :, None]
+    return np.min(32.0 / 15.0 * M * r ** (-2.0 * _LEG_RULES)
+                  / (r * r - 1.0), axis=1)
+
+
+def _legendre_pieces(lo, hi, bound, tol):
+    """Pieces of the intervals lo -> hi (rows), each with the smallest rule
+    of _LEG_RULES whose bound(lo, hi) (pieces, len(_LEG_RULES)) meets the
+    piece's share of tol, tol times its fraction of its row.  An interval
+    that no rule meets is bisected.  Returns the pieces' lo, hi, row, node
+    count and bound; a row's pieces depend on that row alone.  Raises
+    NumericalFailure after _MAX_HALVINGS bisections, or when more than
+    _MAX_PENDING pieces per row are pending.
+    """
+    rows = len(lo)
+    row = np.arange(rows)
+    share = np.full(rows, float(tol))
+    done = []
+    for _ in range(_MAX_HALVINGS):
+        if len(lo) > _MAX_PENDING * rows:
+            break
+        # a pole on an interval gives r = 1 and an infinite or NaN bound
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bounds = bound(lo, hi)
+        fits = bounds <= share[:, None]
+        ok = fits.any(axis=1)
+        rule = np.argmax(fits, axis=1)[ok]
+        done.append((lo[ok], hi[ok], row[ok], _LEG_RULES[rule],
+                     bounds[ok, rule]))
+        if ok.all():
+            return [np.concatenate(column) for column in zip(*done)]
+        lo, hi = lo[~ok], hi[~ok]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        row = np.tile(row[~ok], 2)
+        share = np.tile(0.5 * share[~ok], 2)
     raise NumericalFailure("quadrature did not converge", tol=tol)
 
 
-def _segment_integrals(curve, lo, hi, tol):
-    """Integrals of x^{k-1}/y_+ over [lo, hi] between consecutive roots.
+def _legendre_sum(pieces, rows, g, integrand):
+    """Sums (rows, g) of the pieces' Gauss-Legendre rules, each piece's
+    integral added to its row.  integrand(x, row) gives the values
+    (pieces, g, n) at the nodes x (pieces, n)."""
+    lo, hi, row, nodes, _ = pieces
+    est = np.zeros((rows, g), dtype=complex)
+    for n in np.unique(nodes):
+        k = np.flatnonzero(nodes == n)
+        t, w = _leggauss01(int(n))
+        step = (hi - lo)[k, None]
+        np.add.at(est, row[k],
+                  integrand(lo[k, None] + t * step, row[k]) @ w * step)
+    return est
 
-    Gauss-Chebyshev nodes absorb the inverse-square-root endpoint
-    singularities.
+
+def _segment_integrals(curve, j, tol):
+    """Integrals of x^{k-1}/y_+ over [e_j, e_{j+1}] (0-based j) between
+    consecutive roots, with the node count and error bound of their
+    Gauss-Chebyshev rule.
+
+    With x = mid + half s, sqrt(x - e_j) sqrt(x - e_{j+1}) = i half
+    sqrt(1 - s^2) on the upper lip, so the integral is that of
+    h(s) (1 - s^2)^(-1/2), h = x^{k-1} / (i sqrt(lc) prod_other
+    sqrt(x - e_i)), which is analytic off the other roots and is evaluated
+    without the endpoint cancellation of y_+.  For |h| <= M on E_r the
+    n-point rule errs by at most 2 pi M r^-2n / (1 - r^-2n), the aliased
+    Chebyshev coefficients, each at most 2 M r^-m; n is the least that
+    meets tol.
     """
     g = curve.genus
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    lo, hi = curve.roots[j], curve.roots[j + 1]
+    others = np.delete(curve.roots, [j, j + 1])
+    r, reach, gap = _ellipses(np.array([lo]), np.array([hi]),
+                              others[None, :])
+    M = np.maximum(reach, 1.0) ** (g - 1) \
+        / (np.sqrt(abs(curve.leading)) * np.prod(np.sqrt(gap), axis=2))
+    n = max(2, int(np.ceil(np.min(np.log1p(2.0 * np.pi * M / tol)
+                                  / (2.0 * np.log(r))))))
+    q = r ** (-2.0 * n)
+    bound = float(np.min(2.0 * np.pi * M * q / (1.0 - q)))
 
-    def integrand(t, _):
-        x = mid + half * t
-        smooth = np.sqrt(1.0 - t * t) / curve.y_branch(x)
-        return half * (x[None, :] ** np.arange(g)[:, None]
-                       * smooth[None, :])[None]
-
-    return _node_doubling(integrand, 1, tol, quadrature_nodes)[0]
+    t, w = quadrature_nodes(n)
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+    h = 1.0 / (1j * np.sqrt(complex(curve.leading)) * np.prod(
+        np.sqrt(x[:, None] - others + 0j), axis=1))
+    return (x[None, :] ** np.arange(g)[:, None] * h) @ w, n, bound
 
 
 def period_matrix(curve, tol=1e-11):
     """Period matrices over the classical homology basis and normalized tau.
 
-    Raises NumericalFailure when the computed tau violates the Riemann
-    matrix invariants (symmetry, positive definite imaginary part).
+    tol bounds the truncation error of each period integral and of the
+    integral from infinity to the anchor; ``quadrature`` records their
+    node counts and the largest bound.  Raises NumericalFailure when the
+    computed tau violates the Riemann matrix invariants (symmetry,
+    positive definite imaginary part).
     """
     if not 0.0 < tol < 1.0:
         raise InvalidInput("period tolerance must lie in (0, 1)", tol=tol)
     g = curve.genus
     roots = curve.roots
-    segs = [_segment_integrals(curve, roots[j], roots[j + 1], tol)
-            for j in range(2 * g)]
+    segs, nodes, bounds = zip(*(_segment_integrals(curve, j, tol)
+                                for j in range(2 * g)))
     omega_a = np.zeros((g, g), dtype=complex)
     omega_b = np.zeros((g, g), dtype=complex)
     for i in range(1, g + 1):
@@ -363,24 +454,65 @@ def period_matrix(curve, tol=1e-11):
     if periods.bilinear_residual() > BILINEAR_TOL:
         raise NumericalFailure("Riemann bilinear relation violated",
                                residual=periods.bilinear_residual())
-    periods._leg_infinity = _integral_to_anchor(curve, anchor, tol)
+    periods._leg_infinity, pieces = _integral_to_anchor(curve, anchor, tol)
     # twice the path anchor -> e_{2g+1}, whose lift is -tau[:, g-1] / 2
     periods._sheet_flip = -omega_b[:, g - 1] - 2.0 * periods._leg_infinity
+    periods.quadrature = {"period_nodes": list(nodes),
+                          "infinity_nodes": int(np.sum(pieces[3])),
+                          "max_bound": float(max(*bounds,
+                                                 np.sum(pieces[4])))}
     return periods
 
 
 def _integral_to_anchor(curve, anchor, tol):
     """Integral of x^{k-1} dx / y_+ from infinity to the anchor along the
-    real axis (substitution x = anchor / v^2 regularizes the tail)."""
+    real axis, and its _legendre_pieces in v.
+
+    With x = anchor / v^2 the integrand is the regular
+    -2 anchor^k v^(2g-2k) / (sqrt(lc) prod_i sqrt(anchor - e_i v^2)) on
+    v in (0, 1], whose poles are v = +-sqrt(anchor / e_i).
+    """
     g = curve.genus
+    k = np.arange(1, g + 1)
+    e = curve.roots
+    nonzero = e != 0.0
+    pole = np.sqrt(anchor / e[nonzero] + 0j)
+    # a root at 0 leaves the constant factor sqrt|anchor| in |y|
+    scale = np.sqrt(abs(curve.leading)) \
+        * abs(anchor) ** (0.5 * np.sum(~nonzero))
+
+    def bound(lo, hi):
+        r, reach, gap = _ellipses(lo, hi, np.concatenate((pole, -pole))
+                                  [None, :])
+        pair = np.abs(e[nonzero]) * gap[..., :len(pole)] \
+            * gap[..., len(pole):]
+        M = 2.0 * np.abs(hi - lo)[:, None] * max(1.0, abs(anchor)) ** g \
+            * np.maximum(reach, 1.0) ** (2 * g - 2) \
+            / (scale * np.prod(np.sqrt(pair), axis=2))
+        return _legendre_bound(r, M)
 
     def integrand(v, _):
-        x = anchor / (v * v)
-        y = curve.y_branch(x)
-        vand = x[None, :] ** np.arange(g)[:, None]
-        return (vand * (-2.0 * anchor / (v ** 3 * y))[None, :])[None]
+        denom = np.sqrt(complex(curve.leading)) * np.prod(
+            np.sqrt(anchor - e[:, None, None] * v * v + 0j), axis=0)
+        return -2.0 * (anchor ** k)[None, :, None] \
+            * v[:, None, :] ** (2 * g - 2 * k)[None, :, None] \
+            / denom[:, None, :]
 
-    return _node_doubling(integrand, 1, tol)[0]
+    pieces = _legendre_pieces(np.zeros(1), np.ones(1), bound, tol)
+    return _legendre_sum(pieces, 1, g, integrand)[0], pieces
+
+
+def _leg_bound(curve, lo, hi):
+    """Bounds (rows, len(_LEG_RULES)) on the Gauss-Legendre error of the
+    integrals of x^{k-1} dx / y over the segments lo -> hi: x^{k-1} / y
+    is analytic in every ellipse E_r that holds no root, with
+    |x^{k-1} / y| <= max(1, |x|)^(g-1) / (sqrt|lc| prod dist(e_j, E_r)^(1/2))
+    on it, and the integrand in t in [0, 1] carries the factor hi - lo."""
+    r, reach, gap = _ellipses(lo, hi, curve.roots[None, :])
+    M = np.abs(hi - lo)[:, None] \
+        * np.maximum(reach, 1.0) ** (curve.genus - 1) \
+        / (np.sqrt(abs(curve.leading)) * np.prod(np.sqrt(gap), axis=2))
+    return _legendre_bound(r, M)
 
 
 def _segment_quadrature(curve, x_from, x_to, cross):
@@ -392,7 +524,9 @@ def _segment_quadrature(curve, x_from, x_to, cross):
     y = -y_+ when an odd number of roots lie right of cross.  A zero
     imaginary part, -0.0 included, is read as +0, so a segment ending on
     the real axis takes the limit from above.  No segment may pass a
-    branch point.
+    branch point.  Each segment runs one Gauss-Legendre rule, or one per
+    piece of its bisection, that _legendre_pieces takes from its bound,
+    so its integral is within _LIFT_TOL whatever batch it is in.
     """
     g = curve.genus
     delta = x_to - x_from
@@ -416,14 +550,18 @@ def _segment_quadrature(curve, x_from, x_to, cross):
         x = x + 0.0                 # -0.0 imaginary parts become +0
         return np.where(x.imag < 0, s, 1.0) * curve.y_branch(x)
 
+    rows = np.flatnonzero(moving)
     powers = np.arange(g)[None, :, None]
 
-    def integrand(t, idx):
-        xs = x_from[idx, None] + t * delta[idx, None]
-        return xs[:, None, :] ** powers \
-            * (delta[idx, None] / branch(xs, sign[idx, None]))[:, None, :]
+    def integrand(x, row):
+        return x[:, None, :] ** powers \
+            / branch(x, sign[rows[row], None])[:, None, :]
 
-    est = _node_doubling(integrand, len(x_from), _LIFT_TOL)
+    est = np.zeros((len(x_from), g), dtype=complex)
+    pieces = _legendre_pieces(x_from[rows], x_to[rows],
+                              lambda lo, hi: _leg_bound(curve, lo, hi),
+                              _LIFT_TOL)
+    est[rows] = _legendre_sum(pieces, len(rows), g, integrand)
     return est, branch(x_to, sign)
 
 
@@ -438,13 +576,14 @@ def _branch_halves(g, k):
     return m, n
 
 
-def _branch_target(curve, point):
-    """Whether a finite point is a branch point.  A point over a branch x
-    that is not one is left to the quadrature, whose degeneracy check
-    refuses its path."""
-    return curve.is_branch_x(point.x) and abs(point.y) \
-        <= 1e-6 * max(1.0, abs(curve.y_branch(
-            np.asarray(point.x + 0.01j * curve.span, dtype=complex))))
+def _branch_targets(curve, x, y):
+    """Which finite points (x, y) (arrays) are branch points.  A point over
+    a branch x that is not one is left to the quadrature, whose degeneracy
+    check refuses its path."""
+    branch = curve.is_branch_x(x)
+    branch[branch] = np.abs(y[branch]) <= 1e-6 * np.maximum(1.0, np.abs(
+        curve.y_branch(x[branch] + 0.01j * curve.span)))
+    return branch
 
 
 def _abel_jacobi_points(curve, points, periods):
@@ -452,26 +591,26 @@ def _abel_jacobi_points(curve, points, periods):
     infinity: branch points from the _branch_halves table, the others
     from one batched polyline quadrature.
 
-    All legs run in one _segment_quadrature: the leg anchor -> anchor + i h,
-    shared by every target, is one row, then K rows -> x + i h and K rows
-    -> x.  Each row keeps the estimate of the node count at which it
-    converged, so a lift agrees with its single-point lift to rounding.
+    The points are validated, and the branch points picked out, by one
+    array check each.  All legs run in one _segment_quadrature: the leg
+    anchor -> anchor + i h, shared by every target, is one row, then K rows
+    -> x + i h and K rows -> x.  A row's nodes follow from its own bound,
+    so a lift agrees with its single-point lift to rounding.
     """
     lifts = np.zeros((len(points), curve.genus), dtype=complex)
-    finite = [k for k, point in enumerate(points) if not point.at_infinity]
-    for k in finite:
-        curve.validate_point(points[k])
-    branch = [k for k in finite if _branch_target(curve, points[k])]
-    if branch:
-        x = np.array([points[k].x for k in branch])
+    finite = np.array([k for k, point in enumerate(points)
+                       if not point.at_infinity], dtype=int)
+    x = np.array([points[k].x for k in finite], dtype=complex)
+    y = np.array([points[k].y for k in finite], dtype=complex)
+    curve.validate_points(x, y)
+    branch = _branch_targets(curve, x, y)
+    if branch.any():
         m, n = _branch_halves(curve.genus, np.argmin(
-            np.abs(x[:, None] - curve.roots), axis=1))
-        lifts[branch] = (m + n @ periods.tau.entries) / 2.0
-    rows = [k for k in finite if k not in branch]
-    if not rows:
+            np.abs(x[branch, None] - curve.roots), axis=1))
+        lifts[finite[branch]] = (m + n @ periods.tau.entries) / 2.0
+    rows, x, y = finite[~branch], x[~branch], y[~branch]
+    if not len(rows):
         return lifts
-    x = np.array([points[k].x for k in rows], dtype=complex)
-    y = np.array([points[k].y for k in rows], dtype=complex)
 
     K = len(rows)
     height = 0.75 * curve.span + 1.0
@@ -534,14 +673,16 @@ def random_curve_point(curve, rng):
 
 
 def random_effective_divisor(curve, degree, rng):
-    """Effective divisor of generic points with complex x off the real axis."""
-    points = []
+    """Effective divisor of generic points with complex x off the real axis
+    (each point draws x, then its sheet; y comes from one y_branch call)."""
+    xs, sheets = [], []
     for _ in range(degree):
-        x = (rng.uniform(curve.roots[0], curve.roots[-1])
-             + 1j * rng.uniform(0.2, 0.6) * curve.span)
-        sheet = 1 if rng.integers(2) == 0 else -1
-        points.append(curve.point(x, sheet))
-    return Divisor.of(*points)
+        xs.append(rng.uniform(curve.roots[0], curve.roots[-1])
+                  + 1j * rng.uniform(0.2, 0.6) * curve.span)
+        sheets.append(1 if rng.integers(2) == 0 else -1)
+    ys = curve.y_branch(np.array(xs, dtype=complex))
+    return Divisor.of(*(CurvePoint(x=complex(x), y=sheet * complex(y))
+                        for x, y, sheet in zip(xs, ys, sheets)))
 
 
 def riemann_constant(curve, periods):

@@ -74,6 +74,17 @@ class TestPeriods:
         tau = report["results"]["tau"]
         assert len(tau) == 3 and len(tau[0][0]) == 2
 
+    def test_reports_the_quadrature(self, capsys, curve_file):
+        """The node counts of the 2g period integrals and of the leg
+        infinity -> anchor, and their largest error bound, within --tol."""
+        _, report = run_json(capsys, ["periods", "--curve", curve_file,
+                                      "--tol", "1e-12"])
+        quad = report["results"]["quadrature"]
+        assert len(quad["period_nodes"]) == 6
+        assert all(n >= 2 for n in quad["period_nodes"])
+        assert quad["infinity_nodes"] >= 8
+        assert 0.0 < quad["max_bound"] <= 1e-12
+
     def test_deterministic_modulo_timings(self, capsys, curve_file):
         _, first = run_json(capsys, ["periods", "--curve", curve_file])
         _, second = run_json(capsys, ["periods", "--curve", curve_file])

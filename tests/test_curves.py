@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -6,7 +7,6 @@ from trisect.errors import (AmbiguousConstant, InvalidInput,
                             IllConditionedCurve, NumericalFailure,
                             PathDegenerate)
 from trisect.curves import random_curve_point
-from trisect.numeric import quadrature_nodes
 from trisect.geometry import on_theta
 from trisect.theta import theta_batch, ON_THETA_TOL
 from conftest import reference_curve
@@ -385,16 +385,198 @@ class TestAbelJacobi:
             cv._abel_jacobi_points(curve, [good, through_root], periods)
 
 
+def mp_y(curve, x):
+    """y_+(x) at mpmath precision: per-factor principal square roots."""
+    y = mp.sqrt(mp.mpc(curve.leading))
+    for e in curve.roots:
+        y *= mp.sqrt(x - mp.mpf(e))
+    return y
+
+
+def mp_leg_integrand(curve, sign):
+    """The g values x^{k-1} / y at mpmath precision, y continued below the
+    axis as sign * y_+ (the closed-form crossing of trisect.curves)."""
+    def f(x):
+        y = mp_y(curve, x)
+        y = sign * y if mp.im(x) < 0 else y
+        return [x ** k / y for k in range(curve.genus)]
+    return f
+
+
+def mp_quad(f, a, b, breaks, g):
+    """Integrals over the segment a -> b of the g values f(x) by mpmath.quad
+    in t in [0, 1], split at the fractions breaks; f is evaluated once per
+    node for all g."""
+    a, b = mp.mpmathify(a), mp.mpmathify(b)
+    cuts = sorted({0.0, 1.0, *(min(1.0, max(0.0, float(t)))
+                               for t in breaks)})
+    memo = {}
+
+    def h(k):
+        def at(t):
+            if t not in memo:
+                memo[t] = f(a + t * (b - a))
+            return (b - a) * memo[t][k]
+        return at
+    return np.array([complex(mp.quad(h(k), cuts)) for k in range(g)])
+
+
+def mp_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [0, 1] at mpmath
+    precision: the float nodes polished by Newton steps on P_n."""
+    def legendre(t):
+        p0, p1 = mp.mpf(1), t
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+        return p1, n * (t * p1 - p0) / (t * t - 1)
+
+    nodes, weights = [], []
+    for t in np.polynomial.legendre.leggauss(n)[0]:
+        t = mp.mpf(t)
+        for _ in range(3):
+            p, dp = legendre(t)
+            t -= p / dp
+        dp = legendre(t)[1]
+        nodes.append((t + 1) / 2)
+        weights.append(1 / ((1 - t * t) * dp * dp))
+    return nodes, weights
+
+
+def mp_legendre_rule(f, pieces, g):
+    """The pieces' Gauss-Legendre rules (lo, hi, row, n, bound) summed at
+    mpmath precision: the quadrature without its float rounding."""
+    total = [mp.mpc(0)] * g
+    for lo, hi, _, n, _ in zip(*pieces):
+        lo, hi = mp.mpmathify(lo), mp.mpmathify(hi)
+        for t, w in zip(*mp_legendre(int(n))):
+            for k, value in enumerate(f(lo + t * (hi - lo))):
+                total[k] += (hi - lo) * w * value
+    return np.array([complex(v) for v in total])
+
+
 class TestQuadrature:
 
-    def test_node_doubling_stops_at_the_node_cap(self):
-        """An integrand whose estimate grows with the node count never
-        converges; node doubling gives up at _MAX_NODES."""
-        def diverging(t, idx):
-            return np.full((len(idx), 1, len(t)), float(len(t)))
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_truncation_error_is_within_the_bound(self, g):
+        """On seeded lift legs, the 2g period segments and the leg
+        infinity -> anchor: |the one-pass rule at 30 digits - mpmath.quad
+        at 30 digits| <= the bound the code used <= tol.  The float
+        estimate is that rule up to rounding, which the bound does not
+        cover."""
+        mp.mp.dps = 30
+        curve = reference_curve(g)
+        periods = cv.period_matrix(curve)
+        roots = curve.roots
+        rng = np.random.default_rng(300 + g)
+        height = 0.75 * curve.span + 1.0
+        top = periods.anchor + 1j * height
+        xs = [random_curve_point(curve, rng).x,
+              complex(rng.uniform(roots[0], roots[-1]),
+                      -rng.uniform(0.2, 1.0) * curve.span)]
+        legs = [(periods.anchor, top, periods.anchor)]
+        for x in xs:
+            cross = periods.anchor + (x.real - periods.anchor) \
+                * height / max(-x.imag, height)
+            legs += [(top, x + 1j * height, cross),
+                     (x + 1j * height, x, cross)]
+        for a, b, cross in legs:
+            lo, hi = np.array([a]), np.array([b])
+            est, _ = cv._segment_quadrature(curve, lo, hi, np.array([cross]))
+            pieces = cv._legendre_pieces(
+                lo, hi, lambda p, q: cv._leg_bound(curve, p, q),
+                cv._LIFT_TOL)
+            sign = -1 if np.sum(roots > cross) % 2 else 1
+            f = mp_leg_integrand(curve, sign)
+            # split at the point of the leg nearest its nearest root
+            near = roots[np.argmin(np.abs(np.subtract.outer(
+                a + np.linspace(0, 1, 65) * (b - a), roots)).min(axis=0))]
+            exact = mp_quad(f, a, b, [((near - a) / (b - a)).real], g)
+            rule = mp_legendre_rule(f, pieces, g)
+            bound = np.sum(pieces[4])
+            assert np.max(np.abs(rule - exact)) <= bound <= cv._LIFT_TOL
+            assert np.max(np.abs(est[0] - rule)) \
+                < 1e-13 * max(1.0, np.max(np.abs(exact)))
+
+        tol = 1e-11
+        for j in range(2 * g):
+            est, n, bound = cv._segment_integrals(curve, j, tol)
+            lo, hi = mp.mpf(roots[j]), mp.mpf(roots[j + 1])
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            others = np.delete(roots, [j, j + 1])
+
+            def on_cut(theta):
+                # x = mid + half cos(theta) takes dx / y to d theta / (i
+                # sqrt(lc) prod_other sqrt(x - e_i)) on the upper lip
+                x = mid + half * mp.cos(theta)
+                y = 1j * mp.sqrt(mp.mpc(curve.leading))
+                for e in others:
+                    y *= mp.sqrt(x - mp.mpf(e))
+                return [x ** k / y for k in range(g)]
+            exact = mp_quad(on_cut, 0, mp.pi, (), g)
+            rule = [mp.mpc(0)] * g
+            for i in range(1, n + 1):
+                s = mp.cos((2 * i - 1) * mp.pi / (2 * n))
+                x = mid + half * s
+                smooth = half * mp.sqrt(1 - s * s) / mp_y(curve, x)
+                for k in range(g):
+                    rule[k] += mp.pi / n * x ** k * smooth
+            rule = np.array([complex(v) for v in rule])
+            assert np.max(np.abs(rule - exact)) <= bound <= tol
+            assert np.max(np.abs(est - rule)) \
+                < 1e-13 * max(1.0, np.max(np.abs(exact)))
+
+        anchor = mp.mpf(periods.anchor)
+
+        def tail(v):           # x = anchor / v^2, dx = -2 anchor dv / v^3
+            x = anchor / (v * v)
+            return [x ** k * -2 * anchor / (v ** 3 * mp_y(curve, x))
+                    for k in range(g)]
+        est, pieces = cv._integral_to_anchor(curve, periods.anchor, tol)
+        exact = mp_quad(tail, 0, 1, (), g)
+        rule = mp_legendre_rule(tail, pieces, g)
+        assert np.max(np.abs(rule - exact)) <= np.sum(pieces[4]) <= tol
+        assert np.max(np.abs(est - rule)) \
+            < 1e-13 * max(1.0, np.max(np.abs(exact)))
+        assert periods.quadrature["max_bound"] <= tol
+
+    def test_bisection_gives_up_at_the_piece_cap(self):
+        """A bound that no rule ever meets ends in NumericalFailure once
+        more than _MAX_PENDING pieces per leg are pending."""
+        def never(lo, hi):
+            return np.full((len(lo), len(cv._LEG_RULES)), np.inf)
 
         with pytest.raises(NumericalFailure):
-            cv._node_doubling(diverging, 1, 1e-10, quadrature_nodes)
+            cv._legendre_pieces(np.zeros(1), np.ones(1), never, 1e-10)
+
+    def test_lift_near_a_root_matches_mpmath(self, jac3):
+        """A target 1e-4 above e_3 on the g=3 reference curve: its last leg
+        is bisected toward the root, and the lift matches mpmath.quad along
+        the same legs within _LIFT_TOL."""
+        mp.mp.dps = 30
+        curve, periods, _ = jac3
+        point = curve.point(curve.roots[2] + 1e-4j, 1)
+        lift = cv.abel_jacobi(curve, point, periods).z
+        height = 0.75 * curve.span + 1.0
+        corners = [periods.anchor, periods.anchor + 1j * height,
+                   point.x + 1j * height, point.x]
+        f = mp_leg_integrand(curve, 1)
+        path = sum(mp_quad(f, a, b, (*((curve.roots - a) / (b - a)).real,
+                                     0.9999, 0.99999), curve.genus)
+                   for a, b in zip(corners, corners[1:]))
+        reference = periods.normalization @ (periods._leg_infinity + path)
+        assert np.max(np.abs(lift - reference)) < cv._LIFT_TOL
+
+    def test_far_below_axis_target_satisfies_riemann_vanishing(self, jac4):
+        """x = 4.517 - 7.694j on the g=4 reference curve: its second leg
+        crosses the axis 0.01 from e_6 and is bisected there.  theta
+        vanishes at AJ(P + Q + R) - kappa for random Q, R."""
+        curve, periods, kappa = jac4
+        rng = np.random.default_rng(48)
+        divisors = [cv.Divisor.of(curve.point(4.517 - 7.694j, sheet))
+                    + cv.random_effective_divisor(curve, 2, rng)
+                    for sheet in (1, -1, 1)]
+        assert cv._kappa_residual(curve, periods, kappa.z, divisors) \
+            < ON_THETA_TOL
 
 
 class TestRiemannConstant:
