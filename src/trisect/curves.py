@@ -367,9 +367,10 @@ def _legendre_sum(pieces, rows, g, integrand):
     (pieces, g, n) at the nodes x (pieces, n)."""
     lo, hi, row, nodes, _ = pieces
     est = np.zeros((rows, g), dtype=complex)
-    for n in np.unique(nodes):
+    # sorted(set()) and not np.unique, which imports numpy.ma (1 MB)
+    for n in sorted(set(nodes.tolist())):
         k = np.flatnonzero(nodes == n)
-        t, w = _leggauss01(int(n))
+        t, w = _leggauss01(n)
         step = (hi - lo)[k, None]
         np.add.at(est, row[k],
                   integrand(lo[k, None] + t * step, row[k]) @ w * step)
