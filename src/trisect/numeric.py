@@ -91,8 +91,11 @@ def projective_angle(v, w):
 def quadrature_nodes(n):
     """Gauss-Chebyshev nodes and weights on (-1, 1).
 
-    Exact for integrands of the form (smooth polynomial) * (1 - t^2)^(-1/2);
-    the weight absorbs inverse-square-root singularities at both endpoints.
+    The rule integrates h(t) (1 - t^2)^(-1/2); the weight absorbs
+    inverse-square-root singularities at both endpoints.  It is exact for
+    polynomials h of degree < 2n, and for h analytic with |h| <= M in the
+    Bernstein ellipse E_r it errs by at most 2 pi M r^-2n / (1 - r^-2n),
+    the bound from which curves._segment_integrals takes n.
     """
     if n < 2:
         raise InvalidInput("need at least 2 quadrature nodes", n=n)
