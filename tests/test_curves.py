@@ -454,16 +454,22 @@ def mp_legendre_rule(f, pieces, g):
     return np.array([complex(v) for v in total])
 
 
+@pytest.fixture
+def digits30():
+    """mpmath at 30 digits for one test."""
+    with mp.workdps(30):
+        yield
+
+
 class TestQuadrature:
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
-    def test_truncation_error_is_within_the_bound(self, g):
+    def test_truncation_error_is_within_the_bound(self, g, digits30):
         """On seeded lift legs, the 2g period segments and the leg
         infinity -> anchor: |the one-pass rule at 30 digits - mpmath.quad
         at 30 digits| <= the bound the code used <= tol.  The float
         estimate is that rule up to rounding, which the bound does not
         cover."""
-        mp.mp.dps = 30
         curve = reference_curve(g)
         periods = cv.period_matrix(curve)
         roots = curve.roots
@@ -548,11 +554,10 @@ class TestQuadrature:
         with pytest.raises(NumericalFailure):
             cv._legendre_pieces(np.zeros(1), np.ones(1), never, 1e-10)
 
-    def test_lift_near_a_root_matches_mpmath(self, jac3):
+    def test_lift_near_a_root_matches_mpmath(self, jac3, digits30):
         """A target 1e-4 above e_3 on the g=3 reference curve: its last leg
         is bisected toward the root, and the lift matches mpmath.quad along
         the same legs within _LIFT_TOL."""
-        mp.mp.dps = 30
         curve, periods, _ = jac3
         point = curve.point(curve.roots[2] + 1e-4j, 1)
         lift = cv.abel_jacobi(curve, point, periods).z
