@@ -185,10 +185,12 @@ class HyperellipticCurve:
     def validate_points(self, x, y):
         """Refuse the first of the finite points (x, y) (arrays) that does
         not satisfy y^2 = f(x)."""
-        scale = max(np.max(np.abs(self.f_coeffs)), 1.0) \
-            * np.maximum(1.0, np.abs(x)) ** (2 * self.genus + 1)
-        defect = np.abs(y * y - self.f(x))
-        bad = np.flatnonzero(defect > 1e-10 * scale)
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = max(np.max(np.abs(self.f_coeffs)), 1.0) \
+                * np.maximum(1.0, np.abs(x)) ** (2 * self.genus + 1)
+            defect = np.abs(y * y - self.f(x))
+        # NaN compares False: a non-finite x or y is refused too
+        bad = np.flatnonzero(~((defect <= 1e-10 * scale) & np.isfinite(x)))
         if len(bad):
             raise InvalidInput("point does not satisfy y^2 = f(x)",
                                defect=float(defect[bad[0]]))
@@ -449,7 +451,10 @@ def period_matrix(curve, tol=1e-11):
         tau = -tau
     rm = RiemannMatrix(tau)
 
-    anchor = roots[-1] + max(1.0, 0.25 * curve.span)
+    # right of every root by the margin, and never left of the margin, so
+    # that the leg x = anchor / v^2 comes in along the positive axis
+    margin = max(1.0, 0.25 * curve.span)
+    anchor = max(roots[-1] + margin, margin)
     periods = PeriodData(omega_a=omega_a, omega_b=omega_b, tau=rm,
                          normalization=norm, curve=curve, anchor=anchor)
     if periods.bilinear_residual() > BILINEAR_TOL:
@@ -589,8 +594,21 @@ def _branch_targets(curve, x, y):
 
 def _abel_jacobi_points(curve, points, periods):
     """Normalized Abel-Jacobi lifts (K, g) of K curve points, base point
-    infinity: branch points from the _branch_halves table, the others
-    from one batched polyline quadrature.
+    infinity: infinity lifts to 0, the finite points through
+    _abel_jacobi_xy."""
+    lifts = np.zeros((len(points), curve.genus), dtype=complex)
+    finite = np.array([k for k, point in enumerate(points)
+                       if not point.at_infinity], dtype=int)
+    lifts[finite] = _abel_jacobi_xy(
+        curve, np.array([points[k].x for k in finite], dtype=complex),
+        np.array([points[k].y for k in finite], dtype=complex), periods)
+    return lifts
+
+
+def _abel_jacobi_xy(curve, x, y, periods):
+    """Normalized Abel-Jacobi lifts (K, g) of the finite curve points
+    (x, y) (arrays, K), base point infinity: branch points from the
+    _branch_halves table, the others from one batched polyline quadrature.
 
     The points are validated, and the branch points picked out, by one
     array check each.  All legs run in one _segment_quadrature: the leg
@@ -598,22 +616,19 @@ def _abel_jacobi_points(curve, points, periods):
     -> x + i h and K rows -> x.  A row's nodes follow from its own bound,
     so a lift agrees with its single-point lift to rounding.
     """
-    lifts = np.zeros((len(points), curve.genus), dtype=complex)
-    finite = np.array([k for k, point in enumerate(points)
-                       if not point.at_infinity], dtype=int)
-    x = np.array([points[k].x for k in finite], dtype=complex)
-    y = np.array([points[k].y for k in finite], dtype=complex)
     curve.validate_points(x, y)
+    lifts = np.zeros((len(x), curve.genus), dtype=complex)
     branch = _branch_targets(curve, x, y)
     if branch.any():
         m, n = _branch_halves(curve.genus, np.argmin(
             np.abs(x[branch, None] - curve.roots), axis=1))
-        lifts[finite[branch]] = (m + n @ periods.tau.entries) / 2.0
-    rows, x, y = finite[~branch], x[~branch], y[~branch]
-    if not len(rows):
+        lifts[branch] = (m + n @ periods.tau.entries) / 2.0
+    rows = ~branch
+    x, y = x[rows], y[rows]
+    K = len(x)
+    if not K:
         return lifts
 
-    K = len(rows)
     height = 0.75 * curve.span + 1.0
     top = periods.anchor + 1j * height
     over = x + 1j * height
@@ -675,15 +690,22 @@ def random_curve_point(curve, rng):
 
 def random_effective_divisor(curve, degree, rng):
     """Effective divisor of generic points with complex x off the real axis
-    (each point draws x, then its sheet; y comes from one y_branch call)."""
+    (_random_points)."""
+    x, y = _random_points(curve, degree, rng)
+    return Divisor.of(*(CurvePoint(x=complex(a), y=complex(b))
+                        for a, b in zip(x, y)))
+
+
+def _random_points(curve, count, rng):
+    """count points (x, y) (arrays) with x off the real axis: each point
+    draws x, then its sheet, and y comes from one y_branch call."""
     xs, sheets = [], []
-    for _ in range(degree):
+    for _ in range(count):
         xs.append(rng.uniform(curve.roots[0], curve.roots[-1])
                   + 1j * rng.uniform(0.2, 0.6) * curve.span)
         sheets.append(1 if rng.integers(2) == 0 else -1)
-    ys = curve.y_branch(np.array(xs, dtype=complex))
-    return Divisor.of(*(CurvePoint(x=complex(x), y=sheet * complex(y))
-                        for x, y, sheet in zip(xs, ys, sheets)))
+    x = np.array(xs, dtype=complex)
+    return x, np.array(sheets) * curve.y_branch(x)
 
 
 def riemann_constant(curve, periods):
@@ -705,10 +727,8 @@ def riemann_constant(curve, periods):
             for v in _branch_halves(g, range(1, 2 * g, 2)))
     kappa = (m + tau.entries @ n) / 2.0
 
-    rng = np.random.default_rng(_KAPPA_SEED)
-    residual = _kappa_residual(curve, periods, kappa, [
-        random_effective_divisor(curve, g - 1, rng)
-        for _ in range(_KAPPA_DIVISORS)])
+    residual = _kappa_residual(periods, kappa, _random_divisor_lifts(
+        curve, periods, _KAPPA_DIVISORS, np.random.default_rng(_KAPPA_SEED)))
     info = {"residual": residual, "m": m.astype(int).tolist(),
             "n": n.astype(int).tolist()}
     if not residual < ON_THETA_TOL:
@@ -717,11 +737,20 @@ def riemann_constant(curve, periods):
     return JacobianLift(kappa, tau), info
 
 
-def _kappa_residual(curve, periods, kappa, divisors):
+def _random_divisor_lifts(curve, periods, count, rng):
+    """Lifts (count, g) of count random effective divisors of degree g-1,
+    drawn as random_effective_divisor draws them, one after another: their
+    points are lifted in one _abel_jacobi_xy call and summed per divisor."""
+    g = curve.genus
+    x, y = _random_points(curve, count * (g - 1), rng)
+    return _abel_jacobi_xy(curve, x, y, periods).reshape(
+        count, g - 1, g).sum(axis=1)
+
+
+def _kappa_residual(periods, kappa, lifts):
     """The worst theta-divisor residual |theta| / A_0 (theta._judged) of
-    AJ(D) - kappa over the divisors D, lifted in one _divisor_lifts call."""
-    Z = _divisor_lifts(curve, divisors, periods) - kappa
-    return float(np.max(_judged(periods.tau, Z, 0)[2]))
+    AJ(D) - kappa over the divisor lifts AJ(D) (D, g)."""
+    return float(np.max(_judged(periods.tau, lifts - kappa, 0)[2]))
 
 
 def count_conjugate_pairs(curve, divisor):

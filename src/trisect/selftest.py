@@ -180,11 +180,10 @@ def criterion_riemann_constant(ctx, seed):
     worst = 0.0
     for g in (2, 3, 4):
         curve = ctx.curve(g)
-        rng = np.random.default_rng(seed + 17 * g)
+        periods = ctx.periods(g)
         worst = max(worst, cv._kappa_residual(
-            curve, ctx.periods(g), ctx.kappa(g).z,
-            [cv.random_effective_divisor(curve, g - 1, rng)
-             for _ in range(20)]))
+            periods, ctx.kappa(g).z, cv._random_divisor_lifts(
+                curve, periods, 20, np.random.default_rng(seed + 17 * g))))
     return {"passed": bool(worst < ON_THETA_TOL), "worst_residual": worst}
 
 

@@ -26,7 +26,7 @@ corners of the rounding cell, where half-periods sit, the two differ
 (the 20 rows of the genus-5 Riemann-constant certificate: largest offset
 3.10 after rounding, 1.53 at the nearest translates).  Rounding stays
 the one reduction; the nearest translate is an exact search over the
-cached points with ||T n|| <= 2 ||T c|| (the short-vector search of
+lattice points with ||T n|| <= 2 ||T c|| (the short-vector search of
 Fincke & Pohst, Math. Comp. 44 (1985)), needed only for rows farther
 than rho / 2, half the shortest lattice vector: nearer rows are nearest
 already.  The translate is applied to the reduction's lattice part, so
@@ -107,12 +107,9 @@ _SQRT_PI = math.sqrt(math.pi)
 _BLOCK = 1 << 16
 
 
-def _box(half_widths, start, stop):
-    """The integer points n with |n_i| <= half_widths[i], numbered in
-    lexicographic order, from number start up to stop (exclusive)."""
-    shape = 2 * np.asarray(half_widths, dtype=int) + 1
-    index = np.arange(start, min(stop, np.prod(shape)))
-    return np.stack(np.unravel_index(index, shape), axis=1) - shape // 2
+def _quarter(radius):
+    """radius rounded up to a quarter step: the key of a point set."""
+    return math.ceil(radius * 4.0) / 4.0
 
 
 #: Integral vectors with entries up to this size, the int16 range of the
@@ -198,7 +195,9 @@ class RiemannMatrix:
         self._imag_inv = np.linalg.inv(entries.imag)
         # T with ||T v||^2 = pi v^T Im(tau) v
         self._chol = np.linalg.cholesky(np.pi * entries.imag).T
-        self._chol_inv = np.linalg.inv(self._chol)
+        # ||T n|| <= r bounds |n_i| by r times the norm of row i of T^-1
+        self._box_rates = np.linalg.norm(np.linalg.inv(self._chol),
+                                         axis=1).tolist()
         self._split = None  # _split of tau for the int16 range
         self._search = None  # _search_points
         self._points = np.zeros((0, self.g), dtype=np.int16)  # by ||T n||
@@ -214,9 +213,10 @@ class RiemannMatrix:
         self._head = np.zeros(0, dtype=np.int32)
         self._heads = np.zeros((0, self.g - 1))
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
-        # the enumeration up to the shortest one holds it after the origin
-        self.lattice_points(np.min(np.linalg.norm(self._chol, axis=0)))
-        self._rho = float(self._point_norms[1])
+        # the enumeration up to the shortest one holds it after the origin;
+        # its norms alone, the cached point set is built for the sums
+        self._rho = float(self._ball(_quarter(np.min(np.linalg.norm(
+            self._chol, axis=0))))[1][1])
         # least singular value of T, for the derivative tail bounds
         self._smin = float(np.linalg.svd(self._chol, compute_uv=False)[-1])
         # the factor of the tail bound that depends on the matrix only
@@ -225,6 +225,32 @@ class RiemannMatrix:
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
         self._gamma00_conditions = None  # gamma00._condition_data
 
+    def _ball(self, key):
+        """(points, norms, index, shape): the integer points n (int16) with
+        ||T n|| <= key and their norms, sorted by ||T n|| (a stable sort of
+        the box order, so ties keep it), with their lexicographic indices
+        in their bounding box of that shape.  The box is scanned in slabs
+        of _BLOCK points, so the memory is bounded at any radius; the
+        points of a smaller key are a prefix, bitwise, of a larger key's.
+        """
+        shape = tuple(2 * math.floor(key * rate) + 1
+                      for rate in self._box_rates)
+        size, centre = math.prod(shape), np.array(shape) // 2
+        points, norms, index = [], [], []
+        for lo in range(0, size, _BLOCK):
+            slab = np.stack(np.unravel_index(
+                np.arange(lo, min(lo + _BLOCK, size)), shape), axis=1) \
+                - centre
+            slab_norms = np.linalg.norm(slab @ self._chol.T, axis=1)
+            keep = np.flatnonzero(slab_norms <= key + 1e-12)
+            points.append(slab[keep].astype(np.int16))
+            norms.append(slab_norms[keep])
+            index.append(keep + lo)
+        norms = np.concatenate(norms)
+        order = np.argsort(norms, kind="stable")
+        return (np.concatenate(points)[order], norms[order],
+                np.concatenate(index)[order], shape)
+
     def lattice_points(self, radius):
         """Integer points n (int16) with ||T n|| <= radius (rounded up to a
         quarter step), sorted by ||T n||: a prefix of the one cached point set,
@@ -232,46 +258,35 @@ class RiemannMatrix:
         n -> -n; its representatives _reps, their weights exp(i pi n^T tau n)
         (_weights) and their heads (_head, _heads) are rebuilt with it.
         """
-        key = math.ceil(radius * 4.0) / 4.0
+        key = _quarter(radius)
         if key > self._points_radius:
-            widths = np.floor(key * np.linalg.norm(self._chol_inv, axis=1))
-            pts, norms, quads = [], [], []
-            for lo in range(0, int(np.prod(2 * widths + 1)), _BLOCK):
-                slab = _box(widths, lo, lo + _BLOCK)
-                slab_norms = np.linalg.norm(slab @ self._chol.T, axis=1)
-                keep = slab_norms <= key + 1e-12
-                kept, kept_norms = slab[keep], slab_norms[keep]
-                pts.append(kept.astype(np.int16))
-                norms.append(kept_norms)
-                quads.append(_i_pi_quadratic(self, kept))
-            pts, norms = np.concatenate(pts), np.concatenate(norms)
-            order = np.argsort(norms, kind="stable")
-            self._points = pts[order]
-            self._points.setflags(write=False)
-            self._point_norms = norms[order]
-            first = self._points[np.arange(len(order)),
-                                 np.argmax(self._points != 0, axis=1)]
-            self._reps = np.flatnonzero(first >= 0).astype(np.int32)
-            self._weights = np.exp(np.concatenate(quads)[order[self._reps]])
-            self._weights[0] = 0.5  # the origin, the pair {0, -0}
-            del pts, norms, quads, order  # before the heads are numbered
-            self._points_radius = key
-            reps = self._points[self._reps]
-            # a head's index in the box of the first g - 1 coordinates, the
-            # box index of n over 2 widths[-1] + 1
-            keys = np.zeros(len(reps), dtype=np.int64)
-            for i in range(self.g - 1):
-                keys = keys * int(2 * widths[i] + 1) \
-                    + (reps[:, i] + int(widths[i]))
-            firsts = np.full(int(np.prod(2 * widths[:-1] + 1)), len(reps),
-                             dtype=np.int32)
-            np.minimum.at(firsts, keys, np.arange(len(reps), dtype=np.int32))
-            firsts = firsts[keys]  # where each rep's head first appears
-            new = firsts == np.arange(len(reps))
-            self._head = (np.cumsum(new, dtype=np.int32) - 1)[firsts]
-            self._heads = reps[new, :-1].astype(float)
+            self._build(key)
         stop = self._point_norms.searchsorted(key + 1e-12, side="right")
         return self._points[:stop]
+
+    def _build(self, key):
+        """Enumerate the cached point set up to ``key`` (_ball) and derive
+        its representatives, their weights and their heads."""
+        points, norms, index, shape = self._ball(key)
+        size = math.prod(shape)
+        points.setflags(write=False)
+        self._points, self._point_norms = points, norms
+        self._points_radius = key
+        # n is lexicographically after -n, its first nonzero entry positive,
+        # exactly when its box index is past the box centre's
+        self._reps = np.flatnonzero(index >= size // 2).astype(np.int32)
+        reps = points[self._reps]
+        self._weights = np.exp(_i_pi_quadratic(self, reps))
+        self._weights[0] = 0.5  # the origin, the pair {0, -0}
+        # a head's index in the box of the first g - 1 coordinates is the
+        # box index of n over the last width
+        keys = index[self._reps] // shape[-1]
+        firsts = np.full(size // shape[-1], len(reps), dtype=np.int32)
+        np.minimum.at(firsts, keys, np.arange(len(reps), dtype=np.int32))
+        firsts = firsts[keys]  # where each rep's head first appears
+        new = firsts == np.arange(len(reps))
+        self._head = (np.cumsum(new, dtype=np.int32) - 1)[firsts]
+        self._heads = reps[new, :-1].astype(float)
 
     def reduce(self, Z):
         """Reduce points modulo the lattice Z^g + tau Z^g by rounding.
@@ -444,15 +459,21 @@ def _pick_radius(rm, tol, offset, deriv_order):
 
 
 def _search_points(rm, radius):
-    """(n, 2 pi n^T, ||T n||^2) of the n with ||T n|| <= radius: a float
-    copy of a lattice_points prefix, kept on rm for the nearest-translate
-    search and rebuilt only for a larger radius."""
+    """(n, 2 pi n^T, ||T n||^2) of the n with ||T n|| <= radius, kept on rm
+    for the nearest-translate search and rebuilt only for a larger radius:
+    a copy of a lattice_points prefix when the cached set covers the
+    radius, else the points and norms alone of their own enumeration
+    (RiemannMatrix._ball), the same arrays bitwise."""
     if rm._search is None or rm._search[0] < radius:
-        points = rm.lattice_points(radius)
-        norms = rm._point_norms[:len(points)]
-        rm._search = (math.ceil(radius * 4.0) / 4.0, points.copy(),
+        key = _quarter(radius)
+        if key <= rm._points_radius:
+            points = rm.lattice_points(key).copy()
+            norms = rm._point_norms[:len(points)].copy()
+        else:
+            points, norms, _, _ = rm._ball(key)
+        rm._search = (key, points,
                       np.ascontiguousarray(2.0 * np.pi * points.T),
-                      norms.copy(), norms ** 2)
+                      norms, norms ** 2)
     _, points, scaled, norms, norms_sq = rm._search
     stop = norms.searchsorted(radius + 1e-12, side="right")
     return points[:stop], scaled[:, :stop], norms_sq[:stop]

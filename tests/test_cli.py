@@ -17,6 +17,7 @@ import trisect.gamma00 as g00
 import trisect.secants as se
 from trisect.cli import run
 from trisect.selftest import Context, DEFAULT_SEED, criterion_theta_trisecant
+from trisect.theta import RiemannMatrix
 from conftest import reference_curve
 
 
@@ -121,6 +122,46 @@ class TestThetaCommand:
 
 
 class TestConstructions:
+
+    def test_fresh_curve_builds_each_lattice_cache_for_its_sums(
+            self, capsys, monkeypatch, curve_file):
+        """One trisecant run on a fresh genus-3 curve builds the full
+        lattice cache (points, weights, heads) only for the theta sums: at
+        most twice for tau (kappa's certificate, then certify_secant) and
+        once for tau/2.  rho and the nearest-translate search take the
+        norms alone."""
+        built = []
+        build = RiemannMatrix._build
+
+        def counted(rm, key):
+            built.append(rm)
+            build(rm, key)
+
+        monkeypatch.setattr(RiemannMatrix, "_build", counted)
+        code, _ = run_json(capsys, ["trisecant", "--curve", curve_file])
+        assert code == 0
+        (tau,) = {rm for rm in built if rm._half is not None}
+        assert 1 <= built.count(tau) <= 2
+        assert built.count(tau._half) == 1
+        assert len(built) == built.count(tau) + 1
+
+    def test_nan_point_is_exit_2(self, capsys, monkeypatch, curve2_file):
+        """A point whose y is NaN reaches the lifts as it would from a
+        caller; the refusal is an exit 2 with a strict-JSON error."""
+        draw = cv.random_curve_point
+        drawn = []
+
+        def nan_first(curve, rng):
+            point = draw(curve, rng)
+            drawn.append(point)
+            return cv.CurvePoint(x=point.x, y=complex(np.nan)) \
+                if len(drawn) == 1 else point
+
+        monkeypatch.setattr(se, "random_curve_point", nan_first)
+        code, report = run_json(capsys, ["fay", "--curve", curve2_file])
+        assert code == 2
+        assert report["code"] == "INVALID_INPUT"
+        assert report["details"]["defect"] == "NaN"
 
     def test_fay_certificate(self, capsys, curve_file):
         code, report = run_json(capsys, ["fay", "--curve", curve_file,

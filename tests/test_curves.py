@@ -169,6 +169,17 @@ class TestCurveValidation:
         with pytest.raises(InvalidInput):
             curve.validate_point(cv.CurvePoint(x=1.5, y=100.0))
 
+    @pytest.mark.parametrize("x, y", [(1.5 + 0.5j, complex(np.nan)),
+                                      (complex(np.nan), 1.0),
+                                      (complex(np.inf), 1.0)],
+                             ids=["nan-y", "nan-x", "inf-x"])
+    def test_non_finite_point_is_refused(self, jac2, x, y):
+        """NaN compares False, so a defect test that refuses only
+        defect > tol lets a NaN through; the lift refuses it instead."""
+        curve, periods, _ = jac2
+        with pytest.raises(InvalidInput):
+            cv.abel_jacobi(curve, cv.CurvePoint(x=x, y=y), periods)
+
     def test_involution(self):
         curve = reference_curve(2)
         p = curve.point(2.5 + 1.0j, 1)
@@ -216,6 +227,26 @@ class TestPeriods:
         assert periods.bilinear_residual() < 1e-9
         imag = periods.tau.entries.imag
         assert np.linalg.eigvalsh(imag).min() > 0
+
+    def test_curve_left_of_the_origin(self):
+        """Roots -10..-4: the anchor stays right of the roots and positive,
+        so the leg from infinity comes in along the positive axis."""
+        curve = cv.HyperellipticCurve(np.poly(np.arange(-10, -3))[::-1])
+        periods = cv.period_matrix(curve)
+        assert periods.anchor > max(curve.roots[-1], 0.0)
+        tau = periods.tau.entries
+        assert np.array_equal(tau, tau.T)
+        assert np.linalg.eigvalsh(tau.imag).min() > 0
+        assert periods.bilinear_residual() < cv.BILINEAR_TOL
+        _, info = cv.riemann_constant(curve, periods)
+        assert info["residual"] < ON_THETA_TOL
+
+    def test_anchor_of_a_curve_right_of_the_origin(self):
+        """A largest root >= 0 keeps the anchor roots[-1] + max(1, span/4)."""
+        for g in (1, 3):
+            curve = reference_curve(g)
+            assert cv.period_matrix(curve).anchor \
+                == curve.roots[-1] + max(1.0, 0.25 * curve.span)
 
 
 class TestAbelJacobi:
@@ -580,7 +611,8 @@ class TestQuadrature:
         divisors = [cv.Divisor.of(curve.point(4.517 - 7.694j, sheet))
                     + cv.random_effective_divisor(curve, 2, rng)
                     for sheet in (1, -1, 1)]
-        assert cv._kappa_residual(curve, periods, kappa.z, divisors) \
+        assert cv._kappa_residual(
+            periods, kappa.z, cv._divisor_lifts(curve, divisors, periods)) \
             < ON_THETA_TOL
 
 

@@ -339,6 +339,34 @@ class TestErrorControl:
             assert len(got) == len(fresh)
             assert {tuple(n) for n in got} == {tuple(n) for n in fresh}
 
+    @pytest.mark.parametrize("half", [False, True], ids=["tau", "tau/2"])
+    @pytest.mark.parametrize("g, grown_to", [(3, 9.0), (4, 8.0), (5, 6.5)])
+    def test_grown_cache_is_bitwise_a_fresh_enumeration(self, g, grown_to,
+                                                       half):
+        """Every prefix of a cache grown to R is, to the bit, the cache a
+        fresh matrix builds at that radius: points, norms, representatives,
+        weights and the heads _lines reads.  rho, taken at construction
+        from an enumeration of norms only, is the shortest nonzero norm."""
+        tau = random_tau(g, g) / (2.0 if half else 1.0)
+        grown = RiemannMatrix(tau)
+        grown.lattice_points(grown_to)
+        assert grown._rho == grown._point_norms[1] > 0.0
+        for radius in (1.0, 2.3, 4.5, grown_to - 1.3, grown_to - 0.25):
+            fresh = RiemannMatrix(tau)
+            want = fresh.lattice_points(radius)
+            got = grown.lattice_points(radius)
+            stop = len(got)
+            count = np.searchsorted(grown._reps, stop)
+            np.testing.assert_array_equal(got, want)
+            assert fresh._rho == grown._rho
+            for name in ("_point_norms", "_reps", "_weights", "_head"):
+                cut = stop if name == "_point_norms" else count
+                assert np.array_equal(getattr(grown, name)[:cut],
+                                      getattr(fresh, name)), name
+            assert len(fresh._reps) == count
+            heads = grown._head[:count].max() + 1
+            assert np.array_equal(grown._heads[:heads], fresh._heads)
+
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     def test_blocked_sums_match_one_block(self, monkeypatch, deriv):
         # blocks of two or three points split every class of the sums and
