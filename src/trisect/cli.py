@@ -2,7 +2,8 @@
 JSON certificate reports.
 
 Every command prints exactly one JSON document, assembled and timed by
-`run` from the (inputs, results, tolerances, passed) its function returns.
+`run` from the (results, passed) its function returns and the inputs and
+tolerances it declares in `build_parser`.
 Exit codes: 0 the claim passed, 1 certified failure, 2 invalid input,
 3 numerical failure.
 Complex numbers are serialized as [re, im] pairs; second-order theta
@@ -65,21 +66,17 @@ def _load_curve(path):
     return cv.HyperellipticCurve.from_json_dict(data), data
 
 
-def _cmd_periods(args):
-    curve, raw = _load_curve(args.curve)
+def _cmd_periods(args, curve):
     periods = cv.period_matrix(curve, tol=args.tol)
     residual = periods.bilinear_residual()
-    results = {
+    return {
         "genus": curve.genus,
         "tau": periods.tau.entries,
         "bilinear_residual": residual,
         "im_tau_min_eigenvalue":
             float(np.linalg.eigvalsh(periods.tau.entries.imag).min()),
         "quadrature": periods.quadrature,
-    }
-    passed = residual < cv.BILINEAR_TOL
-    return ({"curve": raw, "tol": args.tol}, results,
-            {"period_tol": args.tol}, passed)
+    }, residual < cv.BILINEAR_TOL
 
 
 def _parse_z(text):
@@ -93,8 +90,7 @@ def _parse_z(text):
                            reason=str(exc))
 
 
-def _cmd_theta(args):
-    curve, raw = _load_curve(args.curve)
+def _cmd_theta(args, curve):
     periods = cv.period_matrix(curve)
     z = _parse_z(args.z)
     char = None
@@ -103,173 +99,134 @@ def _cmd_theta(args):
         if len(bits) != 2 or not all(set(b) <= {"0", "1"} for b in bits):
             raise InvalidInput("characteristic must be 'bits;bits' with "
                                "bits 0 or 1", char=args.char)
-        char = HalfCharacteristic(tuple(int(b) for b in bits[0]),
-                                  tuple(int(b) for b in bits[1]))
+        char = HalfCharacteristic(*(tuple(map(int, b)) for b in bits))
     (value,), radius, tail = theta_batch(periods.tau, z, char=char,
                                          tol=args.tol)
-    results = {
-        "value": complex(value),
-        "truncation_radius": float(radius),
-        "bound_on_tail": float(tail),
-    }
-    return ({"curve": raw, "z": args.z, "char": args.char}, results,
-            {"theta_tol": args.tol}, True)
+    return {"value": complex(value), "truncation_radius": float(radius),
+            "bound_on_tail": float(tail)}, True
 
 
-def _cmd_fay(args):
-    curve, raw = _load_curve(args.curve)
+def _cmd_fay(args, curve):
     periods = cv.period_matrix(curve)
     triple, cert = se.fay_trisecant(curve, periods,
                                     np.random.default_rng(args.seed),
                                     rank_tol=args.rank_tol)
-    results = {
+    return {
         "points_x": [p.x for p in triple.data["points"]],
         "lifts": [l.z for l in triple.lifts],
         "certificate": cert.to_dict(),
-    }
-    return ({"curve": raw, "seed": args.seed}, results,
-            {"rank_tol": args.rank_tol}, cert.passes)
+    }, cert.passes
 
 
-def _theta_divisor_setup(args, ell):
-    """Curve, raw curve JSON, periods, kappa and the B_ell sample of
-    args.seed for a theta-divisor command.  The sample is drawn before the
-    periods, so a curve of genus < 3 or an invalid ell is refused first.
-    """
-    curve, raw = _load_curve(args.curve)
+def _theta_divisor_setup(args, curve, ell):
+    """(curve, periods, B_ell sample of args.seed, kappa), the arguments of
+    a theta-divisor construction.  The sample is drawn before the periods,
+    so a curve of genus < 3 or an invalid ell is refused first."""
     if curve.genus < 3:
         raise InvalidInput("theta-divisor constructions need genus >= 3",
                            genus=curve.genus)
     sample = cv.sample_B_ell(curve, ell, seed=args.seed)
     periods = cv.period_matrix(curve)
     kappa, _ = cv.riemann_constant(curve, periods)
-    return curve, raw, periods, kappa, sample
+    return curve, periods, sample, kappa
 
 
-def _cmd_trisecant(args):
-    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, 3)
-    triple, cert, halving = se.theta_trisecant(curve, periods, sample, kappa,
-                                               rank_tol=args.rank_tol)
-    results = {
+def _cmd_trisecant(args, curve):
+    triple, cert, halving = se.theta_trisecant(
+        *_theta_divisor_setup(args, curve, 3), rank_tol=args.rank_tol)
+    return {
         "lifts": [l.z for l in triple.lifts],
         "certificate": cert.to_dict(),
         "halving_residual": halving,
-    }
-    passed = cert.passes and cert.on_theta and halving < se.HALVING_TOL
-    return ({"curve": raw, "seed": args.seed}, results,
-            {"rank_tol": args.rank_tol}, passed)
+    }, cert.passes and cert.on_theta and halving < se.HALVING_TOL
 
 
-def _cmd_multisecant(args):
-    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, args.ell)
-    certs, distinct = se.multisecant_sweep(curve, periods, sample, kappa,
-                                           rank_tol=args.rank_tol)
-    passed = all(cert.passes and cert.on_theta for cert in certs)
-    results = {
+def _cmd_multisecant(args, curve):
+    certs, distinct = se.multisecant_sweep(
+        *_theta_divisor_setup(args, curve, args.ell), rank_tol=args.rank_tol)
+    return {
         "ell": args.ell,
         "n_partitions": len(certs),
         "distinct_points": len(distinct),
         "certificates": [cert.to_dict() for cert in certs],
-    }
-    return ({"curve": raw, "seed": args.seed, "ell": args.ell}, results,
-            {"rank_tol": args.rank_tol}, passed)
+    }, all(cert.passes and cert.on_theta for cert in certs)
 
 
-_K0_TERM = re.compile(r"^(\d+)([A-Za-z]\w*)$")
+_K0_TERM = re.compile(r"(\d+)([A-Za-z]\w*)?")
 
 
 def _parse_k0(text):
-    """'4P0' or '2P0,1P1,1P2' or bare multiplicities '2,1,1'."""
+    """'4P0' or '2P0,1P1,1P2' or bare multiplicities '2,1,1', the i-th
+    labelled P{i}.  Each label names one point: a repeat is refused."""
     labels, mults = [], []
     for token in text.split(","):
-        token = token.strip()
-        match = _K0_TERM.match(token)
-        if match:
-            mults.append(int(match.group(1)))
-            labels.append(match.group(2))
-        elif token.isdigit():
-            mults.append(int(token))
-            labels.append(f"P{len(labels)}")
-        else:
-            raise InvalidInput("cannot parse K0 term", term=token)
+        match = _K0_TERM.fullmatch(token.strip())
+        if not match:
+            raise InvalidInput("cannot parse K0 term", term=token.strip())
+        label = match.group(2) or f"P{len(labels)}"
+        if label in labels:
+            raise InvalidInput("repeated K0 label", label=label)
+        mults.append(int(match.group(1)))
+        labels.append(label)
     return labels, mults
 
 
-def _cmd_fiber(args):
+def _cmd_fiber(args, curve):
     labels, mults = _parse_k0(args.k0)
     entries = ge.gauss_fiber_enumerate(mults, genus=args.genus)
-    results = {
+    return {
         "k0": [[lab, n] for lab, n in zip(labels, mults)],
-        "entries": [
-            {"subdivisor": [[labels[i], l]
-                            for i, (_, l) in enumerate(e.subdivisor)],
-             "multiplicity": e.multiplicity}
-            for e in entries
-        ],
+        "entries": [{"subdivisor": [[labels[i], l] for i, l in e.subdivisor],
+                     "multiplicity": e.multiplicity} for e in entries],
         "total_multiplicity": ge.fiber_total_multiplicity(entries),
-    }
-    return {"k0": args.k0, "genus": args.genus}, results, {}, True
+    }, True
 
 
-def _cmd_gamma00_dim(args):
-    curve, raw = _load_curve(args.curve)
+def _cmd_gamma00_dim(args, curve):
     periods = cv.period_matrix(curve)
     dim, _, cert = g00.gamma00_dimension(periods.tau, rank_tol=args.rank_tol)
     expected = g00.expected_gamma00_dimension(curve.genus)
-    results = {
+    return {
         "dimension": dim,
         "expected": expected,
         "rank_certificate": cert.to_dict(),
-    }
-    return ({"curve": raw}, results, {"rank_tol": args.rank_tol},
-            dim == expected)
+    }, dim == expected
 
 
-def _cmd_gamma00_trisecant(args):
-    curve, raw, periods, kappa, sample = _theta_divisor_setup(args, 3)
+def _cmd_gamma00_trisecant(args, curve):
+    curve, periods, sample, kappa = _theta_divisor_setup(args, curve, 3)
     triple = se.theta_trisecant_construct(curve, periods, sample, kappa)
-    dim, info = g00.trisecant_gamma00_test(
-        periods.tau, triple.a.z, triple.b.z, triple.c.z,
-        rank_tol=args.rank_tol)
+    dim, info = g00.trisecant_gamma00_test(periods.tau, *triple.lifts,
+                                           rank_tol=args.rank_tol)
     (dim_control,) = g00.gamma00_controls(
         periods.tau, np.random.default_rng(args.seed + 1), 1,
         rank_tol=args.rank_tol)
-    results = {
+    return {
         "trisecant_dimension": dim,
         "control_dimension": dim_control,
         "span_rank": info["span_rank"],
         "degenerate_span": info["degenerate_span"],
-    }
-    passed = dim == 1 and dim_control == 0
-    return ({"curve": raw, "seed": args.seed}, results,
-            {"rank_tol": args.rank_tol}, passed)
+    }, dim == 1 and dim_control == 0
 
 
-def _cmd_span(args):
-    curve, raw, periods, kappa, sample = _theta_divisor_setup(args,
-                                                              args.ell)
+def _cmd_span(args, curve):
     dim_inner, dim_outer, dim_g00, details = g00.span_VpWp(
-        curve, periods, sample, kappa, rank_tol=args.rank_tol)
-    results = {
+        *_theta_divisor_setup(args, curve, args.ell), rank_tol=args.rank_tol)
+    return {
         "dim_inner_span": dim_inner,
         "dim_outer_span": dim_outer,
         "dim_gamma00": dim_g00,
         "fiber": details,
-    }
-    passed = dim_inner <= dim_outer <= dim_g00
-    return ({"curve": raw, "seed": args.seed, "ell": args.ell}, results,
-            {"rank_tol": args.rank_tol}, passed)
+    }, dim_inner <= dim_outer <= dim_g00
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(args, curve):
     report = run_selftest(seed=args.seed, only=args.only)
-    results = {
-        "criteria": {name: _c2j(det)
-                     for name, det in report["criteria"].items()},
+    return {
+        "criteria": report["criteria"],
         "summary": {name: ("PASS" if det["passed"] else "FAIL")
                     for name, det in report["criteria"].items()},
-    }
-    return {"seed": args.seed, "only": args.only}, results, {}, report["pass"]
+    }, report["pass"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,23 +255,28 @@ def build_parser():
                     "hyperelliptic Jacobians, with numerical certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **extra):
+    def add(name, func, inputs=(), tolerances=(), **extra):
+        """A command whose report digests the curve, if it takes one, and
+        the options in inputs, and reports the options tolerances names."""
         p = sub.add_parser(name)
-        p.set_defaults(func=func)
+        tolerances = dict(tolerances)
         if extra.get("curve", True):
             p.add_argument("--curve", required=True,
                            help="JSON file with ascending f_coeffs")
         if extra.get("seed"):
             p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+            inputs += ("seed",)
         if extra.get("rank_tol"):
             p.add_argument("--rank-tol", dest="rank_tol", type=float,
                            default=DEFAULT_RANK_TOL)
+            tolerances["rank_tol"] = "rank_tol"
+        p.set_defaults(func=func, inputs=inputs, tolerances=tolerances)
         return p
 
-    p = add("periods", _cmd_periods)
+    p = add("periods", _cmd_periods, ("tol",), {"period_tol": "tol"})
     p.add_argument("--tol", type=float, default=1e-11)
 
-    p = add("theta", _cmd_theta)
+    p = add("theta", _cmd_theta, ("z", "char"), {"theta_tol": "tol"})
     p.add_argument("--z", required=True,
                    help="JSON list of [re, im] pairs, length g")
     p.add_argument("--char", default=None,
@@ -324,10 +286,11 @@ def build_parser():
     add("fay", _cmd_fay, seed=True, rank_tol=True)
     add("trisecant", _cmd_trisecant, seed=True, rank_tol=True)
 
-    p = add("multisecant", _cmd_multisecant, seed=True, rank_tol=True)
+    p = add("multisecant", _cmd_multisecant, ("ell",), seed=True,
+            rank_tol=True)
     p.add_argument("--ell", type=int, default=4)
 
-    p = add("fiber", _cmd_fiber, curve=False)
+    p = add("fiber", _cmd_fiber, ("k0", "genus"), curve=False)
     p.add_argument("--k0", required=True,
                    help="multiplicity list, e.g. '4P0' or '2P0,1P1,1P2'")
     p.add_argument("--genus", type=int, required=True)
@@ -336,10 +299,10 @@ def build_parser():
     add("gamma00-trisecant", _cmd_gamma00_trisecant, seed=True,
         rank_tol=True)
 
-    p = add("span", _cmd_span, seed=True, rank_tol=True)
+    p = add("span", _cmd_span, ("ell",), seed=True, rank_tol=True)
     p.add_argument("--ell", type=int, default=3)
 
-    p = add("selftest", _cmd_selftest, curve=False, seed=True)
+    p = add("selftest", _cmd_selftest, ("only",), curve=False, seed=True)
     p.add_argument("--only", default=None, choices=sorted(CRITERIA))
     return parser
 
@@ -354,17 +317,22 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     t0 = time.time()
     try:
-        inputs, results, tolerances, passed = args.func(args)
+        curve, raw = (_load_curve(args.curve) if "curve" in args
+                      else (None, None))
+        results, passed = args.func(args, curve)
     except InvalidInput as exc:
         return _print_error(exc, 2)
     except TrisectError as exc:
         return _print_error(exc, 3)
+    inputs = {"curve": raw} if "curve" in args else {}
+    inputs.update((name, getattr(args, name)) for name in args.inputs)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "inputs_digest": _digest(_c2j(inputs)),
+        "inputs_digest": _digest(inputs),
         "seed": getattr(args, "seed", None),
-        "tolerances": tolerances,
+        "tolerances": {report_name: getattr(args, option) for
+                       report_name, option in args.tolerances.items()},
         "timings_ms": {"total": int((time.time() - t0) * 1000)},
         "results": _c2j(results),
         "pass": bool(passed),

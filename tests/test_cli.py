@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,15 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trisect
 import trisect.curves as cv
 import trisect.gamma00 as g00
 import trisect.secants as se
 from trisect.cli import run
+from trisect.numeric import DEFAULT_RANK_TOL
 from trisect.selftest import Context, DEFAULT_SEED, criterion_theta_trisecant
-from trisect.theta import RiemannMatrix
+from trisect.theta import RiemannMatrix, DEFAULT_THETA_TOL
 from conftest import reference_curve
 
 
@@ -245,10 +247,76 @@ class TestFiber:
         assert report["results"]["entries"] == [
             {"subdivisor": [["P0", 2]], "multiplicity": 6}]
 
+    def test_subdivisors_name_their_points(self, capsys):
+        code, report = run_json(capsys, ["fiber", "--k0", "2P0,1P1,1P2",
+                                         "--genus", "3"])
+        assert code == 0
+        assert report["results"]["entries"] == [
+            {"subdivisor": [["P1", 1], ["P2", 1]], "multiplicity": 1},
+            {"subdivisor": [["P0", 1], ["P2", 1]], "multiplicity": 2},
+            {"subdivisor": [["P0", 1], ["P1", 1]], "multiplicity": 2},
+            {"subdivisor": [["P0", 2]], "multiplicity": 1}]
+
     def test_bad_k0_is_exit_2(self, capsys):
         code, report = run_json(capsys, ["fiber", "--k0", "nonsense!",
                                          "--genus", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "k0", ["\u00b3", "2P0,\u00b2", "2P0,2P0", "2P1,2"],
+        ids=["superscript", "superscript-term", "repeated-label",
+             "repeated-auto-label"])
+    def test_refused_k0_is_exit_2(self, capsys, k0):
+        """A superscript digit is no multiplicity, and one label names one
+        point; fiber takes no --curve, so argv is exactly this."""
+        assert run(["fiber", "--k0", k0, "--genus", "3"]) == 2
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=_reject_non_finite)
+        assert report["code"] == "INVALID_INPUT"
+
+
+Z0 = json.dumps([[0.0, 0.0]] * 3)
+RANK_TOL = {"rank_tol": DEFAULT_RANK_TOL}
+
+
+class TestReportContract:
+
+    @pytest.mark.parametrize("argv, genus, inputs, tolerances", [
+        (["periods"], 3, {"tol": 1e-11}, {"period_tol": 1e-11}),
+        (["periods", "--tol", "1e-12"], 3, {"tol": 1e-12},
+         {"period_tol": 1e-12}),
+        (["theta", "--z", Z0, "--char", "111;111"], 3,
+         {"z": Z0, "char": "111;111"}, {"theta_tol": DEFAULT_THETA_TOL}),
+        (["fay", "--seed", "3"], 3, {"seed": 3}, RANK_TOL),
+        (["trisecant"], 3, {"seed": DEFAULT_SEED}, RANK_TOL),
+        (["multisecant", "--ell", "3", "--seed", "2"], 3,
+         {"seed": 2, "ell": 3}, RANK_TOL),
+        (["fiber", "--k0", "4P0", "--genus", "3"], None,
+         {"k0": "4P0", "genus": 3}, {}),
+        (["gamma00-dim"], 3, {}, RANK_TOL),
+        (["gamma00-trisecant", "--seed", "3"], 4, {"seed": 3}, RANK_TOL),
+        (["span", "--seed", "5"], 4, {"seed": 5, "ell": 3}, RANK_TOL),
+        (["selftest", "--only", "elliptic-periods"], None,
+         {"seed": DEFAULT_SEED, "only": "elliptic-periods"}, {}),
+    ], ids=["periods", "periods-tol", "theta", "fay", "trisecant",
+            "multisecant", "fiber", "gamma00-dim", "gamma00-trisecant",
+            "span", "selftest"])
+    def test_inputs_digest_and_tolerances(self, capsys, curve_file,
+                                          curve4_file, argv, genus, inputs,
+                                          tolerances):
+        """inputs_digest is the SHA-256 of the canonical JSON of the curve
+        file's contents and the command's digested options; the report's
+        tolerances name the options that bound its figures."""
+        if genus is not None:
+            path = {3: curve_file, 4: curve4_file}[genus]
+            argv = argv + ["--curve", path]
+            inputs = {**inputs, "curve": json.loads(Path(path).read_text())}
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+        assert report["inputs_digest"] \
+            == hashlib.sha256(canonical.encode()).hexdigest()
+        assert report["tolerances"] == tolerances
 
 
 class TestErrorPaths:
@@ -344,20 +412,31 @@ Z_TEXT = st.one_of(
     st.lists(st.lists(JSON_NUMBERS, max_size=3), max_size=3).map(json.dumps),
     st.text(max_size=20),
 )
+#: K0 lists of short text and of terms, superscript multiplicities included
+K0_TEXT = st.lists(
+    st.one_of(st.sampled_from(["\u00b3", "\u00b2", "4P0", "2P0", "1P1", "2"]),
+              st.text(max_size=4)),
+    min_size=1, max_size=3).map(",".join)
 #: the options each command takes; others are drawn now and then too
 OPTIONS = {"periods": ["--tol"], "theta": ["--z", "--tol", "--char"],
-           "fay": ["--seed"], "trisecant": ["--seed"],
-           "multisecant": ["--seed", "--ell"], "gamma00-dim": [],
-           "gamma00-trisecant": ["--seed"], "span": ["--seed", "--ell"]}
+           "fay": ["--seed", "--rank-tol"],
+           "trisecant": ["--seed", "--rank-tol"],
+           "multisecant": ["--seed", "--ell", "--rank-tol"],
+           "fiber": ["--k0", "--genus"], "gamma00-dim": ["--rank-tol"],
+           "gamma00-trisecant": ["--seed", "--rank-tol"],
+           "span": ["--seed", "--ell", "--rank-tol"]}
+REQUIRED = {"--z", "--k0", "--genus"}
 VALUES = {"--z": Z_TEXT, "--tol": NUMBER_TEXT, "--seed": NUMBER_TEXT,
-          "--ell": NUMBER_TEXT, "--char": st.text(max_size=8)}
+          "--ell": NUMBER_TEXT, "--char": st.text(max_size=8),
+          "--rank-tol": NUMBER_TEXT, "--k0": K0_TEXT,
+          "--genus": st.one_of(st.integers(1, 5).map(str), NUMBER_TEXT)}
 
 
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(OPTIONS)))
     names = [name for name in VALUES if name in OPTIONS[command]
-             and (name == "--z" or draw(st.booleans()))]
+             and (name in REQUIRED or draw(st.booleans()))]
     if draw(st.integers(0, 9)) == 0:
         names.append(draw(st.sampled_from(sorted(VALUES))))
     return [command] + [item for name in names
@@ -366,13 +445,15 @@ def argvs(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(argv=argvs())
+@example(argv=["fiber", "--k0", "2P0,\u00b3", "--genus", "3"])
 def test_exit_contract_fuzz(curve2_file, argv):
     out = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("always")
-        code = run(argv + ["--curve", curve2_file])
+        code = run(argv if argv[0] == "fiber"
+                   else argv + ["--curve", curve2_file])
     assert code in (0, 1, 2, 3)
     report = json.loads(out.getvalue(), parse_constant=_reject_non_finite)
     if code in (0, 1):
