@@ -55,6 +55,9 @@ _MAX_PENDING = 64
 #: divisors and their seed.
 _KAPPA_DIVISORS = 20
 _KAPPA_SEED = 20260823
+#: A nonreal root whose imaginary part is within this factor of its
+#: perturbation scale (HyperellipticCurve) is taken as an unresolved real one.
+_ROOT_NOISE = 100.0
 #: Largest Riemann bilinear residual of a period matrix that is accepted.
 BILINEAR_TOL = 1e-9
 
@@ -138,9 +141,23 @@ class HyperellipticCurve:
         roots = np.roots(fc[::-1])
         span = roots.real.max() - roots.real.min()
         span = max(span, 1.0)
-        if np.max(np.abs(roots.imag)) > 1e-8 * span:
+        imag = np.abs(roots.imag)
+        if np.max(imag) > 1e-8 * span:
+            # rounding the coefficients moves a root r by up to about
+            # n u sum |a_i| |r|^i / |f'(r)| (Wilkinson, Numer. Math. 1
+            # (1959)); imaginary parts within _ROOT_NOISE of that scale are
+            # real roots the expanded coefficients do not resolve
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = np.abs(np.polyval(np.polyder(fc[::-1]), roots))
+                scale = (len(fc) - 1) * np.finfo(float).eps / 2.0 \
+                    * np.polyval(np.abs(fc[::-1]), np.abs(roots))
+                noise = np.all(imag * slope <= _ROOT_NOISE * scale)
+            if noise:
+                raise IllConditionedCurve(
+                    "branch points are real to rounding but not resolved "
+                    "by the coefficients", max_imag=float(np.max(imag)))
             raise InvalidInput("branch points must be real",
-                               max_imag=float(np.max(np.abs(roots.imag))))
+                               max_imag=float(np.max(imag)))
         roots = np.sort(roots.real)
         if np.min(np.diff(roots)) <= 1e-8 * span:
             raise IllConditionedCurve("branch points too close",

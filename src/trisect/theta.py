@@ -103,7 +103,9 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 #: Lattice points x (rows + term weights) per block of a theta sum, and box
-#: points per enumeration slab: a call's memory is bounded at any radius.
+#: points per enumeration slab: a call's working memory is bounded at any
+#: radius.  The kernel tables a matrix keeps (RiemannMatrix._tables) grow
+#: with the radius of its point set, as the point set does.
 _BLOCK = 1 << 16
 
 
@@ -166,11 +168,17 @@ class RiemannMatrix:
 
     Caches the Cholesky data and the lattice points used by the theta
     series, and per-matrix results of other modules; the entries are
-    immutable.  A tau symmetric to 1e-10 relative is accepted and stored
-    as the average 0.5 (tau + tau^T), and theta is that of the stored
-    average.  So a tau symmetric only up to rounding (U^T tau U formed in
-    floating point, say) is taken at that average, which can differ from a
-    sum over its entries as given by more than the tail bound.
+    immutable.  Beside the points it keeps kernel tables of the sums over
+    them (_tables): the lattice lines of each (stop, split) a sum took
+    (_lines) and, for by-parity sums, the one-hot classes of the heads per
+    split mode (_onehot).  Each is built on the first sum that needs it
+    and all are dropped when the point set grows.
+
+    A tau symmetric to 1e-10 relative is accepted and stored as the
+    average 0.5 (tau + tau^T), and theta is that of the stored average.
+    So a tau symmetric only up to rounding (U^T tau U formed in floating
+    point, say) is taken at that average, which can differ from a sum over
+    its entries as given by more than the tail bound.
     """
 
     def __init__(self, entries):
@@ -212,6 +220,7 @@ class RiemannMatrix:
         # numbers the heads of _reps by first appearance, _heads lists them
         self._head = np.zeros(0, dtype=np.int32)
         self._heads = np.zeros((0, self.g - 1))
+        self._tables = {}  # kernel tables of the sums (_lines, _onehot)
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
         # the enumeration up to the shortest one holds it after the origin;
         # its norms alone, the cached point set is built for the sums
@@ -272,6 +281,7 @@ class RiemannMatrix:
         points.setflags(write=False)
         self._points, self._point_norms = points, norms
         self._points_radius = key
+        self._tables = {}
         # n is lexicographically after -n, its first nonzero entry positive,
         # exactly when its box index is past the box centre's
         self._reps = np.flatnonzero(index >= size // 2).astype(np.int32)
@@ -547,21 +557,42 @@ def _lines(rm, stop, offset, y_last):
     y_last, R the largest ||T n|| summed, offset the largest ||T c|| and
     y_last the largest |Im z_g| of the rows, is at most _SPLIT_REACH (the
     intermediate bound of _series).  Otherwise each representative is its
-    own head of all g coordinates and top = 0.
+    own head of all g coordinates and top = 0.  The lines are kept in
+    rm._tables by (stop, split); a stop follows from a quarter-step key.
     """
+    tables = rm._tables
     count = rm._reps.searchsorted(stop)
-    head, m = rm._head[:count], rm._points[rm._reps[:count], -1]
-    top = int(np.abs(m).max())
+    if ("top", stop) not in tables:
+        tables["top", stop] = int(np.abs(rm._points[rm._reps[:count], -1])
+                                  .max())
+    top = tables["top", stop]
     reach = 2.0 * rm._point_norms[stop - 1] * offset \
         + 4.0 * np.pi * top * y_last
-    if reach > _SPLIT_REACH:
-        heads = rm._points[rm._reps[:count]].astype(float)
-        head, m, top = np.arange(count), 0, 0
-    else:
-        heads = rm._heads[:head.max() + 1]
-    lines = np.zeros((len(heads), 2 * top + 1), dtype=complex)
-    lines[head, m + top] = rm._weights[:count]
-    return heads, lines, top
+    key = ("lines", stop, bool(reach <= _SPLIT_REACH))
+    if key not in tables:
+        head, m = rm._head[:count], rm._points[rm._reps[:count], -1]
+        if key[2]:
+            heads = rm._heads[:head.max() + 1]
+        else:
+            heads = rm._points[rm._reps[:count]].astype(float)
+            head, m, top = np.arange(count), 0, 0
+        lines = np.zeros((len(heads), 2 * top + 1), dtype=complex)
+        lines[head, m + top] = rm._weights[:count]
+        tables[key] = heads, lines, top
+    return tables[key]
+
+
+def _onehot(rm, split):
+    """(2^d, heads) bool: the class of h mod 2 (eps order) of every head h
+    of d coordinates a sum of the cached point set can take, the heads of
+    _lines split (rm._heads) or unsplit (every representative).  Kept in
+    rm._tables; a call reads the prefix of its heads."""
+    key = ("onehot", split)
+    if key not in rm._tables:
+        heads = rm._heads if split else rm._points[rm._reps]
+        rm._tables[key] = _class_index(heads) \
+            == np.arange(2 ** heads.shape[1])[:, None]
+    return rm._tables[key]
 
 
 @functools.lru_cache(maxsize=None)
@@ -666,6 +697,7 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     n_hc = 2 ** d if by_parity else 1
     signs = _pair_signs(n_hc, d, deriv, n_pow, n_par)
     n_cls = n_hc * n_par
+    onehot = _onehot(rm, d < g) if by_parity else None
     outs = [np.empty((n_rows, n_cls) + (g,) * k, dtype=complex)
             for k in range(deriv + 1)]
     moduli = [np.empty((n_rows, 1) + (g,) * k)
@@ -701,9 +733,10 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
                     k, n_up, -1) * np.abs(e[:k])
                 abs_acc += (np.abs(mono) @ mods.reshape(k, -1)).reshape(
                     abs_acc.shape)
-            if by_parity:
-                onehot = _class_index(h) == np.arange(n_hc)[:, None]
-                mono = (onehot[:, None] * mono).reshape(-1, k)
+            if by_parity and deriv:
+                mono = (onehot[:, None, lo:lo + k] * mono).reshape(-1, k)
+            elif by_parity:  # times the one head weight of order 0
+                mono = onehot[:, lo:lo + k].astype(float)
             acc += (mono @ terms.reshape(k, -1).view(float)).view(complex) \
                 .reshape(acc.shape)
         # the pair {n, -n} under a weight of order k: the E term plus

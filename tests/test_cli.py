@@ -343,6 +343,28 @@ class TestErrorPaths:
         assert code == 2
         assert report["code"] == "INVALID_INPUT"
 
+    @pytest.mark.parametrize("roots, code, error", [
+        (1e4 + np.arange(7), "ILL_CONDITIONED_CURVE", "not resolved"),
+        (np.r_[np.arange(5), 1j, -1j], "INVALID_INPUT", "must be real"),
+    ], ids=["shifted-real-roots", "complex-roots"])
+    def test_unresolved_real_roots_are_ill_conditioned(
+            self, capsys, tmp_path, roots, code, error):
+        """np.roots leaves imaginary parts up to 121 on the real roots
+        1e4..1e4+6 of the expanded f, within a few times their perturbation
+        scale: an ill-conditioned curve.  The roots +-i of the other curve
+        are 4e14 times theirs: complex branch points."""
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(
+            {"f_coeffs": np.poly(roots).real[::-1].tolist()}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exit_code, report = run_json(capsys, ["periods", "--curve",
+                                                  str(path)])
+        assert (exit_code, report["code"]) == (2, code)
+        assert error in report["error"]
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     def test_missing_file(self, capsys):
         code, report = run_json(capsys, ["periods", "--curve",
                                          "/nonexistent.json"])

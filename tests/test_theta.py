@@ -10,6 +10,7 @@ from scipy.special import gamma as gamma_fn, gammaincc
 
 from trisect.curves import period_matrix
 from trisect.errors import InvalidInput
+from trisect.gamma00 import gamma00_dimension
 from trisect.selftest import reference_curve
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
@@ -372,6 +373,98 @@ class TestErrorControl:
             heads = grown._head[:count].max() + 1
             assert np.array_equal(grown._heads[:heads], fresh._heads)
 
+    @pytest.mark.parametrize("split", [True, False],
+                             ids=["split", "unsplit"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-14])
+    def test_warm_tables_are_bitwise_fresh_ones(self, monkeypatch,
+                                                head_widths, tol, split):
+        """Sums on a matrix whose kernel tables are warm from calls at
+        other keys, orders and parities equal, to the bit, each sum on a
+        fresh matrix: at a small key, then at a larger one, whose growth
+        of the point sets drops the tables, then at the small key again."""
+        if not split:
+            theta_module = sys.modules[RiemannMatrix.__module__]
+            monkeypatch.setattr(theta_module, "_SPLIT_REACH", -1.0)
+        g = 4
+        tau = random_tau(g, 4)
+        small = np.full((2, g), 0.05) + np.array([[0.0], [0.1j]])
+        large = np.vstack([near_corner_arguments(tau, 5, 2),
+                           near_corner_arguments(tau / 2.0, 6, 2)])
+        calls = [functools.partial(f, tol=tol, deriv=deriv)
+                 for deriv in (0, 1, 2)
+                 for f in (theta_batch, second_order_basis)]
+        calls += [lambda rm, Z, deriv=deriv: _theta(rm, Z, None, tol, deriv,
+                                                    True)
+                  for deriv in (0, 1)]
+        warm = RiemannMatrix(tau)
+        radii = []
+        for Z in (small, large, small):
+            for call in calls:
+                assert_bitwise(call(warm, Z), call(RiemannMatrix(tau), Z))
+            radii.append((warm._points_radius, warm._half._points_radius))
+        assert radii[0][0] < radii[1][0] and radii[0][1] < radii[1][1]
+        assert head_widths == [g - 1 if split else g] * (2 * 3 * len(calls))
+
+    def test_one_table_per_key_and_split(self, monkeypatch):
+        """A matrix holds one lines table per (stop, split) of the sums run
+        on it and, for its by-parity sums, one one-hot class table per
+        split mode; a growth of the point set drops them all."""
+        theta_module = sys.modules[RiemannMatrix.__module__]
+        tau = random_tau(3, 3)
+        rm = RiemannMatrix(tau)
+        rm._half = half = RiemannMatrix(tau / 2.0)
+        for m in (rm, half):   # no sum below grows the point sets
+            m.lattice_points(12.0)
+        Z = near_corner_arguments(tau, 3, 2)
+        want = {rm: set(), half: set()}
+        for split in (True, False):
+            monkeypatch.setattr(theta_module, "_SPLIT_REACH",
+                                600.0 if split else -1.0)
+            for tol in (1e-6, 1e-10, 1e-14):
+                for deriv in (0, 1, 2):
+                    for f, m in ((theta_batch, rm),
+                                 (second_order_basis, half)):
+                        _, radius, _ = f(rm, Z, tol=tol, deriv=deriv)
+                        want[m].add(("lines", len(m.lattice_points(radius)),
+                                     split))
+        for m in (rm, half):
+            assert m._points_radius == 12.0
+            assert {k for k in m._tables if k[0] == "lines"} == want[m]
+        assert len(want[half]) > 2
+        assert not [k for k in rm._tables if k[0] == "onehot"]
+        for split, shape in ((True, (4, len(half._heads))),
+                             (False, (8, len(half._reps)))):
+            onehot = half._tables["onehot", split]
+            assert onehot.dtype == bool and onehot.shape == shape
+            assert np.all(onehot.sum(axis=0) == 1)
+        assert {k[0] for k in half._tables} == {"top", "lines", "onehot"}
+        half.lattice_points(13.0)
+        assert half._tables == {}
+
+    def test_gamma00_leaves_no_head_weight_table(self, monkeypatch):
+        """gamma00_dimension runs its one deriv-2 by-parity sum once per
+        matrix, so at g = 5 the one-hot classes of tau/2 are kept as bool
+        (2^(g-1), heads), and no product of them with the head weights 1,
+        h and h h^T (336 rows per head) is kept."""
+        theta_module = sys.modules[RiemannMatrix.__module__]
+        real, orders = theta_module._series, []
+
+        def spy(*args, **kwargs):
+            orders.append((args[4], kwargs.get("by_parity", False)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module, "_series", spy)
+        tau = period_matrix(reference_curve(5)).tau
+        for _ in range(2):
+            gamma00_dimension(tau)
+        assert orders == [(2, True)]
+        half = tau._half
+        assert {k[0] for k in half._tables} == {"top", "lines", "onehot"}
+        assert list(k for k in half._tables if k[0] == "onehot") \
+            == [("onehot", True)]
+        onehot = half._tables["onehot", True]
+        assert onehot.dtype == bool and onehot.shape == (16, len(half._heads))
+
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     def test_blocked_sums_match_one_block(self, monkeypatch, deriv):
         # blocks of two or three points split every class of the sums and
@@ -400,6 +493,19 @@ def absolute_sums(tau, Z, deriv):
     _, sums, _, _ = _theta(RiemannMatrix(tau), Z, None, DEFAULT_THETA_TOL,
                            deriv, True)
     return np.stack(sums)
+
+
+def assert_bitwise(got, want):
+    """got and want, nested lists and tuples of arrays and floats, are
+    equal to the bit."""
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_bitwise(a, b)
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def random_tau(g, seed):
