@@ -47,13 +47,18 @@ on Theta I, Ch. II), so each pair {n, -n} is summed once.
 
 The sum runs one lattice line at a time, the recursive one-coordinate form
 of the ellipsoid sum of Deconinck et al.: n = (h, m) splits into its head h
-(the first g - 1 coordinates) and m, so exp(2 pi i n^T z) = E w^m with one
-exp E per head and row and w = exp(2 pi i z_g); the sum over m is a complex
+(the first g - 1 coordinates) and m, so exp(2 pi i n^T z) = E w^m with
+E = exp(2 pi i h^T z') and w = exp(2 pi i z_g); the sum over m is a complex
 matrix product with the powers of w, and the pair {n, -n} is paired at the
-head, E (...) + E^-1 (...).  The split factors can leave floating range on
-a skewed tau (Frauendiener, Jaber & Klein, J. Geom. Phys. 141 (2019),
-reduce such a tau first), so a proven bound on their exponents guards the
-split: past it, each representative is its own head, one exp per pair.
+head, E (...) + E^-1 (...).  E is a product of the powers exp(2 pi i j z_c),
+a few dozen per row, which one exp forms per block of rows, as in the
+recursion of Deconinck et al.: the coordinates of h split into two groups,
+each group's powers multiply out into one table, and E and E^-1 are each
+the product of one entry of either table (_power_layout).  The split
+factors and the tables can leave floating range on a skewed tau
+(Frauendiener, Jaber & Klein, J. Geom. Phys. 141 (2019), reduce such a tau
+first), so a proven bound on their exponents guards the split: past it,
+each representative is its own head, one exp per pair.
 
 The second-order basis theta[eps/2, 0](2 tau, 2 z) is the part of
 theta(z; tau/2) summed over m = eps (mod 2): one series on tau/2 grouped by
@@ -102,10 +107,11 @@ _TWO_PI_I = 2j * np.pi
 _SQRT_PI = math.sqrt(math.pi)
 
 
-#: Lattice points x (rows + term weights) per block of a theta sum, and box
-#: points per enumeration slab: a call's working memory is bounded at any
-#: radius.  The kernel tables a matrix keeps (RiemannMatrix._tables) grow
-#: with the radius of its point set, as the point set does.
+#: Lattice points x (rows + term weights) per block of a theta sum, four
+#: times the power-table entries of a block of rows, and box points per
+#: enumeration slab: a call's working memory is bounded at any radius.
+#: The kernel tables a matrix keeps (RiemannMatrix._tables) grow with the
+#: radius of its point set, as the point set does.
 _BLOCK = 1 << 16
 
 
@@ -170,9 +176,11 @@ class RiemannMatrix:
     series, and per-matrix results of other modules; the entries are
     immutable.  Beside the points it keeps kernel tables of the sums over
     them (_tables): the lattice lines of each (stop, split) a sum took
-    (_lines) and, for by-parity sums, the one-hot classes of the heads per
-    split mode (_onehot).  Each is built on the first sum that needs it
-    and all are dropped when the point set grows.
+    (_lines), their moduli for absolute sums, the heads' entries in the
+    power tables for split sums (_powers) and, for by-parity sums, the
+    one-hot classes of the heads per split mode (_onehot).  Each is built
+    on the first sum that needs it and all are dropped when the point set
+    grows.
 
     A tau symmetric to 1e-10 relative is accepted and stored as the
     average 0.5 (tau + tau^T), and theta is that of the stored average.
@@ -548,31 +556,38 @@ def _nearest_translates(rm, W):
 _SPLIT_REACH = 600.0
 
 
-def _lines(rm, stop, offset, y_last):
+def _lines(rm, stop, offset, y_max):
     """The summed representatives, those in lattice_points(...)[:stop], as
     lattice lines: (heads, lines, top), the representative (heads[j], m)
     with weight lines[j, top + m], -top <= m <= top.
 
-    The heads are the first g - 1 coordinates while 2 R offset + 4 pi top
-    y_last, R the largest ||T n|| summed, offset the largest ||T c|| and
-    y_last the largest |Im z_g| of the rows, is at most _SPLIT_REACH (the
-    intermediate bound of _series).  Otherwise each representative is its
-    own head of all g coordinates and top = 0.  The lines are kept in
-    rm._tables by (stop, split); a stop follows from a quarter-step key.
+    The heads are the first g - 1 coordinates while both bounds of _series
+    on the factors of a split sum are at most _SPLIT_REACH: 2 R offset
+    + 4 pi top y_g, R the largest ||T n|| summed, offset the largest
+    ||T c|| of the rows and top the largest |m| summed, and 2 pi (top_1
+    y_1 + ... + top_(g-1) y_(g-1)), top_c the largest |h_c| summed and
+    y_c = y_max[c] the largest |Im z_c| of the rows.  Otherwise each
+    representative is its own head of all g coordinates and top = 0.  The
+    lines are kept in rm._tables by (stop, split), beside the tops and the
+    number of the split heads by stop; a stop follows from a quarter-step
+    key.
     """
     tables = rm._tables
     count = rm._reps.searchsorted(stop)
     if ("top", stop) not in tables:
-        tables["top", stop] = int(np.abs(rm._points[rm._reps[:count], -1])
-                                  .max())
-    top = tables["top", stop]
-    reach = 2.0 * rm._point_norms[stop - 1] * offset \
-        + 4.0 * np.pi * top * y_last
+        heads = rm._heads[:rm._head[:count].max() + 1]
+        tables["top", stop] = (
+            int(np.abs(rm._points[rm._reps[:count], -1]).max()),
+            np.abs(heads).max(axis=0).tolist(), len(heads))
+    top, tops, n_heads = tables["top", stop]
+    reach = max(2.0 * rm._point_norms[stop - 1] * offset
+                + 4.0 * np.pi * top * y_max[-1],
+                2.0 * np.pi * sum(t * y for t, y in zip(tops, y_max)))
     key = ("lines", stop, bool(reach <= _SPLIT_REACH))
     if key not in tables:
         head, m = rm._head[:count], rm._points[rm._reps[:count], -1]
         if key[2]:
-            heads = rm._heads[:head.max() + 1]
+            heads = rm._heads[:n_heads]
         else:
             heads = rm._points[rm._reps[:count]].astype(float)
             head, m, top = np.arange(count), 0, 0
@@ -580,6 +595,62 @@ def _lines(rm, stop, offset, y_last):
         lines[head, m + top] = rm._weights[:count]
         tables[key] = heads, lines, top
     return tables[key]
+
+
+def _powers(rm, stop, heads):
+    """(index, exps, coords, factors): the power tables of the head factors
+    of a split sum over the heads (K, d) of _lines(...)[:stop], their
+    layout from _power_layout and index (2, K) int32, each head's entries
+    in the two group tables.  Kept in rm._tables by stop."""
+    key = ("powers", stop)
+    if key not in rm._tables:
+        strides, shift, *layout = _power_layout(
+            tuple(rm._tables["top", stop][1]))
+        rm._tables[key] = ((heads @ strides + shift).T.astype(np.int32),
+                           *layout)
+    return rm._tables[key]
+
+
+@functools.lru_cache(maxsize=None)
+def _power_layout(tops):
+    """The layout of the power tables of the head factors E = exp(2 pi i
+    h^T z') for heads h with |h_c| <= tops[c]: (strides, shift, exps,
+    coords, factors).
+
+    The powers P_c[j] = exp(2 pi i j z_c), -top_c <= j <= top_c, of every
+    head coordinate c, and a last power 1, are exp(exps z[coords]).  The
+    coordinates split into two groups, the first ceil(d/2) and the rest; a
+    group's table holds the products of one power of each of its
+    coordinates, in the row-major order of their exponents, so -j sits at
+    size - 1 - i where j sits at i; an empty group's table is the one
+    power 1.  factors (width, S, 2) lists for each entry of the two
+    tables, laid end to end, the powers whose product it is, and those of
+    the negated exponents.  A head's entries in the two tables are
+    h^T strides + shift, and E is the product of the two.
+    """
+    d = len(tops)
+    half = (d + 1) // 2
+    sizes = 2 * np.array(tops, dtype=int) + 1
+    starts = np.append(0, np.cumsum(sizes))
+    exps = _TWO_PI_I * np.concatenate(
+        [np.arange(size) - size // 2 for size in sizes] + [[0]])
+    coords = np.append(np.repeat(np.arange(d), sizes), 0)
+    strides = np.zeros((d, 2))
+    factors = []
+    for k, group in enumerate((np.arange(half), np.arange(half, d))):
+        shape = sizes[group]
+        size = int(np.prod(shape))
+        entries = np.full((max(half, 1), size), starts[-1])
+        entries[:len(group)] = np.indices(shape).reshape(-1, size) \
+            + starts[group][:, None]
+        factors.append(np.stack([entries, entries[:, ::-1]], axis=-1))
+        strides[group, k] = size // np.cumprod(shape)
+    shift = (sizes // 2) @ strides + [0, factors[0].shape[1]]
+    layout = (strides, shift, exps[:, None], coords,
+              np.concatenate(factors, axis=1))
+    for array in layout:
+        array.setflags(write=False)
+    return layout
 
 
 def _onehot(rm, split):
@@ -650,26 +721,38 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     h^T z') and w = exp(2 pi i z_g).  With C[h, m] = e^q (zero where (h, m)
     is not summed) and V[m, r] = w_r^m over -M <= m <= M, the pairs of
     head h sum at row r to E (C V) + (-1)^k E^-1 (C V[::-1]), V[::-1] the
-    powers w^-m: one exp per head and row, and complex matrix products for
-    the inner sums.  A weight splits into a head weight (1, h_k, h_k h_l)
-    and an inner weight (1, m, m^2), which scales the columns of C; the
-    head weights reduce over the heads in one real matrix product.  With
-    ``by_parity`` the class of (h, m) is 2 class(h) + (m mod 2): the
+    powers w^-m, with complex matrix products for the inner sums.  E and
+    E^-1 come from power tables (_power_layout): per block of rows, one exp
+    forms exp(2 pi i j z_c) for every head coordinate c and |j| <= top_c,
+    the largest |h_c| summed; the powers multiply out into one table per
+    group of coordinates, each entry beside that of the negated exponents,
+    and one gather of a head's entry in either table, and one product,
+    give E and E^-1 at once.  A weight splits into a head weight (1, h_k,
+    h_k h_l) and an inner weight (1, m, m^2), which scales the columns of
+    C; the head weights reduce over the heads in one real matrix product.
+    With ``by_parity`` the class of (h, m) is 2 class(h) + (m mod 2): the
     columns of C are masked by the parity of m, and the head weights are
     taken once per class of h.
 
-    Intermediate bound: every factor E, E^-1 and w^(+-m), and every product
-    of them, is exp(x) with |Re x| <= 2 R offset + 4 pi M max |Im z_g|,
-    R the largest ||T n|| summed, since |2 pi n^T Im z| <= 2 ||T n|| ||T c||.
-    The split is taken only while that bound is at most _SPLIT_REACH = 600,
-    inside floating range.  Otherwise each representative is its own head
-    of all g coordinates and the inner range is {0}: the same code with one
-    exp per pair, whose exponents stay below 2 R offset.
+    Intermediate bounds: every factor E, E^-1 and w^(+-m), and every
+    product of them, is exp(x) with |Re x| <= 2 R offset + 4 pi M
+    max |Im z_g|, R the largest ||T n|| summed, since |2 pi n^T Im z|
+    <= 2 ||T n|| ||T c||; and a table also holds products that are no
+    head, but each entry of either table, and each product of two, is
+    exp(x) with |Re x| <= 2 pi (top_1 max |Im z_1| + ... + top_(g-1)
+    max |Im z_(g-1)|).  The split is taken only while both bounds are at
+    most _SPLIT_REACH = 600, inside floating range.  Otherwise each
+    representative is its own head of all g coordinates and the inner
+    range is {0}: the same code with one exp per pair, whose exponents
+    stay below 2 R offset.  A block holds at most _BLOCK / (8 S) rows, S
+    the entries of the two tables, so its tables, each entry beside its
+    negated one, stay within _BLOCK / 4 entries.
 
     With ``absolute`` (one class only) the pass also sums the moduli of the
     terms, (2 pi)^k |n_i ...| |term| per entry of order k: over a pair
-    |e^q| (|e| + 1/|e|), the same sums on |C|, |V|, |E| and |weight|.  They
-    add a quarter to a one-row call, so only callers that read them ask.
+    |e^q| (|e| + 1/|e|), the same sums on |C| (kept beside the lines),
+    |V|, |E| (from the moduli of the power tables) and |weight|.  They add
+    a quarter to a one-row call, so only callers that read them ask.
     Returns (results, moduli or None, radius, tail_bound).
     """
     y = Z_red.imag
@@ -682,9 +765,16 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
     stop = len(rm.lattice_points(radius))  # may rebuild the caches
     heads, lines, top = _lines(rm, stop, offset,
-                               float(np.abs(y[:, -1]).max(initial=0.0)))
+                               np.abs(y).max(axis=0).tolist())
     n_rows, g = Z_red.shape
     d = heads.shape[1]
+    if d < g:
+        index, exps, coords, factors = _powers(rm, stop, heads)
+    if absolute:  # |C|, kept beside the lines
+        key = ("moduli", stop, d < g)
+        if key not in rm._tables:
+            rm._tables[key] = np.abs(lines)
+        abs_lines = rm._tables[key]
     # the inner weights m^k (k <= deriv on a split sum, only 1 on an
     # unsplit one) under the masks of m mod n_par (every m without
     # by_parity); the class of (h, m) is (class of h) n_par + m mod n_par
@@ -702,35 +792,58 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
             for k in range(deriv + 1)]
     moduli = [np.empty((n_rows, 1) + (g,) * k)
               for k in range(deriv + 1)] if absolute else None
-    step = max(_BLOCK // (n_up * (min(n_rows, 128) + len(ms))), 1)
-    for start in range(0, n_rows, 128):
-        rows = slice(start, min(start + 128, n_rows))
+    block = 128 if d == g \
+        else min(128, max(_BLOCK // (8 * factors.shape[1]), 1))
+    step = max(_BLOCK // (n_up * (min(n_rows, block) + len(ms))), 1)
+    for start in range(0, n_rows, block):
+        rows = slice(start, min(start + block, n_rows))
         n_b = rows.stop - start
         # w^m, then w^-m, of each row under every inner weight
         V = (inner * np.exp(ms * Z_red[rows, -1])[:, None]).reshape(
             len(ms), -1)
-        e = np.empty((min(step, len(heads)), 1, 2 * n_b), dtype=complex)
+        e = np.empty((min(step, len(heads)), 2, n_b), dtype=complex)
         acc = np.zeros((n_hc * n_mono, n_up, 2, n_b), dtype=complex)
         if absolute:
-            abs_lines, abs_V = np.abs(lines), np.abs(V)
+            abs_V = np.abs(V)
             abs_acc = np.zeros((n_mono,) + acc.shape[1:])
+        if d < g:
+            # the entries of the two group tables, each beside that of the
+            # negated exponents: (S, 2, n_b)
+            powers = np.exp(exps * Z_red.T[coords, rows])
+            tables = powers.take(factors[0], axis=0)
+            for f in factors[1:]:
+                tables *= powers.take(f, axis=0)
+            abs_tables = np.abs(tables) if absolute else None
         for lo in range(0, len(heads), step):
             h = heads[lo:lo + step]
             k = len(h)
-            # keep an elementwise op between the BLAS product and exp: exp
-            # fed straight from it ran 3-4x slower on 2-vCPU x86 (AVX-SSE)
-            e[:k, 0, :n_b] = np.exp(_TWO_PI_I * (h @ Z_red[rows, :d].T))
-            np.divide(1.0, e[:k, 0, :n_b], out=e[:k, 0, n_b:])
+            e_k = e[:k]
+            if d < g:  # E, then E^-1, from one entry of each group table
+                first, second = index[:, lo:lo + k]
+                tables.take(first, axis=0, out=e_k)
+                e_k *= tables.take(second, axis=0)
+            else:
+                # keep an elementwise op between the BLAS product and exp:
+                # exp fed straight from it ran 3-4x slower on 2-vCPU x86
+                # (AVX-SSE)
+                e_k[:, 0] = np.exp(_TWO_PI_I * (h @ Z_red[rows].T))
+                np.divide(1.0, e_k[:, 0], out=e_k[:, 1])
             # E (C V) and E^-1 (C V[::-1]) under every inner weight
-            terms = (lines[lo:lo + step] @ V).reshape(k, n_up, -1) * e[:k]
+            terms = (lines[lo:lo + step] @ V).reshape(k, n_up, -1) \
+                * e_k.reshape(k, 1, -1)
             mono = np.ones((n_mono, k))
             if deriv >= 1:
                 mono[1:1 + d] = h.T
             if deriv >= 2:
                 mono[1 + d:] = (h.T[:, None] * h.T).reshape(d * d, k)
+            if absolute and d < g:
+                abs_e = abs_tables.take(first, axis=0)
+                abs_e *= abs_tables.take(second, axis=0)
+            elif absolute:
+                abs_e = np.abs(e_k)
             if absolute:
                 mods = (abs_lines[lo:lo + step] @ abs_V).reshape(
-                    k, n_up, -1) * np.abs(e[:k])
+                    k, n_up, -1) * abs_e.reshape(k, 1, -1)
                 abs_acc += (np.abs(mono) @ mods.reshape(k, -1)).reshape(
                     abs_acc.shape)
             if by_parity and deriv:

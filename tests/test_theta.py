@@ -407,8 +407,10 @@ class TestErrorControl:
 
     def test_one_table_per_key_and_split(self, monkeypatch):
         """A matrix holds one lines table per (stop, split) of the sums run
-        on it and, for its by-parity sums, one one-hot class table per
-        split mode; a growth of the point set drops them all."""
+        on it, for its absolute sums the moduli of those lines, for its
+        split sums the heads' entries in the power tables per stop and,
+        for its by-parity sums, one one-hot class table per split mode; a
+        growth of the point set drops them all."""
         theta_module = sys.modules[RiemannMatrix.__module__]
         tau = random_tau(3, 3)
         rm = RiemannMatrix(tau)
@@ -416,7 +418,7 @@ class TestErrorControl:
         for m in (rm, half):   # no sum below grows the point sets
             m.lattice_points(12.0)
         Z = near_corner_arguments(tau, 3, 2)
-        want = {rm: set(), half: set()}
+        want, moduli = {rm: set(), half: set()}, set()
         for split in (True, False):
             monkeypatch.setattr(theta_module, "_SPLIT_REACH",
                                 600.0 if split else -1.0)
@@ -427,17 +429,26 @@ class TestErrorControl:
                         _, radius, _ = f(rm, Z, tol=tol, deriv=deriv)
                         want[m].add(("lines", len(m.lattice_points(radius)),
                                      split))
+                    radius = _theta(rm, Z, None, tol, deriv, True)[2]
+                    stop = len(rm.lattice_points(radius))
+                    want[rm].add(("lines", stop, split))
+                    moduli.add(("moduli", stop, split))
         for m in (rm, half):
             assert m._points_radius == 12.0
             assert {k for k in m._tables if k[0] == "lines"} == want[m]
+            assert {k for k in m._tables if k[0] == "powers"} \
+                == {("powers", k[1]) for k in want[m] if k[2]}
         assert len(want[half]) > 2
+        assert {k for k in rm._tables if k[0] == "moduli"} == moduli
+        assert not [k for k in half._tables if k[0] == "moduli"]
         assert not [k for k in rm._tables if k[0] == "onehot"]
         for split, shape in ((True, (4, len(half._heads))),
                              (False, (8, len(half._reps)))):
             onehot = half._tables["onehot", split]
             assert onehot.dtype == bool and onehot.shape == shape
             assert np.all(onehot.sum(axis=0) == 1)
-        assert {k[0] for k in half._tables} == {"top", "lines", "onehot"}
+        assert {k[0] for k in half._tables} \
+            == {"top", "lines", "onehot", "powers"}
         half.lattice_points(13.0)
         assert half._tables == {}
 
@@ -459,7 +470,8 @@ class TestErrorControl:
             gamma00_dimension(tau)
         assert orders == [(2, True)]
         half = tau._half
-        assert {k[0] for k in half._tables} == {"top", "lines", "onehot"}
+        assert {k[0] for k in half._tables} \
+            == {"top", "lines", "onehot", "powers"}
         assert list(k for k in half._tables if k[0] == "onehot") \
             == [("onehot", True)]
         onehot = half._tables["onehot", True]
@@ -749,6 +761,37 @@ class TestSplitBound:
         assert head_widths == [1, 2]
         assert np.all(np.abs(got - want) <= tail + tail_skewed)
 
+    def test_no_split_past_the_tables_bound(self, monkeypatch, head_widths):
+        # U^T tau U skews the head coordinates alone, U = [[11, 4], [8, 3]]
+        # on the first two.  The split factors stay far inside
+        # _SPLIT_REACH, but the power tables of the heads would hold
+        # exp(x) with |Re x| up to 2 pi sum_c top_c max |Im z_c| past it,
+        # even with top_c the largest |n_c| summed: the sum runs unsplit.
+        # tau and z on a 2^-8 grid make U^T tau U and U^T z exact.
+        theta_module = sys.modules[RiemannMatrix.__module__]
+        real, reach = theta_module._lines, []
+
+        def spy(rm, stop, offset, y_max):
+            n = np.abs(rm._points[:stop])
+            reach.append((2.0 * rm._point_norms[stop - 1] * offset
+                          + 4.0 * np.pi * n[:, -1].max() * y_max[-1],
+                          2.0 * np.pi * (n[:, :-1].max(axis=0)
+                                         @ y_max[:-1])))
+            return real(rm, stop, offset, y_max)
+
+        monkeypatch.setattr(theta_module, "_lines", spy)
+        tau = np.round(TAU3 * 256.0) / 256.0
+        U = np.eye(3, dtype=int)
+        U[:2, :2] = [[11, 4], [8, 3]]
+        rng = np.random.default_rng(3)
+        Z = np.round(256.0 * (rng.standard_normal((4, 3))
+                              + 0.4j * rng.standard_normal((4, 3)))) / 256.0
+        (want,), _, tail = theta_batch(tau, Z)
+        (got,), _, tail_skewed = theta_batch(U.T @ tau @ U, Z @ U)
+        assert head_widths == [2, 3]
+        assert reach[1][0] <= 600.0 < reach[1][1]
+        assert np.all(np.abs(got - want) <= tail + tail_skewed)
+
     @pytest.mark.parametrize("by_parity", [False, True],
                              ids=["one-class", "by-parity"])
     @pytest.mark.parametrize("deriv", [0, 1, 2])
@@ -772,6 +815,77 @@ class TestSplitBound:
                                        atol=1e-13 * np.max(np.abs(want)))
         for got, want in zip(whole[1] or [], moduli or []):
             np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def direct_jets(rm, Z, radius, deriv, by_parity):
+    """The jets _series sums at the reduced arguments Z (rows, g) over
+    lattice_points(radius), each term exp(i pi n^T tau n + 2 pi i n^T z)
+    formed by one exp of its whole exponent, and per row the largest
+    modulus of an exponent and the sums A_k of |term| (2 pi max |n_i|)^k
+    over the points."""
+    n = rm.lattice_points(radius).astype(float)
+    g = n.shape[1]
+    tau = rm.entries
+    expo = 1j * np.pi * np.einsum("ng,gh,nh->n", n, tau, n)[:, None] \
+        + 2j * np.pi * n @ Z.T
+    terms = np.exp(expo)
+    classes = (n % 2) @ (2.0 ** np.arange(g)[::-1]) if by_parity \
+        else np.zeros(len(n))
+    onehot = classes[:, None] == np.arange(2 ** g if by_parity else 1)
+    jets = [terms.T @ onehot]
+    if deriv >= 1:
+        jets.append(2j * np.pi * np.stack(
+            [(terms * n[:, [i]]).T @ onehot for i in range(g)], axis=-1))
+    if deriv >= 2:
+        jets.append((2j * np.pi) ** 2 * np.stack(
+            [np.stack([(terms * (n[:, i] * n[:, j])[:, None]).T @ onehot
+                       for j in range(g)], axis=-1) for i in range(g)],
+            axis=-2))
+    scale = 2.0 * np.pi * np.abs(n).max(axis=1)[:, None]
+    sums = [(np.abs(terms) * scale ** k).sum(axis=0)
+            for k in range(deriv + 1)]
+    return jets, np.abs(expo).max(axis=0), sums
+
+
+class TestHeadFactors:
+    """Split sums, whose head factors come from per-coordinate power
+    tables, against sums that form every term with one exp."""
+
+    @pytest.mark.parametrize("half", [False, True], ids=["tau", "tau/2"])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_jets_match_direct_exp(self, g, half, head_widths):
+        """Every entry of order k agrees within 2 u |x| A_k, u the unit
+        roundoff, |x| the largest modulus of an exponent and A_k the sum
+        of the moduli of the order-k terms: each side rounds every term
+        by about u |x| of its size (the largest ratio measured is 0.22).
+        The rows compared lie either side of the first block boundary of
+        the 130-row calls and of row 128."""
+        theta_module = sys.modules[RiemannMatrix.__module__]
+        tau = period_matrix(reference_curve(g)).tau.entries
+        rm = RiemannMatrix(tau / 2.0 if half else tau)
+        rng = np.random.default_rng(g)
+        Z = rng.uniform(-0.5, 0.5, (130, g)) \
+            + rng.uniform(-0.5, 0.5, (130, g)) @ rm.entries.T
+        Z_red, _, offset_sq, _ = _nearest_translates(rm, Z)
+        u = np.finfo(float).eps / 2.0
+        for by_parity in (False, True):
+            for deriv in (0, 1, 2):
+                jet, _, radius, _ = _series(rm, Z_red, offset_sq, 1e-8,
+                                            deriv, by_parity)
+                # a block holds _BLOCK / (8 S) rows, at most 128, S the
+                # entries of the power tables
+                stop = len(rm.lattice_points(radius))
+                size = rm._tables["powers", stop][3].shape[1]
+                block = min(128, theta_module._BLOCK // (8 * size))
+                rows = sorted({0, block - 1, block, 127, 128, 129})
+                want, reach, sums = direct_jets(rm, Z_red[rows], radius,
+                                                deriv, by_parity)
+                for k, (got, w) in enumerate(zip(jet, want)):
+                    err = np.abs(got[rows] - w).reshape(len(w), -1)
+                    bound = 2.0 * u * reach * sums[k]
+                    assert np.all(err.max(axis=1) <= bound), (by_parity,
+                                                             deriv, k)
+        assert head_widths == [g - 1] * 6
 
 
 def near_corner_arguments(tau, seed, rows):
@@ -924,6 +1038,10 @@ def mp_theta_jet(tau, z, a, b):
     half = np.sqrt(R2 / np.pi * np.diag(np.linalg.inv(Y)))
     ranges = [range(int(np.floor(c - h)), int(np.ceil(c + h)) + 1)
               for c, h in zip(center, half)]
+    # of the box, the points whose terms are within exp(-R2) of the largest
+    box = np.array(list(itertools.product(*ranges)), dtype=float)
+    dist = box + a - center
+    box = box[np.pi * np.einsum("ng,gh,nh->n", dist, Y, dist) <= R2]
     with mpmath.workdps(30):
         T = [[mpmath.mpc(complex(tau[i, j])) for j in range(g)]
              for i in range(g)]
@@ -932,7 +1050,7 @@ def mp_theta_jet(tau, z, a, b):
         value = mpmath.mpc(0)
         grad = [mpmath.mpc(0)] * g
         hess = [[mpmath.mpc(0)] * g for _ in range(g)]
-        for n in itertools.product(*ranges):
+        for n in box:
             x = [mpmath.mpf(n[i]) + mpmath.mpf(a[i]) for i in range(g)]
             quad = sum(x[i] * T[i][j] * x[j]
                        for i in range(g) for j in range(g))
@@ -978,6 +1096,19 @@ class TestMpmathOracle:
                 assert np.max(np.abs(got[k] - want)) \
                     <= tail + 1e-13 * np.max(np.abs(want))
 
+
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_jet_matches_mpmath_on_the_reference_curve(self, g):
+        # one point of the cell, summed from power tables of 3 and 4 head
+        # coordinates in two groups
+        tau = period_matrix(reference_curve(g)).tau.entries
+        rng = np.random.default_rng(g)
+        z = rng.uniform(-0.5, 0.5, g) + rng.uniform(-0.5, 0.5, g) @ tau.T
+        jet, _, tail = theta_batch(tau, z, deriv=2)
+        zero = np.zeros(g)
+        for got, want in zip(jet, mp_theta_jet(tau, z, zero, zero)):
+            assert np.max(np.abs(got - want)) \
+                <= tail + 1e-13 * np.max(np.abs(want))
 
     def test_tail_bound_holds_at_far_argument(self):
         # z + m + tau p with p = (1, -1): the quasi-periodic prefactor
