@@ -12,6 +12,7 @@ upper incomplete gamma function.  Its order g/2 is an integer or a
 half-integer, where Q has a closed form (NIST DLMF 8.4): Q(k, x) = e^-x
 times the sum of x^j / j! over j < k, and Q(1/2, x) = erfc(sqrt x) raised
 by Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) (_gammaincc_half).
+Each lattice point enters a matrix's cache once, in a shell (_ball).
 
 A characteristic [a, b] is folded into the argument, theta[a, b](z)
 = exp(i pi a^T tau a + 2 pi i a^T (z + b)) theta(z + b + tau a).
@@ -26,10 +27,9 @@ corners of the rounding cell, where half-periods sit, the two differ
 (the 20 rows of the genus-5 Riemann-constant certificate: largest offset
 3.10 after rounding, 1.53 at the nearest translates).  Rounding stays
 the one reduction; the nearest translate is an exact search over the
-lattice points with ||T n|| <= 2 ||T c|| (the short-vector search of
-Fincke & Pohst, Math. Comp. 44 (1985)), needed only for rows farther
-than rho / 2, half the shortest lattice vector: nearer rows are nearest
-already.  The translate is applied to the reduction's lattice part, so
+cached lattice points with ||T n|| <= 2 ||T c||, needed only for rows
+farther than rho / 2, half the shortest lattice vector: nearer rows are
+nearest already.  The translate is applied to the reduction's lattice part, so
 the exact prefactors and the tau/2 class relabelling follow it.  The
 basis does not enter the translate, the radius or the summed set; on a
 skewed tau only the coordinates of n and of the lattice part p grow, and
@@ -107,11 +107,9 @@ _TWO_PI_I = 2j * np.pi
 _SQRT_PI = math.sqrt(math.pi)
 
 
-#: Lattice points x (rows + term weights) per block of a theta sum, four
-#: times the power-table entries of a block of rows, and box points per
-#: enumeration slab: a call's working memory is bounded at any radius.
-#: The kernel tables a matrix keeps (RiemannMatrix._tables) grow with the
-#: radius of its point set, as the point set does.
+#: Lattice points x (rows + term weights) per block of a theta sum, and
+#: four times the power-table entries of a block of rows: a sum's working
+#: memory is bounded at any radius.
 _BLOCK = 1 << 16
 
 
@@ -172,15 +170,15 @@ def _i_pi_quadratic(rm, n):
 class RiemannMatrix:
     """A g x g complex symmetric matrix with positive definite imaginary part.
 
-    Caches the Cholesky data and the lattice points used by the theta
-    series, and per-matrix results of other modules; the entries are
-    immutable.  Beside the points it keeps kernel tables of the sums over
-    them (_tables): the lattice lines of each (stop, split) a sum took
-    (_lines), their moduli for absolute sums, the heads' entries in the
-    power tables for split sums (_powers) and, for by-parity sums, the
-    one-hot classes of the heads per split mode (_onehot).  Each is built
-    on the first sum that needs it and all are dropped when the point set
-    grows.
+    Caches the Cholesky data, the lattice points enumerated in shells
+    (_build) and the prefix of them the theta series sum (lattice_points),
+    and per-matrix results of other modules; the entries are immutable.
+    Beside the points it keeps kernel tables of the sums (_tables): the
+    lattice lines of each (stop, split) a sum took (_lines), their moduli
+    for absolute sums, the heads' entries in the power tables for split
+    sums (_powers) and, for by-parity sums, the one-hot classes of the
+    heads per split mode (_onehot).  Each is built on the first sum that
+    needs it and all are dropped when the summed prefix grows.
 
     A tau symmetric to 1e-10 relative is accepted and stored as the
     average 0.5 (tau + tau^T), and theta is that of the stored average.
@@ -211,14 +209,16 @@ class RiemannMatrix:
         self._imag_inv = np.linalg.inv(entries.imag)
         # T with ||T v||^2 = pi v^T Im(tau) v
         self._chol = np.linalg.cholesky(np.pi * entries.imag).T
-        # ||T n|| <= r bounds |n_i| by r times the norm of row i of T^-1
-        self._box_rates = np.linalg.norm(np.linalg.inv(self._chol),
-                                         axis=1).tolist()
+        # L_ii and -L_ij / L_ii, pi Im(tau) = L^T L, L lower-triangular
+        lower = np.linalg.cholesky(np.pi * entries.imag[::-1, ::-1]).T
+        self._diag = lower.diagonal()[::-1]
+        self._shift = lower[::-1, ::-1] / -self._diag[:, None]
         self._split = None  # _split of tau for the int16 range
-        self._search = None  # _search_points
-        self._points = np.zeros((0, self.g), dtype=np.int16)  # by ||T n||
-        self._point_norms = np.zeros(0)
-        self._points_radius = -1.0  # _points is complete up to this norm
+        # the points enumerated, by ||T n||, and the prefix _points the sums
+        # read, with the arrays below, each complete up to its radius
+        self._ball_points = self._points = np.zeros((0, self.g), np.int16)
+        self._ball_norms = self._point_norms = np.zeros(0)
+        self._ball_radius = self._points_radius = -1.0
         # one point of each pair {n, -n}: the origin and every n whose first
         # nonzero entry is positive, as ascending indices into _points
         self._reps = np.zeros(0, dtype=np.int32)
@@ -227,13 +227,12 @@ class RiemannMatrix:
         # the head of n = (h, m) is h, its first g - 1 coordinates: _head
         # numbers the heads of _reps by first appearance, _heads lists them
         self._head = np.zeros(0, dtype=np.int32)
-        self._heads = np.zeros((0, self.g - 1))
+        self._heads = np.zeros((0, self.g - 1), dtype=np.int16)
         self._tables = {}  # kernel tables of the sums (_lines, _onehot)
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
-        # the enumeration up to the shortest one holds it after the origin;
-        # its norms alone, the cached point set is built for the sums
-        self._rho = float(self._ball(_quarter(np.min(np.linalg.norm(
-            self._chol, axis=0))))[1][1])
+        # the points up to the shortest one hold it after the origin
+        self._build(_quarter(np.min(np.linalg.norm(self._chol, axis=0))))
+        self._rho = float(self._ball_norms[1])
         # least singular value of T, for the derivative tail bounds
         self._smin = float(np.linalg.svd(self._chol, compute_uv=False)[-1])
         # the factor of the tail bound that depends on the matrix only
@@ -242,69 +241,86 @@ class RiemannMatrix:
         self._half = None  # RiemannMatrix(tau / 2), for second_order_basis
         self._gamma00_conditions = None  # gamma00._condition_data
 
-    def _ball(self, key):
-        """(points, norms, index, shape): the integer points n (int16) with
-        ||T n|| <= key and their norms, sorted by ||T n|| (a stable sort of
-        the box order, so ties keep it), with their lexicographic indices
-        in their bounding box of that shape.  The box is scanned in slabs
-        of _BLOCK points, so the memory is bounded at any radius; the
-        points of a smaller key are a prefix, bitwise, of a larger key's.
+    def _ball(self, inner, outer):
+        """(points, norms) of the n (int16) with inner < ||T n|| <= outer,
+        each bound with a 1e-12 slack, by ||T n|| and lexicographically on
+        ties.  A Fincke-Pohst walk (Math. Comp. 44 (1985)) lists the ball in
+        lexicographic order: the n_i extending a prefix n_1..n_(i-1) form an
+        interval around -(L_i1 n_1 + ... + L_i(i-1) n_(i-1)) / L_ii.  Its
+        radius is widened past its rounding; the norms of T n decide.
         """
-        shape = tuple(2 * math.floor(key * rate) + 1
-                      for rate in self._box_rates)
-        size, centre = math.prod(shape), np.array(shape) // 2
-        points, norms, index = [], [], []
-        for lo in range(0, size, _BLOCK):
-            slab = np.stack(np.unravel_index(
-                np.arange(lo, min(lo + _BLOCK, size)), shape), axis=1) \
-                - centre
-            slab_norms = np.linalg.norm(slab @ self._chol.T, axis=1)
-            keep = np.flatnonzero(slab_norms <= key + 1e-12)
-            points.append(slab[keep].astype(np.int16))
-            norms.append(slab_norms[keep])
-            index.append(keep + lo)
-        norms = np.concatenate(norms)
-        order = np.argsort(norms, kind="stable")
-        return (np.concatenate(points)[order], norms[order],
-                np.concatenate(index)[order], shape)
+        diag, shift = self._diag, self._shift
+        reach = ((outer + 1e-12) * (1.0 + 1e-8)) ** 2
+        top = math.floor(math.sqrt(reach) / diag[0])
+        prefix = np.arange(-top, top + 1.0)[:, None]  # integers, as floats
+        room = reach - (diag[0] * prefix[:, 0]) ** 2
+        for i in range(1, self.g):
+            centre = prefix @ shift[i, :i]
+            width = np.sqrt(np.maximum(room, 0.0)) / diag[i]
+            lo = np.ceil(centre - width)
+            counts = (np.floor(centre + width) + 1.0 - lo).astype(np.intp)
+            ends = counts.cumsum()
+            n_i = np.arange(ends[-1]) + (lo + counts - ends).repeat(counts)
+            prefix = np.concatenate([prefix.repeat(counts, axis=0),
+                                     n_i[:, None]], axis=1)
+            if i < self.g - 1:
+                room = room.repeat(counts) \
+                    - (diag[i] * (n_i - centre.repeat(counts))) ** 2
+        image = prefix @ self._chol.T
+        norms = np.sqrt(np.add.reduce(image * image, axis=1))  # = linalg.norm
+        keep = np.flatnonzero((norms > inner + 1e-12)
+                              & (norms <= outer + 1e-12))
+        keep = keep[np.argsort(norms[keep], kind="stable")]
+        return prefix[keep].astype(np.int16), norms[keep]
 
     def lattice_points(self, radius):
         """Integer points n (int16) with ||T n|| <= radius (rounded up to a
-        quarter step), sorted by ||T n||: a prefix of the one cached point set,
-        which only a larger radius re-enumerates.  The set is symmetric under
-        n -> -n; its representatives _reps, their weights exp(i pi n^T tau n)
-        (_weights) and their heads (_head, _heads) are rebuilt with it.
+        quarter step), sorted by ||T n||: a prefix of _points, which a larger
+        radius extends, dropping the kernel tables, with the representatives
+        _reps, their weights exp(i pi n^T tau n) and heads (_head, _heads).
         """
         key = _quarter(radius)
         if key > self._points_radius:
             self._build(key)
+            start = len(self._points)
+            stop = self._ball_norms.searchsorted(key + 1e-12, side="right")
+            self._points = self._ball_points[:stop]
+            self._point_norms = self._ball_norms[:stop]
+            self._points_radius, self._tables = key, {}
+            points = self._points[start:]
+            # n >= -n lexicographically: sum sign(n_c) 2^(g - c) >= 0
+            reps = np.flatnonzero(
+                np.sign(points) @ 2.0 ** np.arange(self.g - 1, -1, -1) >= 0)
+            self._reps = np.append(self._reps, reps + start).astype(np.int32)
+            reps = points[reps]
+            self._weights = np.concatenate(
+                [self._weights, np.exp(_i_pi_quadratic(self, reps))])
+            self._weights[0] = 0.5  # the origin, the pair {0, -0}
+            # the known heads, distinct, then the new ones, sorted by value
+            # and index (a key even for the empty heads of g = 1): equal
+            # heads form a run led by their first appearance
+            heads = np.concatenate([self._heads, reps[:, :-1]])
+            order = np.lexsort((np.arange(len(heads)), *heads.T))
+            grouped = heads[order]
+            lead = np.ones(len(heads), dtype=bool)
+            lead[1:] = (grouped[1:] != grouped[:-1]).any(1)
+            firsts = np.empty_like(order)  # where each head first appears
+            firsts[order] = order[lead][lead.cumsum() - 1]
+            new = firsts == np.arange(len(heads))
+            self._head = np.concatenate([self._head, (np.cumsum(
+                new, dtype=np.int32) - 1)[firsts[len(self._heads):]]])
+            self._heads = heads[new]
         stop = self._point_norms.searchsorted(key + 1e-12, side="right")
         return self._points[:stop]
 
     def _build(self, key):
-        """Enumerate the cached point set up to ``key`` (_ball) and derive
-        its representatives, their weights and their heads."""
-        points, norms, index, shape = self._ball(key)
-        size = math.prod(shape)
-        points.setflags(write=False)
-        self._points, self._point_norms = points, norms
-        self._points_radius = key
-        self._tables = {}
-        # n is lexicographically after -n, its first nonzero entry positive,
-        # exactly when its box index is past the box centre's
-        self._reps = np.flatnonzero(index >= size // 2).astype(np.int32)
-        reps = points[self._reps]
-        self._weights = np.exp(_i_pi_quadratic(self, reps))
-        self._weights[0] = 0.5  # the origin, the pair {0, -0}
-        # a head's index in the box of the first g - 1 coordinates is the
-        # box index of n over the last width
-        keys = index[self._reps] // shape[-1]
-        firsts = np.full(size // shape[-1], len(reps), dtype=np.int32)
-        np.minimum.at(firsts, keys, np.arange(len(reps), dtype=np.int32))
-        firsts = firsts[keys]  # where each rep's head first appears
-        new = firsts == np.arange(len(reps))
-        self._head = (np.cumsum(new, dtype=np.int32) - 1)[firsts]
-        self._heads = reps[new, :-1].astype(float)
+        """Grow the enumerated points to ``key`` by a shell (_ball)."""
+        if key > self._ball_radius:
+            points, norms = self._ball(self._ball_radius, key)
+            self._ball_points = np.concatenate([self._ball_points, points])
+            self._ball_points.setflags(write=False)
+            self._ball_norms = np.concatenate([self._ball_norms, norms])
+            self._ball_radius = key
 
     def reduce(self, Z):
         """Reduce points modulo the lattice Z^g + tau Z^g by rounding.
@@ -476,27 +492,6 @@ def _pick_radius(rm, tol, offset, deriv_order):
                        tol=tol)
 
 
-def _search_points(rm, radius):
-    """(n, 2 pi n^T, ||T n||^2) of the n with ||T n|| <= radius, kept on rm
-    for the nearest-translate search and rebuilt only for a larger radius:
-    a copy of a lattice_points prefix when the cached set covers the
-    radius, else the points and norms alone of their own enumeration
-    (RiemannMatrix._ball), the same arrays bitwise."""
-    if rm._search is None or rm._search[0] < radius:
-        key = _quarter(radius)
-        if key <= rm._points_radius:
-            points = rm.lattice_points(key).copy()
-            norms = rm._point_norms[:len(points)].copy()
-        else:
-            points, norms, _, _ = rm._ball(key)
-        rm._search = (key, points,
-                      np.ascontiguousarray(2.0 * np.pi * points.T),
-                      norms, norms ** 2)
-    _, points, scaled, norms, norms_sq = rm._search
-    stop = norms.searchsorted(radius + 1e-12, side="right")
-    return points[:stop], scaled[:, :stop], norms_sq[:stop]
-
-
 def _nearest_translates(rm, W):
     """Reduce the arguments W (N, g) modulo the lattice Z^g + tau Z^g to
     the translates whose Gaussian centres are nearest the origin.
@@ -509,7 +504,8 @@ def _nearest_translates(rm, W):
     nearest, since every other translate is at least rho - rho / 2 away.
     For the others the optimum n has ||T n|| <= ||T (c - n)|| + ||T c||
     <= 2 ||T c||, so the search over the points of that norm is exact: it
-    maximises ||T c||^2 - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.
+    maximises ||T c||^2 - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.  It
+    reads them from the enumerated points, grown by a shell if need be.
 
     Unless every row is near and its lattice part zero, the residual
     W_red = W - m - tau p is then formed again with tau p exact (_split),
@@ -529,8 +525,11 @@ def _nearest_translates(rm, W):
     far = np.flatnonzero(offset_sq > rm._rho * rm._rho / 4.0)
     moved = False
     if len(far):
-        points, scaled, norms_sq = _search_points(
-            rm, 2.0 * math.sqrt(offset_sq[far].max()))
+        radius = 2.0 * math.sqrt(offset_sq[far].max())
+        rm._build(_quarter(radius))
+        stop = rm._ball_norms.searchsorted(radius + 1e-12, side="right")
+        points, norms_sq = rm._ball_points[:stop], rm._ball_norms[:stop] ** 2
+        scaled = np.ascontiguousarray(2.0 * np.pi * points.T)
         step = max(_BLOCK // len(points), 1)
         for lo in range(0, len(far), step):
             rows = far[lo:lo + step]
@@ -587,7 +586,7 @@ def _lines(rm, stop, offset, y_max):
     if key not in tables:
         head, m = rm._head[:count], rm._points[rm._reps[:count], -1]
         if key[2]:
-            heads = rm._heads[:n_heads]
+            heads = rm._heads[:n_heads].astype(float)
         else:
             heads = rm._points[rm._reps[:count]].astype(float)
             head, m, top = np.arange(count), 0, 0

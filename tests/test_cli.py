@@ -128,25 +128,31 @@ class TestConstructions:
 
     def test_fresh_curve_builds_each_lattice_cache_for_its_sums(
             self, capsys, monkeypatch, curve_file):
-        """One trisecant run on a fresh genus-3 curve builds the full
-        lattice cache (points, weights, heads) only for the theta sums: at
-        most twice for tau (kappa's certificate, then certify_secant) and
-        once for tau/2.  rho and the nearest-translate search take the
-        norms alone."""
-        built = []
-        build = RiemannMatrix._build
+        """One trisecant run on a fresh genus-3 curve enumerates each
+        lattice point of tau and of tau/2 once: the shells RiemannMatrix._ball
+        lists for a matrix follow one another out from the origin and sum
+        to its final cache, so rho and the nearest-translate search read
+        that cache and enumerate nothing of their own."""
+        shells = []
+        ball = RiemannMatrix._ball
 
-        def counted(rm, key):
-            built.append(rm)
-            build(rm, key)
+        def counted(rm, inner, outer):
+            points, norms = ball(rm, inner, outer)
+            shells.append((rm, inner, outer, len(points)))
+            return points, norms
 
-        monkeypatch.setattr(RiemannMatrix, "_build", counted)
+        monkeypatch.setattr(RiemannMatrix, "_ball", counted)
         code, _ = run_json(capsys, ["trisecant", "--curve", curve_file])
         assert code == 0
-        (tau,) = {rm for rm in built if rm._half is not None}
-        assert 1 <= built.count(tau) <= 2
-        assert built.count(tau._half) == 1
-        assert len(built) == built.count(tau) + 1
+        (tau,) = {rm for rm, *_ in shells if rm._half is not None}
+        assert {rm for rm, *_ in shells} == {tau, tau._half}
+        for rm in (tau, tau._half):
+            own = [shell[1:] for shell in shells if shell[0] is rm]
+            assert [inner for inner, _, _ in own] \
+                == [-1.0] + [outer for _, outer, _ in own[:-1]]
+            assert own[-1][1] == rm._ball_radius
+            assert sum(count for _, _, count in own) == len(rm._ball_points)
+            assert rm._rho == rm._ball_norms[1]
 
     def test_nan_point_is_exit_2(self, capsys, monkeypatch, curve2_file):
         """A point whose y is NaN reaches the lifts as it would from a

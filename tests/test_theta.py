@@ -479,8 +479,8 @@ class TestErrorControl:
 
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     def test_blocked_sums_match_one_block(self, monkeypatch, deriv):
-        # blocks of two or three points split every class of the sums and
-        # every enumeration of the point set into many slabs
+        # blocks of two or three points split every class of the sums into
+        # many blocks; the point set does not depend on the block size
         rng = np.random.default_rng(7)
         Z = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         points = RiemannMatrix(TAU3).lattice_points(3.0)
@@ -623,6 +623,36 @@ class TestSummedPointSet:
         seen = np.maximum.accumulate(rm._head)
         assert rm._head[0] == 0 and np.all(np.diff(seen) <= 1)
         assert seen[-1] == len(rm._heads) - 1
+
+    @pytest.mark.parametrize("half", [False, True], ids=["tau", "tau/2"])
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_shells_match_the_box_oracle(self, g, half):
+        """The cache grown in shells holds, after each shell, the points of
+        the test-local box_ball with ||T n|| <= R, ordered by ||T n|| (to
+        the bit) and lexicographically on ties; its representatives are the
+        origin and the n lexicographically after -n, and its heads are
+        numbered by first appearance among them."""
+        rm = RiemannMatrix(random_tau(g, g) / (2.0 if half else 1.0))
+        box = box_ball(g, g, half)[0]
+        norms = np.linalg.norm(box @ rm._chol.T, axis=1)
+        for radius in (3.0, 4.75, 6.5):
+            got = rm.lattice_points(radius)
+            inside = np.flatnonzero(norms <= radius + 1e-12)
+            # by norm, then by the first coordinate, the second, ...
+            want = inside[np.lexsort((*box[inside].T[::-1], norms[inside]))]
+            np.testing.assert_array_equal(got, box[want])
+            assert rm._point_norms[:len(got)].tobytes() \
+                == norms[want].tobytes()
+            reps = [i for i, n in enumerate(got.tolist())
+                    if n >= [-c for c in n]]
+            count = np.searchsorted(rm._reps, len(got))
+            assert rm._reps[:count].tolist() == reps
+            first = {}
+            for n in got[reps, :-1].tolist():
+                first.setdefault(tuple(n), len(first))
+            assert rm._head[:count].tolist() \
+                == [first[tuple(n)] for n in got[reps, :-1].tolist()]
+            assert rm._heads[:len(first)].tolist() == [list(h) for h in first]
 
     @pytest.mark.parametrize("by_parity", [False, True],
                              ids=["one-class", "by-parity"])
