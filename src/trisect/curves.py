@@ -32,13 +32,14 @@ half-period (m + tau n) / 2 of the closed-form table _branch_halves.
 """
 
 from dataclasses import dataclass, field
+import functools
 import itertools
 
 import numpy as np
 
 from .errors import (AmbiguousConstant, IllConditionedCurve, InvalidInput,
                      NumericalFailure, PathDegenerate)
-from .numeric import quadrature_nodes
+from .numeric import _norm, quadrature_nodes
 from .theta import RiemannMatrix, _judged, ON_THETA_TOL
 
 #: Bound on the quadrature error of each leg of an Abel-Jacobi lift.
@@ -180,19 +181,25 @@ class HyperellipticCurve:
     def f(self, x):
         # product form over the computed roots: stable near branch points,
         # where the expanded-coefficient Horner evaluation cancels badly
-        x = np.asarray(x, dtype=complex)
-        out = np.full(x.shape, complex(self.leading), dtype=complex)
-        for e in self.roots:
-            out = out * (x - e)
-        return out
+        factors = self._factors(x, complex(self.leading))
+        return np.multiply.reduce(factors, axis=0)
 
     def y_branch(self, x):
         """The fixed branch y_+ (per-factor principal square roots)."""
+        factors = self._factors(x, np.sqrt(complex(self.leading)))
+        np.sqrt(factors[1:], out=factors[1:])
+        return np.multiply.reduce(factors, axis=0)
+
+    def _factors(self, x, first):
+        """(2g + 2, *x.shape) complex: ``first``, then x - e for each root
+        e.  A product over axis 0 (np.multiply.reduce) multiplies them in
+        this order, from the left, as a loop over the roots would."""
         x = np.asarray(x, dtype=complex)
-        out = np.full(x.shape, np.sqrt(complex(self.leading)), dtype=complex)
-        for e in self.roots:
-            out = out * np.sqrt(x - e)
-        return out
+        factors = np.empty((len(self.roots) + 1,) + x.shape, dtype=complex)
+        factors[0] = first
+        np.subtract(x, self.roots.reshape((-1,) + (1,) * x.ndim),
+                    out=factors[1:])
+        return factors
 
     def point(self, x, sheet=+1):
         """The curve point over x on the given sheet of y_+."""
@@ -206,7 +213,7 @@ class HyperellipticCurve:
         """Refuse the first of the finite points (x, y) (arrays) that does
         not satisfy y^2 = f(x)."""
         with np.errstate(invalid="ignore", over="ignore"):
-            scale = max(np.max(np.abs(self.f_coeffs)), 1.0) \
+            scale = max(np.maximum.reduce(abs(self.f_coeffs)), 1.0) \
                 * np.maximum(1.0, np.abs(x)) ** (2 * self.genus + 1)
             defect = np.abs(y * y - self.f(x))
         # NaN compares False: a non-finite x or y is refused too
@@ -223,7 +230,8 @@ class HyperellipticCurve:
     def is_branch_x(self, x):
         """Whether x (a scalar, or each entry of an array) lies within
         1e-8 span of a branch point."""
-        near = np.min(np.abs(np.subtract.outer(x, self.roots)), axis=-1) \
+        near = np.minimum.reduce(abs(np.subtract.outer(x, self.roots)),
+                                 axis=-1) \
             <= 1e-8 * self.span
         return near if near.ndim else bool(near)
 
@@ -274,7 +282,7 @@ class JacobianLift:
         lie in the exact range.
         """
         z = self.z if other is None else self.z - other.z
-        return float(np.linalg.norm(self.tau.reduce(z)[0]))
+        return _norm(self.tau._reduce(z)[0])
 
 
 @dataclass
@@ -304,14 +312,16 @@ class PeriodData:
                                           @ self.omega_b.T), 1e-300))
 
 
-_LEGGAUSS_CACHE = {}
-
-
-def _leggauss01(n):
-    if n not in _LEGGAUSS_CACHE:
-        t, w = np.polynomial.legendre.leggauss(n)
-        _LEGGAUSS_CACHE[n] = (0.5 * (t + 1.0), 0.5 * w)
-    return _LEGGAUSS_CACHE[n]
+@functools.cache
+def _leg_table():
+    """The Gauss-Legendre rules of _LEG_RULES on [0, 1], concatenated:
+    their nodes and weights, and where each rule starts in them, indexed
+    by its node count.  Built on first use."""
+    t, w = (np.concatenate(part) for part in zip(
+        *(np.polynomial.legendre.leggauss(n) for n in _LEG_RULES.tolist())))
+    start = np.zeros(_LEG_RULES[-1] + 1, dtype=np.intp)
+    start[_LEG_RULES] = _LEG_RULES.cumsum() - _LEG_RULES
+    return 0.5 * (t + 1.0), 0.5 * w, start
 
 
 def _ellipses(lo, hi, poles):
@@ -330,7 +340,7 @@ def _ellipses(lo, hi, poles):
     s = (poles - mid) / half
     axis = 0.5 * (np.abs(s - 1.0) + np.abs(s + 1.0))
     rho = axis + np.sqrt(axis * axis - 1.0)
-    r = np.min(rho, axis=1)[:, None] ** _RADIUS_POWERS
+    r = np.minimum.reduce(rho, axis=1)[:, None] ** _RADIUS_POWERS
     reach = np.abs(mid) + np.abs(half) * 0.5 * (r + 1.0 / r)
     rho, r3 = rho[:, None, :], r[:, :, None]
     gap = np.abs(half)[:, :, None] * 0.5 * (rho - r3) \
@@ -345,8 +355,8 @@ def _legendre_bound(r, M):
     Approximation Theory and Approximation Practice, SIAM 2013,
     Thm 19.3), halved on [0, 1], and the least over the radii."""
     r, M = r[:, :, None], M[:, :, None]
-    return np.min(32.0 / 15.0 * M * r ** (-2.0 * _LEG_RULES)
-                  / (r * r - 1.0), axis=1)
+    return np.minimum.reduce(32.0 / 15.0 * M * r ** (-2.0 * _LEG_RULES)
+                             / (r * r - 1.0), axis=1)
 
 
 def _legendre_pieces(lo, hi, bound, tol):
@@ -385,18 +395,24 @@ def _legendre_pieces(lo, hi, bound, tol):
 
 def _legendre_sum(pieces, rows, g, integrand):
     """Sums (rows, g) of the pieces' Gauss-Legendre rules, each piece's
-    integral added to its row.  integrand(x, row) gives the values
-    (pieces, g, n) at the nodes x (pieces, n)."""
+    integral added to its row.  integrand(x, row) gives the values (M, g)
+    at the nodes x (M,) of all pieces, concatenated, each node of row
+    ``row`` (M,): one call for every rule.  Each piece's sum is one
+    np.add.reduceat segment, and each row's another, over its pieces in
+    their given order; every row has a piece (_legendre_pieces).
+    """
     lo, hi, row, nodes, _ = pieces
-    est = np.zeros((rows, g), dtype=complex)
-    # sorted(set()) and not np.unique, which imports numpy.ma (1 MB)
-    for n in sorted(set(nodes.tolist())):
-        k = np.flatnonzero(nodes == n)
-        t, w = _leggauss01(n)
-        step = (hi - lo)[k, None]
-        np.add.at(est, row[k],
-                  integrand(lo[k, None] + t * step, row[k]) @ w * step)
-    return est
+    order = row.argsort(kind="stable")
+    lo, hi, row, nodes = lo[order], hi[order], row[order], nodes[order]
+    t, w, start = _leg_table()
+    ends = nodes.cumsum()
+    firsts = ends - nodes
+    index = np.arange(ends[-1]) + (start[nodes] - firsts).repeat(nodes)
+    step = hi - lo
+    x = lo.repeat(nodes) + t[index] * step.repeat(nodes)
+    values = integrand(x, row.repeat(nodes)) * w[index, None]
+    sums = np.add.reduceat(values, firsts, axis=0) * step[:, None]
+    return np.add.reduceat(sums, row.searchsorted(np.arange(rows)), axis=0)
 
 
 def _segment_integrals(curve, j, tol):
@@ -519,10 +535,9 @@ def _integral_to_anchor(curve, anchor, tol):
 
     def integrand(v, _):
         denom = np.sqrt(complex(curve.leading)) * np.prod(
-            np.sqrt(anchor - e[:, None, None] * v * v + 0j), axis=0)
-        return -2.0 * (anchor ** k)[None, :, None] \
-            * v[:, None, :] ** (2 * g - 2 * k)[None, :, None] \
-            / denom[:, None, :]
+            np.sqrt(anchor - e[:, None] * v * v + 0j), axis=0)
+        return -2.0 * anchor ** k * v[:, None] ** (2 * g - 2 * k) \
+            / denom[:, None]
 
     pieces = _legendre_pieces(np.zeros(1), np.ones(1), bound, tol)
     return _legendre_sum(pieces, 1, g, integrand)[0], pieces
@@ -577,11 +592,10 @@ def _segment_quadrature(curve, x_from, x_to, cross):
         return np.where(x.imag < 0, s, 1.0) * curve.y_branch(x)
 
     rows = np.flatnonzero(moving)
-    powers = np.arange(g)[None, :, None]
+    powers = np.arange(g)
 
     def integrand(x, row):
-        return x[:, None, :] ** powers \
-            / branch(x, sign[rows[row], None])[:, None, :]
+        return x[:, None] ** powers / branch(x, sign[rows[row]])[:, None]
 
     est = np.zeros((len(x_from), g), dtype=complex)
     pieces = _legendre_pieces(x_from[rows], x_to[rows],

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
-from .theta import theta_batch, second_order_basis
+from .theta import theta_batch, second_order_basis, _norms
 from .geometry import (_as_rm, _as_vector, theta_divisor_point,
                        gauss_fiber_enumerate)
 from .curves import Divisor, divisor_is_special, _divisor_lifts
@@ -163,7 +163,7 @@ def trisecant_gamma00_test(tau, x1, x2, x3, rank_tol=DEFAULT_RANK_TOL):
     rm = _as_rm(tau)
     X = np.stack([_as_vector(x, rm.g) for x in (x1, x2, x3)])
     (sections,), _, _ = second_order_basis(rm, X)
-    S = (sections / np.linalg.norm(sections, axis=1, keepdims=True)).T
+    S = (sections / _norms(sections)[:, None]).T
     _, normalized = _condition_data(rm)
     span_cert = numerical_rank(S, tol=rank_tol)
     ms_cert = numerical_rank(normalized @ S, tol=rank_tol)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
-from .numeric import projective_angle
+from .numeric import _norm, projective_angle
 from .theta import (RiemannMatrix, theta_batch, second_order_basis, _judged,
                     ON_THETA_TOL, SMOOTHNESS_THRESHOLD)
 
@@ -117,7 +117,7 @@ def theta_divisor_point(tau, rng):
             (val, grad), _, _ = theta_batch(rm, z, deriv=1)
             step = val / grad[j]
             if abs(step) < 1e-14 * max(1.0, abs(s)):
-                if abs(val) < 1e-9 * np.linalg.norm(grad):
+                if abs(val) < 1e-9 * _norm(grad):
                     return z
                 break
             s -= step
@@ -147,22 +147,29 @@ def _line_fourier(rm, z0, j):
     h = math.ceil(abs(y_inv[j] @ z0.imag)
                   + math.sqrt(-y_inv[j, j] * math.log(_ROUNDING) / math.pi))
     n = 2 * h + 1
-    Z = np.repeat(z0[None], n, axis=0)
+    Z = z0[None].repeat(n, axis=0)
     Z[:, j] += np.arange(n) / n
     (values,), _, _ = theta_batch(rm, Z)
-    return np.fft.fftshift(np.fft.fft(values)) / n
+    coeffs = np.fft.fft(values)  # P_0..P_h, then P_-h..P_-1
+    return np.concatenate((coeffs[h + 1:], coeffs[:h + 1])) / n
 
 
 def _line_root(rm, z0, j):
     """The root s of the Fourier model of theta(z0 + s e_j) with the least
     |Im s|, None if that is above 1: the Laurent polynomial in e^{2 pi i s},
-    its end coefficients below _ROUNDING of the largest trimmed, solved by
-    np.roots."""
+    its end coefficients below _ROUNDING of the largest trimmed, solved as
+    np.roots solves it, by the eigenvalues of its companion matrix."""
     coeffs = _line_fourier(rm, z0, j)
-    kept = np.flatnonzero(np.abs(coeffs) > _ROUNDING * np.abs(coeffs).max())
-    s = np.log(np.roots(coeffs[kept[0]:kept[-1] + 1][::-1])) / (2j * np.pi)
-    s = s[np.abs(s.imag) <= 1.0]
-    return complex(s[np.argmin(np.abs(s.imag))]) if len(s) else None
+    moduli = abs(coeffs)
+    kept = (moduli > _ROUNDING * np.maximum.reduce(moduli)).nonzero()[0]
+    p = coeffs[kept[0]:kept[-1] + 1][::-1]  # highest power first
+    if len(p) < 2:
+        return None
+    companion = np.eye(len(p) - 1, k=-1, dtype=complex)
+    companion[0] = -p[1:] / p[0]
+    s = np.log(np.linalg.eigvals(companion)) / (2j * np.pi)
+    s = s[abs(s.imag) <= 1.0]
+    return complex(s[abs(s.imag).argmin()]) if len(s) else None
 
 
 def on_theta(tau, x):
@@ -188,7 +195,7 @@ def _gauss_image(jet, sums, residuals, smooth):
         raise NotOnTheta("point is not on the theta divisor",
                          residual=float(residuals[0]))
     grad = jet[1][0]
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = _norm(grad)
     defined = bool(smooth[0])
     direction = grad / gnorm if defined else np.zeros_like(grad)
     direction.setflags(write=False)

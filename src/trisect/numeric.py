@@ -7,6 +7,7 @@ explicit arguments with documented defaults.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -52,20 +53,24 @@ def numerical_rank(matrix, tol=DEFAULT_RANK_TOL):
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.size == 0:
         raise InvalidInput("numerical_rank expects a non-empty 2-d matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput("matrix contains non-finite entries")
     if not 0.0 < tol < 1.0:
         raise InvalidInput("rank tolerance must lie in (0, 1)", tol=tol)
     s = np.linalg.svd(a, compute_uv=False)
     smax = s[0]
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * smax))
+    rank = int(_decided_ranks(s, tol))
     full = min(a.shape)
     gap = 0.0 if rank == full else float(s[rank] / smax) if smax > 0 else 0.0
     return RankCertificate(singular_values=s, decided_rank=rank,
                            gap_ratio=gap, tolerance_used=tol)
+
+
+def _decided_ranks(s, tol):
+    """The ranks numerical_rank decides from singular spectra s (..., k),
+    each in descending order: the count of sigma > tol * sigma_1, which is
+    0 for a zero spectrum."""
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
 def projective_angle(v, w):
@@ -75,8 +80,8 @@ def projective_angle(v, w):
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
-    nv = np.linalg.norm(v)
-    nw = np.linalg.norm(w)
+    nv = _norm(v)
+    nw = _norm(w)
     if nv == 0.0 or nw == 0.0:
         raise InvalidInput("projective_angle of a zero vector is undefined")
     v = v / nv
@@ -85,7 +90,14 @@ def projective_angle(v, w):
     # sine from the orthogonal component: accurate for tiny angles where
     # the arccos formulation loses half the digits
     perp = v - inner * w
-    return float(np.arctan2(np.linalg.norm(perp), abs(inner)))
+    return float(np.arctan2(_norm(perp), abs(inner)))
+
+
+def _norm(v):
+    """np.linalg.norm of a complex vector v, its sum of squares without the
+    wrapper: sqrt(Re v . Re v + Im v . Im v)."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def quadrature_nodes(n):

@@ -14,8 +14,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
-from .theta import second_order_basis, _judged, ON_THETA_TOL
+from .numeric import (numerical_rank, projective_angle, _decided_ranks,
+                      DEFAULT_RANK_TOL)
+from .theta import second_order_basis, _judged, _norms, ON_THETA_TOL
 from .geometry import _as_rm
 from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
                      _divisor_lifts, random_curve_point)
@@ -172,16 +173,16 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
     r = len(lifts)
 
     (raw,), _, _ = second_order_basis(rm, Z)  # (r, 2^g)
-    rows = raw / np.max(np.abs(raw), axis=1, keepdims=True)
-    rank_cert = numerical_rank(rows, tol=rank_tol)
-    general = []
-    for subset in combinations(range(r), r - 1):
-        sub_cert = numerical_rank(rows[list(subset)], tol=rank_tol)
-        general.append(sub_cert.decided_rank == r - 1)
+    rows = raw / abs(raw).max(axis=1, keepdims=True)
+    rank_cert = numerical_rank(rows, tol=rank_tol)  # checks rows and tol
+    # the (r-1)-subsets' spectra, by one stacked SVD
+    spectra = np.linalg.svd(rows[list(combinations(range(r), r - 1))],
+                            compute_uv=False)
+    general = _decided_ranks(spectra, rank_tol) == r - 1
 
     (_, grads), _, theta_res, smooth_flags = _judged(rm, Z, 1)
     members = theta_res < ON_THETA_TOL
-    gnorms = np.linalg.norm(grads, axis=1)
+    gnorms = _norms(grads)
     smooth = list(np.flatnonzero(smooth_flags))
     angles = [projective_angle(grads[i], grads[j])
               for i, j in combinations(smooth, 2)]
@@ -202,7 +203,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
     return SecantCertificate(
         lifts=tuple(lifts),
         rank_cert=rank_cert,
-        general_position=tuple(general),
+        general_position=tuple(general.tolist()),
         theta_residuals=tuple(float(t) for t in theta_res),
         gauss_angles=tuple(angles),
         gradient_norms=tuple(float(n) for n in gnorms),
@@ -297,17 +298,22 @@ def multisecant_sweep(curve, periods, sample, kappa,
 
     Returns the certificates in all_partitions order and the distinct
     points among all lifts: a lift within 1e-6 of an earlier one modulo
-    the lattice counts once.
+    the lattice counts once.  Each lift is compared with all distinct
+    points by one reduction of its differences from them, stacked, and
+    the norms of the residuals, as JacobianLift.lattice_distance takes.
     """
     zs, zQ = _sample_lifts(curve, periods, sample)
     certs = []
     distinct = []
+    points = np.empty((0, periods.tau.g), dtype=complex)
     for part in all_partitions(sample):
         lifts, cert = _multisecant(periods, kappa, zs, zQ, part, rank_tol)
         certs.append(cert)
         for lift in lifts:
-            if not any(lift.lattice_distance(o) < 1e-6 for o in distinct):
+            residuals, _, _ = periods.tau.reduce(lift.z - points)
+            if not (_norms(residuals) < 1e-6).any():
                 distinct.append(lift)
+                points = np.concatenate((points, lift.z[None]))
     return certs, distinct
 
 

@@ -118,6 +118,9 @@ def _quarter(radius):
     return math.ceil(radius * 4.0) / 4.0
 
 
+#: How far past [-1/2, 1/2] a reduced argument's cell coordinates may lie.
+_CELL_SLACK = 1e-6
+
 #: Integral vectors with entries up to this size, the int16 range of the
 #: lattice points, multiply the split of tau cached on the matrix (_split).
 _EXACT_SIZE = 2.0 ** 15
@@ -145,7 +148,7 @@ def _split(rm, size):
     parts = rm.entries.view(float)
     grid = 2.0 ** (math.ceil(math.log2(size * size * np.abs(parts).sum()))
                    - 50)
-    coarse = np.round(parts / grid) * grid
+    coarse = np.rint(parts / grid) * grid
     split = np.concatenate([coarse, parts - coarse], axis=1)
     if cached:
         rm._split = split
@@ -155,7 +158,8 @@ def _split(rm, size):
 def _split_products(rm, n):
     """(N, 2, g) complex: n^T coarse and n^T fine (_split) of every row of
     the integral n, (N, g)."""
-    split = _split(rm, float(np.abs(n).max(initial=0)))
+    split = _split(rm, float(np.maximum.reduce(abs(n), axis=None,
+                                               initial=0)))
     return (n @ split).reshape(len(n), 2, 2 * len(split)).view(complex)
 
 
@@ -207,6 +211,18 @@ class RiemannMatrix:
         self.entries = entries
         self.g = entries.shape[0]
         self._imag_inv = np.linalg.inv(entries.imag)
+        # the largest entry b >= 1, real or imaginary part, of an argument
+        # whose residual (_reduce) rounds by at most _CELL_SLACK: with a, x
+        # and y the max-norms of Y^-1, X and Y, the g + 2 terms of a
+        # residual entry sum to at most (2.5 + 2 x a + x) b in its real
+        # part and (1 + y a + y / 2) b in its imaginary part
+        a, x, y = (float(np.abs(part).sum(axis=1).max())
+                   for part in (self._imag_inv, entries.real, entries.imag))
+        self._reach = _CELL_SLACK / ((self.g + 2) * 2.0 ** -53 * max(
+            2.5 + 2.0 * x * a + x, 1.0 + y * a + 0.5 * y))
+        # the largest |n_c| / ||T n||: sqrt of the largest diagonal entry of
+        # (pi Im tau)^-1
+        self._span = math.sqrt(self._imag_inv.diagonal().max() / math.pi)
         # T with ||T v||^2 = pi v^T Im(tau) v
         self._chol = np.linalg.cholesky(np.pi * entries.imag).T
         # L_ii and -L_ij / L_ii, pi Im(tau) = L^T L, L lower-triangular
@@ -248,9 +264,16 @@ class RiemannMatrix:
         lexicographic order: the n_i extending a prefix n_1..n_(i-1) form an
         interval around -(L_i1 n_1 + ... + L_i(i-1) n_(i-1)) / L_ii.  Its
         radius is widened past its rounding; the norms of T n decide.
+        Raises NumericalFailure, before the walk, when a coordinate could
+        reach _EXACT_SIZE, past the int16 range of the points.
         """
         diag, shift = self._diag, self._shift
         reach = ((outer + 1e-12) * (1.0 + 1e-8)) ** 2
+        if math.sqrt(reach) * self._span >= _EXACT_SIZE:
+            raise NumericalFailure("lattice points of the theta sum leave "
+                                   "the int16 range: Im tau is too small",
+                                   radius=float(outer),
+                                   coordinate=math.sqrt(reach) * self._span)
         top = math.floor(math.sqrt(reach) / diag[0])
         prefix = np.arange(-top, top + 1.0)[:, None]  # integers, as floats
         room = reach - (diag[0] * prefix[:, 0]) ** 2
@@ -332,30 +355,37 @@ class RiemannMatrix:
         offset from the nearest lattice point whenever that offset is
         shorter than 1 / (2 ||B^-1||), B the real basis [[I, X], [0, Y]] of
         the lattice, and the offset from some lattice point otherwise.
-        Raises NumericalFailure when Z is too large for floating point to
-        shift it into the cell.
+        Raises InvalidInput on a non-finite entry, and NumericalFailure
+        when an entry is too large for floating point to shift it into the
+        cell exactly.
         """
         return self._reduce(Z)[:3]
 
     def _reduce(self, Z):
         """reduce(Z) and the Gaussian centres Y^-1 Im Z_reduced of its
         rows, which the cell check forms."""
-        Z = np.asarray(Z, dtype=complex)
+        Z = np.asarray(Z, dtype=complex, order="C")
         if Z.ndim not in (1, 2) or Z.shape[-1] != self.g:
             raise InvalidInput("argument dimension does not match genus",
                                got=Z.shape[-1] if Z.ndim else 0,
                                genus=self.g)
-        if not np.all(np.isfinite(Z)):
-            raise InvalidInput("non-finite argument")
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.round(Z.imag @ self._imag_inv.T)
-            m = np.round(Z.real - p @ self.entries.real.T)
-            Z_red = Z - m - p @ self.entries.T
-            # rounding leaves both coordinates in [-1/2, 1/2]; past that,
-            # the argument is too large for its shift to be exact
-            centres = Z_red.imag @ self._imag_inv.T
-            cell = np.maximum(np.abs(Z_red.real), np.abs(centres))
-        if not np.all(cell <= 0.5 + 1e-6):
+        # the largest real or imaginary part; NaN compares False, so a
+        # non-finite entry is refused too
+        size = abs(Z.view(float)).max(initial=0.0)
+        if not size <= self._reach:
+            if not np.isfinite(Z).all():
+                raise InvalidInput("non-finite argument")
+            raise NumericalFailure("argument is too far from the "
+                                   "fundamental cell to reduce exactly",
+                                   size=float(size), reach=self._reach)
+        p = np.rint(Z.imag @ self._imag_inv.T)
+        tau_p = p @ self.entries.T
+        m = np.rint(Z.real - tau_p.real)
+        Z_red = Z - m - tau_p
+        # rounding leaves both coordinates in [-1/2, 1/2], up to the slack
+        centres = Z_red.imag @ self._imag_inv.T
+        cell = np.maximum(abs(Z_red.real), abs(centres)).max(initial=0.0)
+        if not cell <= 0.5 + _CELL_SLACK:
             raise NumericalFailure("argument is too far from the "
                                    "fundamental cell to reduce exactly")
         return Z_red, m, p, centres
@@ -426,7 +456,9 @@ def _prepare(tau, Z, tol, deriv):
     if deriv not in (0, 1, 2):
         raise InvalidInput("derivative order must be 0, 1 or 2", got=deriv)
     Z = np.asarray(Z, dtype=complex)
-    squeeze, Z = Z.ndim == 1, np.atleast_2d(Z)
+    squeeze = Z.ndim == 1
+    if Z.ndim < 2:
+        Z = Z.reshape(1, -1)
     # checked before the characteristic is added to Z
     if Z.ndim != 2 or Z.shape[1] != rm.g or not len(Z):
         raise InvalidInput("arguments must be one or more points of C^g",
@@ -522,28 +554,30 @@ def _nearest_translates(rm, W):
     W_red, _, p, centres = rm._reduce(W)
     y = W_red.imag
     offset_sq = np.pi * np.vecdot(y, centres)
-    far = np.flatnonzero(offset_sq > rm._rho * rm._rho / 4.0)
+    far = (offset_sq > rm._rho * rm._rho / 4.0).nonzero()[0]
     moved = False
     if len(far):
-        radius = 2.0 * math.sqrt(offset_sq[far].max())
+        # the largest offset is a far row's
+        radius = 2.0 * math.sqrt(np.maximum.reduce(offset_sq))
         rm._build(_quarter(radius))
         stop = rm._ball_norms.searchsorted(radius + 1e-12, side="right")
         points, norms_sq = rm._ball_points[:stop], rm._ball_norms[:stop] ** 2
-        scaled = np.ascontiguousarray(2.0 * np.pi * points.T)
+        scaled = np.multiply(points.T, 2.0 * np.pi, order="C")
         step = max(_BLOCK // len(points), 1)
         for lo in range(0, len(far), step):
             rows = far[lo:lo + step]
-            n = points[np.argmax(y[rows] @ scaled - norms_sq, axis=1)]
+            n = points[(y[rows] @ scaled - norms_sq).argmax(axis=1)]
             p[rows] += n
             moved = moved or n.any()
     if not moved and not p.any():  # W_red = W - m exactly
         return W_red, p, offset_sq, np.zeros(len(W), dtype=complex)
     tau_p = _split_products(rm, p)
     W_red = (W - tau_p[:, 0]) - tau_p[:, 1]  # tau symmetric: (tau p)^T
-    W_red -= np.round(W_red.real)
+    W_red -= np.rint(W_red.real)
     quad = np.vecdot(p[:, None, :], tau_p)
     np.fmod(quad.real[:, 0], 2.0, out=quad.real[:, 0])
-    shift = -1j * np.pi * (quad.sum(axis=1) + 2.0 * np.vecdot(p, W_red))
+    shift = -1j * np.pi * (np.add.reduce(quad, axis=1)
+                           + 2.0 * np.vecdot(p, W_red))
     if moved:
         y = W_red.imag
         offset_sq = np.pi * np.vecdot(y, y @ rm._imag_inv.T)
@@ -584,7 +618,9 @@ def _lines(rm, stop, offset, y_max):
                 2.0 * np.pi * sum(t * y for t, y in zip(tops, y_max)))
     key = ("lines", stop, bool(reach <= _SPLIT_REACH))
     if key not in tables:
-        head, m = rm._head[:count], rm._points[rm._reps[:count], -1]
+        # m as intp: m + top leaves int16 once the largest |m| passes 16383
+        head = rm._head[:count]
+        m = rm._points[rm._reps[:count], -1].astype(np.intp)
         if key[2]:
             heads = rm._heads[:n_heads].astype(float)
         else:
@@ -755,7 +791,7 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     Returns (results, moduli or None, radius, tail_bound).
     """
     y = Z_red.imag
-    largest = float(offset_sq.max(initial=0.0))
+    largest = float(np.maximum.reduce(offset_sq, initial=0.0))
     offset = math.sqrt(largest)
     # omitted terms carry the factor exp(||T c||^2) = exp(pi y^T Y^-1 y)
     # inf past floating range: refused
@@ -764,7 +800,7 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
     stop = len(rm.lattice_points(radius))  # may rebuild the caches
     heads, lines, top = _lines(rm, stop, offset,
-                               np.abs(y).max(axis=0).tolist())
+                               np.maximum.reduce(abs(y)).tolist())
     n_rows, g = Z_red.shape
     d = heads.shape[1]
     if d < g:
@@ -787,10 +823,10 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     signs = _pair_signs(n_hc, d, deriv, n_pow, n_par)
     n_cls = n_hc * n_par
     onehot = _onehot(rm, d < g) if by_parity else None
-    outs = [np.empty((n_rows, n_cls) + (g,) * k, dtype=complex)
-            for k in range(deriv + 1)]
-    moduli = [np.empty((n_rows, 1) + (g,) * k)
-              for k in range(deriv + 1)] if absolute else None
+    # (row, class, power of m, head weight), and the same of the moduli
+    sums = np.empty((n_rows, n_cls, n_pow, n_mono), dtype=complex)
+    if absolute:
+        abs_sums = np.empty((n_rows, 1, n_pow, n_mono))
     block = 128 if d == g \
         else min(128, max(_BLOCK // (8 * factors.shape[1]), 1))
     step = max(_BLOCK // (n_up * (min(n_rows, block) + len(ms))), 1)
@@ -818,7 +854,7 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
             k = len(h)
             e_k = e[:k]
             if d < g:  # E, then E^-1, from one entry of each group table
-                first, second = index[:, lo:lo + k]
+                first, second = index[0, lo:lo + k], index[1, lo:lo + k]
                 tables.take(first, axis=0, out=e_k)
                 e_k *= tables.take(second, axis=0)
             else:
@@ -830,7 +866,8 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
             # E (C V) and E^-1 (C V[::-1]) under every inner weight
             terms = (lines[lo:lo + step] @ V).reshape(k, n_up, -1) \
                 * e_k.reshape(k, 1, -1)
-            mono = np.ones((n_mono, k))
+            mono = np.empty((n_mono, k))
+            mono[0] = 1.0
             if deriv >= 1:
                 mono[1:1 + d] = h.T
             if deriv >= 2:
@@ -852,37 +889,42 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
             acc += (mono @ terms.reshape(k, -1).view(float)).view(complex) \
                 .reshape(acc.shape)
         # the pair {n, -n} under a weight of order k: the E term plus
-        # (-1)^k the E^-1 term; as (row, class, power of m, head weight)
-        sums = (acc[:, :, 0] + signs * acc[:, :, 1]).reshape(
-            n_hc, n_mono, n_pow, n_par, n_b).transpose(4, 0, 3, 2, 1) \
-            .reshape(n_b, n_cls, n_pow, n_mono)
-        _place(outs, rows, sums, d)
+        # (-1)^k the E^-1 term, written to the block's rows of sums
+        split = (n_hc, n_mono, n_pow, n_par, n_b)
+        np.add(acc[:, :, 0].reshape(split),
+               (signs * acc[:, :, 1]).reshape(split),
+               out=sums[rows].reshape(n_b, n_hc, n_par, n_pow, n_mono)
+               .transpose(1, 4, 3, 2, 0))
         if absolute:
-            _place(moduli, rows,
-                   abs_acc.sum(axis=2).transpose(2, 1, 0)[:, None], d)
-    for k in range(1, deriv + 1):
-        outs[k] *= _TWO_PI_I ** k
-        if absolute:
-            moduli[k] *= (2.0 * np.pi) ** k
+            np.add.reduce(abs_acc, axis=2,
+                          out=abs_sums[rows, 0].transpose(2, 1, 0))
+    outs = _orders(sums, d, deriv, _TWO_PI_I)
+    moduli = _orders(abs_sums, d, deriv, 2.0 * np.pi) if absolute else None
     tail = boost * _tail_bound(rm, radius - margin, offset, deriv)
     return outs, moduli, radius, tail
 
 
-def _place(outs, rows, sums, d):
-    """Write block sums (rows, classes, powers of m, head weights) of
-    _series into the jet ``outs`` at ``rows``."""
-    outs[0][rows] = sums[..., 0, 0]
-    if len(outs) > 1:
-        outs[1][rows, :, :d] = sums[..., 0, 1:1 + d]
-    if len(outs) > 2:
-        outs[2][rows, :, :d, :d] = sums[..., 0, 1 + d:].reshape(
-            sums.shape[:2] + (d, d))
-    if len(outs) > 1 and d < outs[1].shape[-1]:
-        outs[1][rows, :, -1] = sums[..., 1, 0]
-    if len(outs) > 2 and d < outs[1].shape[-1]:
-        outs[2][rows, :, :d, -1] = outs[2][rows, :, -1, :d] \
-            = sums[..., 1, 1:1 + d]
-        outs[2][rows, :, -1, -1] = sums[..., 2, 0]
+def _orders(sums, d, deriv, unit):
+    """The jet of _series, its orders k <= deriv times unit^k, from its
+    sums (rows, classes, powers of m, head weights) over heads of d
+    coordinates: the values (N, C), gradients (N, C, g) and Hessians
+    (N, C, g, g), g = d + 1 on a split sum."""
+    jet = [sums[..., 0, 0]]
+    if deriv >= 1:
+        grad = sums[..., 0, 1:1 + d]
+        if sums.shape[2] > 1:  # the powers of m carry the last coordinate
+            grad = np.concatenate((grad, sums[..., 1, :1]), axis=-1)
+        jet.append(grad * unit)
+    if deriv >= 2:
+        hess = sums[..., 0, 1 + d:].reshape(sums.shape[:2] + (d, d))
+        if sums.shape[2] > 1:
+            side = sums[..., 1, 1:1 + d]
+            hess = np.concatenate(
+                (np.concatenate((hess, side[..., None]), axis=-1),
+                 np.concatenate((side, sums[..., 2, :1]), axis=-1)[
+                     ..., None, :]), axis=-2)
+        jet.append(hess * unit ** 2)
+    return jet
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -908,9 +950,9 @@ def _unreduce(log_pre, shift, outs, moduli, tail):
     jet = _product_rule(pre, shift, outs)
     if moduli is not None:
         moduli = _product_rule(np.abs(pre), np.abs(shift), moduli)
-    tail = tail * float(np.max(growth))
-    if not (np.isfinite(tail)
-            and all(np.all(np.isfinite(order))
+    tail = tail * float(np.maximum.reduce(growth))
+    if not (math.isfinite(tail)
+            and all(np.isfinite(order).all()
                     for order in jet + (moduli or []))):
         raise NumericalFailure("theta value is not finite: the argument is "
                                "too far from the fundamental cell")
@@ -970,9 +1012,13 @@ def _theta(rm, Z, char, tol, deriv, absolute):
                                          absolute=absolute)
     jet, moduli, tail = _unreduce(log_pre + shift, _TWO_PI_I * (a - p),
                                   outs, moduli, tail)
-    sums = moduli and [np.linalg.norm(m.reshape(len(m), -1), axis=1)
-                       for m in moduli]
+    sums = moduli and [_norms(m.reshape(len(m), -1)) for m in moduli]
     return [o[:, 0] for o in jet], sums, radius, tail
+
+
+def _norms(x):
+    """np.linalg.norm(x, axis=1) of a 2-d x, without its wrapper."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
 
 
 def _judged(rm, Z, deriv):
@@ -983,7 +1029,7 @@ def _judged(rm, Z, deriv):
     jet, sums, _, _ = _theta(rm, Z, None, DEFAULT_THETA_TOL, deriv, True)
     residuals = np.abs(jet[0]) / sums[0]
     smooth = deriv and (residuals < ON_THETA_TOL) & (
-        np.linalg.norm(jet[1], axis=1) > SMOOTHNESS_THRESHOLD * sums[1])
+        _norms(jet[1]) > SMOOTHNESS_THRESHOLD * sums[1])
     return jet, sums, residuals, smooth
 
 

@@ -195,6 +195,49 @@ class TestCurveValidation:
         assert cv.involution(inf) == inf
 
 
+def loop_f(curve, x):
+    """The per-root loop that HyperellipticCurve.f replaced."""
+    x = np.asarray(x, dtype=complex)
+    out = np.full(x.shape, complex(curve.leading), dtype=complex)
+    for e in curve.roots:
+        out = out * (x - e)
+    return out
+
+
+def loop_y_branch(curve, x):
+    """The per-root loop that HyperellipticCurve.y_branch replaced."""
+    x = np.asarray(x, dtype=complex)
+    out = np.full(x.shape, np.sqrt(complex(curve.leading)), dtype=complex)
+    for e in curve.roots:
+        out = out * np.sqrt(x - e)
+    return out
+
+
+class TestRootProducts:
+    """f and y_branch multiply their root factors by one product over a
+    stacked axis, in the order of the loop they replaced, to the bit."""
+
+    @pytest.mark.parametrize("g", [1, 5])
+    @pytest.mark.parametrize("shape", [(), (9,), (3, 4)])
+    def test_products_match_the_per_root_loop(self, g, shape):
+        curve = reference_curve(g)
+        rng = np.random.default_rng(g)
+        x = rng.uniform(-1.0, 2 * g + 1.0, shape) \
+            + 1j * rng.uniform(-1.0, 1.0, shape)
+        if shape:
+            # a branch point, and both signs of a zero imaginary part
+            x.flat[0] = curve.roots[-1]
+            x.flat[1] = complex(0.5, -0.0)
+        for product, loop in ((curve.f, loop_f),
+                              (curve.y_branch, loop_y_branch)):
+            got, want = product(x), loop(curve, x)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestDivisors:
 
     def test_dedup_and_degree(self):
@@ -490,6 +533,26 @@ def mp_legendre_rule(f, pieces, g):
     return np.array([complex(v) for v in total])
 
 
+def loop_legendre_sum(pieces, rows, g, integrand):
+    """The per-rule loop that curves._legendre_sum replaced: per distinct
+    node count, one integrand call on its pieces' nodes and one np.add.at
+    of their rules' sums into the rows.  Returns the sums and, per row and
+    coordinate, the sum of the moduli of the terms."""
+    lo, hi, row, nodes, _ = pieces
+    est = np.zeros((rows, g), dtype=complex)
+    scale = np.zeros((rows, g))
+    for n in sorted(set(nodes.tolist())):
+        k = np.flatnonzero(nodes == n)
+        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = 0.5 * (t + 1.0), 0.5 * w
+        step = (hi - lo)[k, None]
+        values = integrand((lo[k, None] + t * step).ravel(), None) \
+            .reshape(len(k), n, g).transpose(0, 2, 1)
+        np.add.at(est, row[k], values @ w * step)
+        np.add.at(scale, row[k], np.abs(values) @ w * np.abs(step))
+    return est, scale
+
+
 @pytest.fixture
 def digits30():
     """mpmath at 30 digits for one test."""
@@ -580,6 +643,47 @@ class TestQuadrature:
         assert np.max(np.abs(est - rule)) \
             < 1e-13 * max(1.0, np.max(np.abs(exact)))
         assert periods.quadrature["max_bound"] <= tol
+
+    def test_rule_table_holds_each_rule(self):
+        t, w, start = cv._leg_table()
+        for n in cv._LEG_RULES.tolist():
+            tn, wn = np.polynomial.legendre.leggauss(n)
+            assert t[start[n]:start[n] + n].tobytes() \
+                == (0.5 * (tn + 1.0)).tobytes()
+            assert w[start[n]:start[n] + n].tobytes() == (0.5 * wn).tobytes()
+
+    @pytest.mark.parametrize("g, targets", [(3, 40), (5, 7)])
+    def test_one_pass_sum_matches_the_per_rule_loop(self, g, targets):
+        """One integrand call over every node, summed per piece and then
+        per row, against the loop over distinct rules it replaced (one
+        call and one np.add.at per rule), on the same pieces: the legs of
+        an Abel-Jacobi batch, anchor -> anchor + i h -> x + i h -> x, one
+        target 1e-4 above a root so that its last leg is bisected.  Only
+        the order of the sums differs, so they agree within a few
+        roundings of the sum of the moduli of the terms, per row and
+        coordinate."""
+        curve = reference_curve(g)
+        rng = np.random.default_rng(g)
+        x = rng.uniform(curve.roots[0], curve.roots[-1], targets) \
+            + 1j * rng.uniform(0.2, 0.6, targets) * curve.span
+        x[0] = curve.roots[2] + 1e-4j
+        anchor = curve.roots[-1] + 1.0
+        top, over = anchor + 1j * (0.75 * curve.span + 1.0), \
+            x + 1j * (0.75 * curve.span + 1.0)
+        lo = np.concatenate(([anchor], np.repeat(top, targets), over))
+        hi = np.concatenate(([top], over, x))
+        pieces = cv._legendre_pieces(
+            lo, hi, lambda a, b: cv._leg_bound(curve, a, b), cv._LIFT_TOL)
+        assert len(set(pieces[3].tolist())) > 1
+        assert len(pieces[0]) > len(lo)
+
+        def integrand(nodes, _):
+            return nodes[:, None] ** np.arange(g) \
+                / curve.y_branch(nodes)[:, None]
+
+        got = cv._legendre_sum(pieces, len(lo), g, integrand)
+        want, scale = loop_legendre_sum(pieces, len(lo), g, integrand)
+        assert np.all(np.abs(got - want) <= 8 * 2.0 ** -53 * scale)
 
     def test_bisection_gives_up_at_the_piece_cap(self):
         """A bound that no rule ever meets ends in NumericalFailure once

@@ -351,6 +351,27 @@ class TestLineRootSearch:
                 assert np.max(np.abs(model - midway)) \
                     <= 1e-12 * np.max(np.abs(samples))
 
+    @pytest.mark.parametrize("kind, g", [("reference", 4), ("random", 3),
+                                         ("small-imag", 2)])
+    def test_root_is_the_np_roots_root(self, kind, g):
+        """_line_root takes the eigenvalues of the companion matrix of the
+        kept coefficients, as np.roots does, to the bit."""
+        rm = self.riemann_matrix(kind, g)
+        rng = np.random.default_rng(SEARCH_SEED)
+        for _ in range(3):
+            z0, j = geo._draw_line(rng, g)
+            coeffs = geo._line_fourier(rm, z0, j)
+            kept = np.flatnonzero(
+                np.abs(coeffs) > geo._ROUNDING * np.abs(coeffs).max())
+            s = np.log(np.roots(coeffs[kept[0]:kept[-1] + 1][::-1])) \
+                / (2j * np.pi)
+            s = s[np.abs(s.imag) <= 1.0]
+            want = complex(s[np.argmin(np.abs(s.imag))]) if len(s) else None
+            got = geo._line_root(rm, z0, j)
+            assert got == want
+            if got is not None:
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_small_imaginary_part_takes_more_samples(self):
         rm = RiemannMatrix(SMALL_IMAG[2])
         z0 = np.zeros(2, dtype=complex)

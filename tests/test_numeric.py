@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import warnings
+from itertools import combinations
+
 from trisect.curves import JacobianLift
-from trisect.errors import InvalidInput
-from trisect.numeric import numerical_rank, projective_angle, quadrature_nodes
+from trisect.errors import InvalidInput, NumericalFailure
+from trisect.numeric import (numerical_rank, projective_angle,
+                             quadrature_nodes, _decided_ranks, _norm)
 from trisect.theta import RiemannMatrix
 
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
@@ -51,6 +55,21 @@ class TestNumericalRank:
         m = coeffs @ basis if rank else np.zeros((n, n), dtype=complex)
         assert numerical_rank(m).decided_rank == rank
 
+    @pytest.mark.parametrize("tol", [1e-7, 1e-3])
+    def test_stacked_ranks_are_numerical_ranks(self, tol):
+        """_decided_ranks of one stacked SVD decides each matrix of the
+        stack as numerical_rank decides it alone: full, rank-deficient and
+        zero matrices."""
+        rng = np.random.default_rng(21)
+        rows = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        rows[3] = (1.0 + 2.0j) * rows[1]
+        stack = np.concatenate(
+            [rows[list(combinations(range(4), 3))], np.zeros((1, 3, 16))])
+        got = _decided_ranks(np.linalg.svd(stack, compute_uv=False), tol)
+        want = [numerical_rank(m, tol=tol).decided_rank for m in stack]
+        assert got.tolist() == want
+        assert sorted(set(want)) == [0, 2, 3]
+
     def test_to_dict_roundtrips_floats(self):
         d = numerical_rank(np.eye(2)).to_dict()
         assert d["decided_rank"] == 2
@@ -79,7 +98,98 @@ def exact_radius(tau):
     return 0.5 / np.linalg.norm(np.linalg.inv(basis), 2)
 
 
+def rounded_reduce(tau, Z):
+    """The np.round spelling that RiemannMatrix.reduce replaced: finiteness
+    checked first, then the rounding under np.errstate."""
+    Z = np.asarray(Z, dtype=complex)
+    if not np.all(np.isfinite(Z)):
+        raise InvalidInput("non-finite argument")
+    imag_inv = np.linalg.inv(tau.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.round(Z.imag @ imag_inv.T)
+        m = np.round(Z.real - p @ tau.real.T)
+        Z_red = Z - m - p @ tau.T
+        cell = np.maximum(np.abs(Z_red.real), np.abs(Z_red.imag @ imag_inv.T))
+    if not np.all(cell <= 0.5 + 1e-6):
+        raise NumericalFailure("argument is too far from the fundamental "
+                               "cell to reduce exactly")
+    return Z_red, m, p
+
+
+def outcome(func, *args):
+    """func(*args), or the type of the error it raises."""
+    try:
+        return func(*args)
+    except (InvalidInput, NumericalFailure) as exc:
+        return type(exc)
+
+
 class TestLatticeReduction:
+
+    def test_reduce_matches_the_rounded_spelling(self):
+        """Bitwise the same residuals and lattice parts, strided arguments
+        and one just inside the reach included, and the same refusals:
+        NumericalFailure on two arguments far from the cell (a shift too
+        large to be exact, and one that overflows), InvalidInput on a
+        non-finite entry; no RuntimeWarning on any of them."""
+        rng = np.random.default_rng(11)
+        rows = (rng.standard_normal((40, 2))
+                + 1j * rng.standard_normal((40, 2))) * 3.0
+        cases = [rows, rows[0], rows[:1], rows[::3], rows[:, ::-1],
+                 np.array([0.99 * RM2._reach, 0.3 - 0.2j]),
+                 np.array([3e17 + 1e17j, 0.5]),
+                 np.array([1e300 + 1e300j, 0.5]),
+                 np.array([[0.1, 0.2], [np.inf, 0.3]]),
+                 np.array([0.1, complex(0.0, np.nan)]),
+                 np.array([-np.inf * 1j, 0.2])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for Z in cases:
+                got = outcome(RM2.reduce, Z)
+                want = outcome(rounded_reduce, TAU2, Z)
+                if isinstance(want, type):
+                    assert got is want
+                    continue
+                for a, b in zip(got, want):
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                    assert a.tobytes() == b.tobytes()
+        assert outcome(RM2.reduce, cases[6]) is NumericalFailure
+        assert outcome(RM2.reduce, cases[7]) is NumericalFailure
+        assert all(outcome(RM2.reduce, Z) is InvalidInput
+                   for Z in cases[8:])
+
+    @pytest.mark.parametrize("z", [[0.5, 1e300j], [1.7e308j, 1.7e308j]])
+    def test_shift_that_cannot_be_exact_is_refused(self, z):
+        """The rounded spelling returns a zero residual here, so the
+        lattice distance read 0: the products m + tau p round by more than
+        the cell and cancel.  reduce refuses such an argument from its
+        size, before any product, and warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            residual, _, _ = rounded_reduce(TAU2, np.array(z))
+        assert not residual.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure):
+                RM2.reduce(np.array(z))
+            with pytest.raises(NumericalFailure):
+                JacobianLift(np.array(z), RM2).lattice_distance()
+
+    def test_lattice_distance_is_the_norm_of_the_residual(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            z, w = (rng.standard_normal((2, 2))
+                    + 1j * rng.standard_normal((2, 2))) * 2.0
+            dist = JacobianLift(z, RM2).lattice_distance(JacobianLift(w, RM2))
+            assert dist == float(np.linalg.norm(RM2.reduce(z - w)[0]))
+            assert JacobianLift(z, RM2).lattice_distance() \
+                == float(np.linalg.norm(RM2.reduce(z)[0]))
+
+    def test_vector_norm_is_numpys(self):
+        rng = np.random.default_rng(13)
+        v = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+        for vec in (v[0], v[:, 1], v[2, ::2], v[:0, 0]):
+            assert _norm(vec) == float(np.linalg.norm(vec))
 
     @given(st.integers(-3, 3), st.integers(-3, 3),
            st.integers(-3, 3), st.integers(-3, 3))

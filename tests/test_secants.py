@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import trisect.curves as cv
 import trisect.geometry as geo
 import trisect.secants as sec
 from trisect.errors import InvalidInput
+from trisect.numeric import numerical_rank
+from trisect.theta import second_order_basis
 from trisect.curves import random_curve_point
 
 
@@ -114,6 +118,22 @@ class TestThetaTrisecant:
         assert not all(cert.general_position)
         assert not cert.passes
 
+    def test_general_position_is_the_per_subset_rank(self, triple, jac3):
+        """The subset verdicts of one stacked SVD are those of the loop
+        they replaced, numerical_rank on each (r-1)-subset of the
+        normalized Kummer rows, on a triple and on a merged pair."""
+        _, periods, _ = jac3
+        tri, _ = triple
+        for lifts in (tri.lifts, [tri.a, tri.a, tri.c]):
+            cert = sec.certify_secant(periods.tau, lifts)
+            Z, _, _ = periods.tau.reduce(np.stack([l.z for l in lifts]))
+            (raw,), _, _ = second_order_basis(periods.tau, Z)
+            rows = raw / np.max(np.abs(raw), axis=1, keepdims=True)
+            want = tuple(numerical_rank(rows[list(subset)]).decided_rank == 2
+                         for subset in combinations(range(3), 2))
+            assert cert.general_position == want
+        assert want == (False, True, True)
+
     @pytest.mark.parametrize("g", [3, 4])
     def test_is_the_ell_3_multisecant(self, g, jac3, jac4):
         """The theta trisecant (a, b, c) is the multisecant of partition
@@ -176,6 +196,16 @@ class TestMultisecant:
             assert len(lifts) == 3
             assert cert.passes
             assert all(t < 1e-8 for t in cert.theta_residuals)
+
+    def test_g5_sweep_has_fourteen_distinct_points(self, jac5):
+        """The 15 partitions of a B4 sample at g=5 give 14 distinct points:
+        partitions whose remaining points hold a conjugate pair collapse
+        to one class."""
+        curve, periods, kappa = jac5
+        sample = cv.sample_B_ell(curve, 4, seed=20260823)
+        certs, distinct = sec.multisecant_sweep(curve, periods, sample, kappa)
+        assert len(certs) == 15
+        assert len(distinct) == 14
 
     def test_partition_validation(self, jac3):
         curve, periods, kappa = jac3

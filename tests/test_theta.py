@@ -9,15 +9,15 @@ import pytest
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from trisect.curves import period_matrix
-from trisect.errors import InvalidInput
+from trisect.errors import InvalidInput, NumericalFailure
 from trisect.gamma00 import gamma00_dimension
 from trisect.selftest import reference_curve
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps,
                            DEFAULT_THETA_TOL, _gammaincc_half,
-                           _nearest_translates, _pick_radius, _series,
-                           _theta)
+                           _nearest_translates, _norms, _pick_radius,
+                           _series, _theta)
 
 TAU1 = np.array([[1.0j]])
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
@@ -263,6 +263,12 @@ class TestErrorControl:
             theta_batch(TAU2, [0.0, 0.0], tol=0.5)
         with pytest.raises(InvalidInput):
             theta_batch(TAU2, [0.0, 0.0], deriv=3)
+
+    def test_row_norms_are_numpys(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        for rows in (x, x.real, x[:, ::2], x[:0]):
+            assert_bitwise(_norms(rows), np.linalg.norm(rows, axis=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_offset_past_floating_range_is_refused(self):
@@ -754,6 +760,56 @@ def head_widths(monkeypatch):
 
     monkeypatch.setattr(theta_module, "_lines", spy)
     return widths
+
+
+def jacobi_theta_at_zero(t):
+    """theta(0; i t) at g=1 by Jacobi's transform t^(-1/2) theta(0; i / t),
+    whose nome exp(-pi / t) mpmath.jtheta sums at once for small t."""
+    with mpmath.workdps(30):
+        return complex(mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi / t))
+                       / mpmath.sqrt(t))
+
+
+class TestIntegerRange:
+    """Lattice points are int16; a sum whose points could leave that range
+    is refused before they are enumerated.  Near the range the value
+    meets the printed tail plus a rounding allowance: summing N terms
+    errs by at most about N u A_0, A_0 the sum of their moduli (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Sec. 4.2),
+    which the printed bound does not cover."""
+
+    @staticmethod
+    def allowance(rm, Z, radius):
+        _, (a0,), _, _ = _theta(rm, np.asarray(Z, dtype=complex), None,
+                                DEFAULT_THETA_TOL, 0, True)
+        return 2 * len(rm.lattice_points(radius)) * 2.0 ** -53 * a0[0]
+
+    def test_last_coordinates_past_the_int16_half_range(self):
+        """The last coordinates summed reach 32,440, past 16,383, where
+        m + top left int16 and the weights landed in the wrong columns
+        (the sum read 9345.73 against 1e4)."""
+        rm = RiemannMatrix([[1e-8j]])
+        (value,), radius, tail = theta_batch(rm, [0.0])
+        assert np.abs(rm.lattice_points(radius)).max() > 2 ** 14
+        error = abs(value - jacobi_theta_at_zero(1e-8))
+        assert tail < error <= tail + self.allowance(rm, [[0.0]], radius)
+
+    def test_points_past_the_int16_range_are_refused(self):
+        with pytest.raises(NumericalFailure):
+            theta_batch([[1e-9j]], [0.0])
+
+    def test_diagonal_g2_is_a_product_or_refused(self):
+        """theta(0; diag(1e-8 i, i)) = theta(0; 1e-8 i) theta(0; i): the
+        sum meets the same rule, or it is refused, as the radius at g=2
+        takes the first coordinate to the int16 range."""
+        rm = RiemannMatrix([[1e-8j, 0.0], [0.0, 1.0j]])
+        try:
+            (value,), radius, tail = theta_batch(rm, [0.0, 0.0])
+        except NumericalFailure:
+            return
+        want = jacobi_theta_at_zero(1e-8) * jacobi_theta_at_zero(1.0)
+        assert abs(value - want) \
+            <= tail + self.allowance(rm, [[0.0, 0.0]], radius)
 
 
 class TestSplitBound:
