@@ -315,7 +315,7 @@ def run(argv=None):
         return _print_error(exc, 2)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         curve, raw = (_load_curve(args.curve) if "curve" in args
                       else (None, None))
@@ -333,7 +333,7 @@ def run(argv=None):
         "seed": getattr(args, "seed", None),
         "tolerances": {report_name: getattr(args, option) for
                        report_name, option in args.tolerances.items()},
-        "timings_ms": {"total": int((time.time() - t0) * 1000)},
+        "timings_ms": {"total": int((time.perf_counter() - t0) * 1000)},
         "results": _c2j(results),
         "pass": bool(passed),
     }

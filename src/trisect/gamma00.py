@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
-from .theta import theta_batch, second_order_basis, _norms
-from .geometry import (_as_rm, _as_vector, theta_divisor_point,
+from .theta import theta_batch, second_order_basis, _as_rm, _norms
+from .geometry import (_as_vector, theta_divisor_point,
                        gauss_fiber_enumerate)
 from .curves import Divisor, divisor_is_special, _divisor_lifts
 

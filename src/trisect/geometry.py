@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
 from .numeric import _norm, projective_angle
-from .theta import (RiemannMatrix, theta_batch, second_order_basis, _judged,
+from .theta import (theta_batch, second_order_basis, _as_rm, _judged,
                     ON_THETA_TOL, SMOOTHNESS_THRESHOLD)
 
 #: consecutive failed attempts after which theta_divisor_point gives up.
@@ -56,10 +56,6 @@ class GaussImage:
     def angle_to(self, other):
         dir2 = other.direction if isinstance(other, GaussImage) else other
         return projective_angle(self.direction, dir2)
-
-
-def _as_rm(tau):
-    return tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
 
 
 def _as_vector(z, g):

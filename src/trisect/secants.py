@@ -16,8 +16,8 @@ import numpy as np
 from .errors import InvalidInput
 from .numeric import (numerical_rank, projective_angle, _decided_ranks,
                       DEFAULT_RANK_TOL)
-from .theta import second_order_basis, _judged, _norms, ON_THETA_TOL
-from .geometry import _as_rm
+from .theta import (second_order_basis, _as_rm, _judged, _norms,
+                    ON_THETA_TOL, SMOOTHNESS_THRESHOLD)
 from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
                      _divisor_lifts, random_curve_point)
 
@@ -35,6 +35,7 @@ class SecantCertificate:
     theta_residuals: tuple
     gauss_angles: tuple                   # pairwise, smooth points only
     gradient_norms: tuple
+    gradient_thresholds: tuple            # SMOOTHNESS_THRESHOLD A_1 per lift
     smooth: tuple                         # bool per lift: on Theta, smooth
     outer_product_residual: object        # float, or None: no identity
     # (r, g) theta gradients at the reduced lifts; not printed
@@ -61,6 +62,7 @@ class SecantCertificate:
             "theta_residuals": [float(t) for t in self.theta_residuals],
             "gauss_angles": [float(a) for a in self.gauss_angles],
             "gradient_norms": [float(n) for n in self.gradient_norms],
+            "gradient_thresholds": list(self.gradient_thresholds),
             "smooth": [bool(s) for s in self.smooth],
             "outer_product_residual": (
                 None if self.outer_product_residual is None
@@ -180,7 +182,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
                             compute_uv=False)
     general = _decided_ranks(spectra, rank_tol) == r - 1
 
-    (_, grads), _, theta_res, smooth_flags = _judged(rm, Z, 1)
+    (_, grads), (_, a_1), theta_res, smooth_flags = _judged(rm, Z, 1)
     members = theta_res < ON_THETA_TOL
     gnorms = _norms(grads)
     smooth = list(np.flatnonzero(smooth_flags))
@@ -207,6 +209,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
         theta_residuals=tuple(float(t) for t in theta_res),
         gauss_angles=tuple(angles),
         gradient_norms=tuple(float(n) for n in gnorms),
+        gradient_thresholds=tuple((SMOOTHNESS_THRESHOLD * a_1).tolist()),
         smooth=tuple(bool(s) for s in smooth_flags),
         outer_product_residual=outer_res,
         gradients=grads)

@@ -1,7 +1,7 @@
 """Error-controlled Riemann theta functions with half-integer characteristics.
 
 Every sum runs at zero characteristic over the origin-centred point set
-||T n|| <= R, with T the Cholesky factor of pi * Im(tau).  R is chosen from
+||T n|| <= R, T = L the Cholesky factor, L^T L = pi Im(tau).  R is chosen from
 the Gaussian tail estimate so that the omitted mass is below the requested
 tolerance; the estimate charges the offset of each row's Gaussian centre
 from the origin once, and that ball around the origin contains every
@@ -174,9 +174,9 @@ def _i_pi_quadratic(rm, n):
 class RiemannMatrix:
     """A g x g complex symmetric matrix with positive definite imaginary part.
 
-    Caches the Cholesky data, the lattice points enumerated in shells
-    (_build) and the prefix of them the theta series sum (lattice_points),
-    and per-matrix results of other modules; the entries are immutable.
+    Caches one Cholesky factor T (_chol), one array of lattice points grown
+    in shells (_build), whose prefix up to _summed the sums read
+    (lattice_points), and results of other modules; entries are immutable.
     Beside the points it keeps kernel tables of the sums (_tables): the
     lattice lines of each (stop, split) a sum took (_lines), their moduli
     for absolute sums, the heads' entries in the power tables for split
@@ -202,11 +202,11 @@ class RiemannMatrix:
         if np.linalg.norm(entries - entries.T) > 1e-10 * scale:
             raise InvalidInput("Riemann matrix is not symmetric",
                                asym=float(np.linalg.norm(entries - entries.T)))
-        eigs = np.linalg.eigvalsh(entries.imag)
-        if eigs.min() <= 0:
-            raise InvalidInput("imaginary part is not positive definite",
-                               min_eig=float(eigs.min()))
         entries = 0.5 * (entries + entries.T)
+        eigs = np.linalg.eigvalsh(entries.imag)
+        if eigs[0] <= 0:
+            raise InvalidInput("imaginary part is not positive definite",
+                               min_eig=float(eigs[0]))
         entries.setflags(write=False)
         self.entries = entries
         self.g = entries.shape[0]
@@ -223,18 +223,17 @@ class RiemannMatrix:
         # the largest |n_c| / ||T n||: sqrt of the largest diagonal entry of
         # (pi Im tau)^-1
         self._span = math.sqrt(self._imag_inv.diagonal().max() / math.pi)
-        # T with ||T v||^2 = pi v^T Im(tau) v
-        self._chol = np.linalg.cholesky(np.pi * entries.imag).T
-        # L_ii and -L_ij / L_ii, pi Im(tau) = L^T L, L lower-triangular
-        lower = np.linalg.cholesky(np.pi * entries.imag[::-1, ::-1]).T
-        self._diag = lower.diagonal()[::-1]
-        self._shift = lower[::-1, ::-1] / -self._diag[:, None]
+        # T = L lower, L^T L = pi Im(tau), so the walk (_ball) fixes n_1 first
+        self._chol = np.linalg.cholesky(
+            np.pi * entries.imag[::-1, ::-1]).T[::-1, ::-1]
+        # sigma_min(T) = sqrt(pi lambda_min(Im tau)), for the derivative bounds
+        self._smin = math.sqrt(math.pi * eigs[0])
         self._split = None  # _split of tau for the int16 range
-        # the points enumerated, by ||T n||, and the prefix _points the sums
-        # read, with the arrays below, each complete up to its radius
-        self._ball_points = self._points = np.zeros((0, self.g), np.int16)
-        self._ball_norms = self._point_norms = np.zeros(0)
-        self._ball_radius = self._points_radius = -1.0
+        # the points enumerated in shells (_build), by ||T n||, their norms
+        # and radius; the sums read the prefix up to _summed (lattice_points)
+        self._points = np.zeros((0, self.g), np.int16)
+        self._norms = np.zeros(0)
+        self._radius = self._summed = -1.0
         # one point of each pair {n, -n}: the origin and every n whose first
         # nonzero entry is positive, as ascending indices into _points
         self._reps = np.zeros(0, dtype=np.int32)
@@ -248,9 +247,7 @@ class RiemannMatrix:
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
         # the points up to the shortest one hold it after the origin
         self._build(_quarter(np.min(np.linalg.norm(self._chol, axis=0))))
-        self._rho = float(self._ball_norms[1])
-        # least singular value of T, for the derivative tail bounds
-        self._smin = float(np.linalg.svd(self._chol, compute_uv=False)[-1])
+        self._rho = float(self._norms[1])
         # the factor of the tail bound that depends on the matrix only
         self._tail_scale = (self.g / 2.0) * (2.0 / self._rho) ** self.g \
             * math.gamma(self.g / 2.0)
@@ -267,7 +264,8 @@ class RiemannMatrix:
         Raises NumericalFailure, before the walk, when a coordinate could
         reach _EXACT_SIZE, past the int16 range of the points.
         """
-        diag, shift = self._diag, self._shift
+        diag = self._chol.diagonal()
+        shift = self._chol / -diag[:, None]  # -L_ij / L_ii
         reach = ((outer + 1e-12) * (1.0 + 1e-8)) ** 2
         if math.sqrt(reach) * self._span >= _EXACT_SIZE:
             raise NumericalFailure("lattice points of the theta sum leave "
@@ -298,19 +296,17 @@ class RiemannMatrix:
 
     def lattice_points(self, radius):
         """Integer points n (int16) with ||T n|| <= radius (rounded up to a
-        quarter step), sorted by ||T n||: a prefix of _points, which a larger
-        radius extends, dropping the kernel tables, with the representatives
-        _reps, their weights exp(i pi n^T tau n) and heads (_head, _heads).
+        quarter step), sorted by ||T n||: a prefix of _points.  Past _summed
+        it extends the summed prefix, dropping the kernel tables, with its
+        representatives _reps, weights exp(i pi n^T tau n) and _head, _heads.
         """
         key = _quarter(radius)
-        if key > self._points_radius:
-            self._build(key)
-            start = len(self._points)
-            stop = self._ball_norms.searchsorted(key + 1e-12, side="right")
-            self._points = self._ball_points[:stop]
-            self._point_norms = self._ball_norms[:stop]
-            self._points_radius, self._tables = key, {}
-            points = self._points[start:]
+        self._build(key)
+        start, stop = self._norms.searchsorted(
+            (self._summed + 1e-12, key + 1e-12), side="right")
+        if key > self._summed:
+            self._summed, self._tables = key, {}
+            points = self._points[start:stop]
             # n >= -n lexicographically: sum sign(n_c) 2^(g - c) >= 0
             reps = np.flatnonzero(
                 np.sign(points) @ 2.0 ** np.arange(self.g - 1, -1, -1) >= 0)
@@ -333,17 +329,16 @@ class RiemannMatrix:
             self._head = np.concatenate([self._head, (np.cumsum(
                 new, dtype=np.int32) - 1)[firsts[len(self._heads):]]])
             self._heads = heads[new]
-        stop = self._point_norms.searchsorted(key + 1e-12, side="right")
         return self._points[:stop]
 
     def _build(self, key):
         """Grow the enumerated points to ``key`` by a shell (_ball)."""
-        if key > self._ball_radius:
-            points, norms = self._ball(self._ball_radius, key)
-            self._ball_points = np.concatenate([self._ball_points, points])
-            self._ball_points.setflags(write=False)
-            self._ball_norms = np.concatenate([self._ball_norms, norms])
-            self._ball_radius = key
+        if key > self._radius:
+            points, norms = self._ball(self._radius, key)
+            self._points = np.concatenate([self._points, points])
+            self._points.setflags(write=False)
+            self._norms = np.concatenate([self._norms, norms])
+            self._radius = key
 
     def reduce(self, Z):
         """Reduce points modulo the lattice Z^g + tau Z^g by rounding.
@@ -446,10 +441,14 @@ def _class_index(n):
     return np.mod(n, 2).astype(int) @ (1 << np.arange(n.shape[-1])[::-1])
 
 
+def _as_rm(tau):
+    return tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
+
+
 def _prepare(tau, Z, tol, deriv):
     """Validated RiemannMatrix, the arguments as (N, g) and whether Z was
     one point."""
-    rm = tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
+    rm = _as_rm(tau)
     if not TOL_FLOOR < tol < TOL_CEIL:
         raise InvalidInput("theta tolerance must lie in (1e-15, 1e-3)",
                            tol=tol)
@@ -560,8 +559,8 @@ def _nearest_translates(rm, W):
         # the largest offset is a far row's
         radius = 2.0 * math.sqrt(np.maximum.reduce(offset_sq))
         rm._build(_quarter(radius))
-        stop = rm._ball_norms.searchsorted(radius + 1e-12, side="right")
-        points, norms_sq = rm._ball_points[:stop], rm._ball_norms[:stop] ** 2
+        stop = rm._norms.searchsorted(radius + 1e-12, side="right")
+        points, norms_sq = rm._points[:stop], rm._norms[:stop] ** 2
         scaled = np.multiply(points.T, 2.0 * np.pi, order="C")
         step = max(_BLOCK // len(points), 1)
         for lo in range(0, len(far), step):
@@ -613,7 +612,7 @@ def _lines(rm, stop, offset, y_max):
             int(np.abs(rm._points[rm._reps[:count], -1]).max()),
             np.abs(heads).max(axis=0).tolist(), len(heads))
     top, tops, n_heads = tables["top", stop]
-    reach = max(2.0 * rm._point_norms[stop - 1] * offset
+    reach = max(2.0 * rm._norms[stop - 1] * offset
                 + 4.0 * np.pi * top * y_max[-1],
                 2.0 * np.pi * sum(t * y for t, y in zip(tops, y_max)))
     key = ("lines", stop, bool(reach <= _SPLIT_REACH))

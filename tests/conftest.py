@@ -1,36 +1,35 @@
+import functools
+
 import pytest
 
 import trisect.curves as cv
 from trisect.selftest import reference_curve
 
 
-@pytest.fixture(scope="session")
-def jac2():
-    curve = reference_curve(2)
+@functools.cache
+def jacobian(genus):
+    """(curve, periods, kappa) of the reference curve of this genus."""
+    curve = reference_curve(genus)
     periods = cv.period_matrix(curve)
     kappa, _ = cv.riemann_constant(curve, periods)
     return curve, periods, kappa
+
+
+@pytest.fixture(scope="session")
+def jac2():
+    return jacobian(2)
 
 
 @pytest.fixture(scope="session")
 def jac3():
-    curve = reference_curve(3)
-    periods = cv.period_matrix(curve)
-    kappa, _ = cv.riemann_constant(curve, periods)
-    return curve, periods, kappa
+    return jacobian(3)
 
 
 @pytest.fixture(scope="session")
 def jac4():
-    curve = reference_curve(4)
-    periods = cv.period_matrix(curve)
-    kappa, _ = cv.riemann_constant(curve, periods)
-    return curve, periods, kappa
+    return jacobian(4)
 
 
 @pytest.fixture(scope="session")
 def jac5():
-    curve = reference_curve(5)
-    periods = cv.period_matrix(curve)
-    kappa, _ = cv.riemann_constant(curve, periods)
-    return curve, periods, kappa
+    return jacobian(5)

@@ -150,9 +150,9 @@ class TestConstructions:
             own = [shell[1:] for shell in shells if shell[0] is rm]
             assert [inner for inner, _, _ in own] \
                 == [-1.0] + [outer for _, outer, _ in own[:-1]]
-            assert own[-1][1] == rm._ball_radius
-            assert sum(count for _, _, count in own) == len(rm._ball_points)
-            assert rm._rho == rm._ball_norms[1]
+            assert own[-1][1] == rm._radius
+            assert sum(count for _, _, count in own) == len(rm._points)
+            assert rm._rho == rm._norms[1]
 
     def test_nan_point_is_exit_2(self, capsys, monkeypatch, curve2_file):
         """A point whose y is NaN reaches the lifts as it would from a

@@ -8,7 +8,8 @@ import trisect.geometry as geo
 import trisect.secants as sec
 from trisect.errors import InvalidInput
 from trisect.numeric import numerical_rank
-from trisect.theta import second_order_basis
+from trisect.selftest import DEFAULT_SEED
+from trisect.theta import second_order_basis, ON_THETA_TOL
 from trisect.curves import random_curve_point
 
 
@@ -257,6 +258,28 @@ class TestSmoothness:
         assert [image.defined for image in images] == [True, True, False]
         assert images[2].gradient_norm <= images[2].threshold
         assert geo.vanishing_order(periods.tau, triple.c) == 2
+
+    def test_gradient_norms_below_threshold_where_not_smooth(self, jac5):
+        """On the B4 sample of `trisect multisecant --ell 4` at g=5, each
+        certificate prints beside every gradient norm its threshold
+        SMOOTHNESS_THRESHOLD A_1, and a lift on the divisor has its norm
+        below that threshold exactly where it is not smooth."""
+        curve, periods, kappa = jac5
+        sample = cv.sample_B_ell(curve, 4, seed=DEFAULT_SEED)
+        certs, _ = sec.multisecant_sweep(curve, periods, sample, kappa)
+        flags = []
+        for cert in certs:
+            shown = cert.to_dict()
+            assert shown["gradient_thresholds"] \
+                == list(cert.gradient_thresholds)
+            assert len(cert.gradient_thresholds) == cert.r
+            for norm, threshold, smooth, residual in zip(
+                    cert.gradient_norms, cert.gradient_thresholds,
+                    cert.smooth, cert.theta_residuals):
+                assert residual < ON_THETA_TOL
+                assert (norm < threshold) == (not smooth)
+                flags.append(smooth)
+        assert True in flags and False in flags
 
 
 class TestIgusaSpan:

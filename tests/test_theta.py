@@ -189,10 +189,10 @@ class TestHalfPeriodReduction:
         char = HalfCharacteristic((1, 0, 1), (0, 1, 1))
         z = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.3 - 0.1j])
         theta_batch(rm, z, char=char)
-        radius = rm._points_radius
+        radius = rm._summed
         # a tighter tolerance and a Hessian need a larger point set
         theta_batch(rm, z, char=char, tol=1e-14, deriv=2)
-        assert rm._points_radius > radius
+        assert rm._summed > radius
         (got,), _, _ = theta_batch(rm, z, char=char)
         (want,), _, _ = theta_batch(RiemannMatrix(TAU3), z, char=char)
         assert abs(got - want) <= 1e-13 * abs(want)
@@ -342,6 +342,41 @@ class TestErrorControl:
             with pytest.raises(InvalidInput):
                 second_order_basis(TAU2, bad)
 
+    def test_one_factorization_and_no_svd(self, monkeypatch):
+        """Building a RiemannMatrix factors pi Im(tau) once, for both the
+        norms and the walk, and takes sigma_min without an SVD."""
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("cholesky", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        for tau in (TAU1, TAU2, TAU3, random_tau(5, 5)):
+            calls.clear()
+            RiemannMatrix(tau)
+            assert calls == ["cholesky"]
+
+    @pytest.mark.parametrize("half", [False, True], ids=["tau", "tau/2"])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_factor_and_least_singular_value(self, g, half):
+        """T = _chol is lower-triangular with T^T T = pi Im(tau) to
+        rounding, and _smin is its least singular value within a few ulps
+        (np.linalg.svd the oracle)."""
+        rm = RiemannMatrix(random_tau(g, g) / (2.0 if half else 1.0))
+        lower = rm._chol
+        assert np.array_equal(lower, np.tril(lower))
+        form = np.pi * rm.entries.imag
+        assert np.abs(lower.T @ lower - form).max() \
+            <= 4.0 * 2.0 ** -52 * np.abs(form).max()
+        smin = np.linalg.svd(lower, compute_uv=False)[-1]
+        assert abs(rm._smin - smin) <= 8.0 * np.spacing(smin)
+
     def test_lattice_points_prefix_matches_fresh_enumeration(self):
         grown = RiemannMatrix(TAU3)
         grown.lattice_points(4.0)
@@ -362,7 +397,7 @@ class TestErrorControl:
         tau = random_tau(g, g) / (2.0 if half else 1.0)
         grown = RiemannMatrix(tau)
         grown.lattice_points(grown_to)
-        assert grown._rho == grown._point_norms[1] > 0.0
+        assert grown._rho == grown._norms[1] > 0.0
         for radius in (1.0, 2.3, 4.5, grown_to - 1.3, grown_to - 0.25):
             fresh = RiemannMatrix(tau)
             want = fresh.lattice_points(radius)
@@ -371,9 +406,9 @@ class TestErrorControl:
             count = np.searchsorted(grown._reps, stop)
             np.testing.assert_array_equal(got, want)
             assert fresh._rho == grown._rho
-            for name in ("_point_norms", "_reps", "_weights", "_head"):
-                cut = stop if name == "_point_norms" else count
-                assert np.array_equal(getattr(grown, name)[:cut],
+            assert np.array_equal(grown._norms[:stop], fresh._norms[:stop])
+            for name in ("_reps", "_weights", "_head"):
+                assert np.array_equal(getattr(grown, name)[:count],
                                       getattr(fresh, name)), name
             assert len(fresh._reps) == count
             heads = grown._head[:count].max() + 1
@@ -407,7 +442,7 @@ class TestErrorControl:
         for Z in (small, large, small):
             for call in calls:
                 assert_bitwise(call(warm, Z), call(RiemannMatrix(tau), Z))
-            radii.append((warm._points_radius, warm._half._points_radius))
+            radii.append((warm._summed, warm._half._summed))
         assert radii[0][0] < radii[1][0] and radii[0][1] < radii[1][1]
         assert head_widths == [g - 1 if split else g] * (2 * 3 * len(calls))
 
@@ -440,7 +475,7 @@ class TestErrorControl:
                     want[rm].add(("lines", stop, split))
                     moduli.add(("moduli", stop, split))
         for m in (rm, half):
-            assert m._points_radius == 12.0
+            assert m._summed == 12.0
             assert {k for k in m._tables if k[0] == "lines"} == want[m]
             assert {k for k in m._tables if k[0] == "powers"} \
                 == {("powers", k[1]) for k in want[m] if k[2]}
@@ -590,7 +625,7 @@ class TestSummedPointSet:
         assert radius == pytest.approx(got_radius, rel=1e-12)
         assert radius <= 13.0
         # the call on a fresh matrix enumerated the whole ball it sums
-        assert rm._points_radius >= radius
+        assert rm._summed >= radius
         points, image = box_ball(g, g, half)
         # every lattice point within radius - offset of some row's centre
         near = np.zeros(len(points), dtype=bool)
@@ -647,7 +682,7 @@ class TestSummedPointSet:
             # by norm, then by the first coordinate, the second, ...
             want = inside[np.lexsort((*box[inside].T[::-1], norms[inside]))]
             np.testing.assert_array_equal(got, box[want])
-            assert rm._point_norms[:len(got)].tobytes() \
+            assert rm._norms[:len(got)].tobytes() \
                 == norms[want].tobytes()
             reps = [i for i, n in enumerate(got.tolist())
                     if n >= [-c for c in n]]
@@ -859,7 +894,7 @@ class TestSplitBound:
 
         def spy(rm, stop, offset, y_max):
             n = np.abs(rm._points[:stop])
-            reach.append((2.0 * rm._point_norms[stop - 1] * offset
+            reach.append((2.0 * rm._norms[stop - 1] * offset
                           + 4.0 * np.pi * n[:, -1].max() * y_max[-1],
                           2.0 * np.pi * (n[:, :-1].max(axis=0)
                                          @ y_max[:-1])))
