@@ -175,14 +175,15 @@ class RiemannMatrix:
     """A g x g complex symmetric matrix with positive definite imaginary part.
 
     Caches one Cholesky factor T (_chol), one array of lattice points grown
-    in shells (_build), whose prefix up to _summed the sums read
-    (lattice_points), and results of other modules; entries are immutable.
-    Beside the points it keeps kernel tables of the sums (_tables): the
-    lattice lines of each (stop, split) a sum took (_lines), their moduli
-    for absolute sums, the heads' entries in the power tables for split
-    sums (_powers) and, for by-parity sums, the one-hot classes of the
-    heads per split mode (_onehot).  Each is built on the first sum that
-    needs it and all are dropped when the summed prefix grows.
+    in shells (_build), whose prefixes the sums read (lattice_points), and
+    results of other modules; entries are immutable.  Beside the points it
+    keeps kernel tables of the sums (_tables), each a function of tau and
+    the stop of the prefix it sums: the lattice lines of each (stop,
+    split) a sum took (_lines), their moduli for absolute sums, the heads'
+    entries in the power tables for split sums (_powers) and, for
+    by-parity sums, the one-hot classes of the heads (_onehot).  Each is
+    built from its prefix on the first sum that needs it, and all are
+    dropped when a sum needs a stop past every kept one.
 
     A tau symmetric to 1e-10 relative is accepted and stored as the
     average 0.5 (tau + tau^T), and theta is that of the stored average.
@@ -230,20 +231,11 @@ class RiemannMatrix:
         self._smin = math.sqrt(math.pi * eigs[0])
         self._split = None  # _split of tau for the int16 range
         # the points enumerated in shells (_build), by ||T n||, their norms
-        # and radius; the sums read the prefix up to _summed (lattice_points)
+        # and radius; each sum reads a prefix of them (lattice_points)
         self._points = np.zeros((0, self.g), np.int16)
         self._norms = np.zeros(0)
-        self._radius = self._summed = -1.0
-        # one point of each pair {n, -n}: the origin and every n whose first
-        # nonzero entry is positive, as ascending indices into _points
-        self._reps = np.zeros(0, dtype=np.int32)
-        # exp(i pi n^T tau n) per _reps, the origin's halved
-        self._weights = np.zeros(0, dtype=complex)
-        # the head of n = (h, m) is h, its first g - 1 coordinates: _head
-        # numbers the heads of _reps by first appearance, _heads lists them
-        self._head = np.zeros(0, dtype=np.int32)
-        self._heads = np.zeros((0, self.g - 1), dtype=np.int16)
-        self._tables = {}  # kernel tables of the sums (_lines, _onehot)
+        self._radius = -1.0
+        self._tables = {}  # kernel tables of the sums, by stop (_lines)
         # shortest vector of T Z^g, exactly: no basis vector is shorter, so
         # the points up to the shortest one hold it after the origin
         self._build(_quarter(np.min(np.linalg.norm(self._chol, axis=0))))
@@ -296,40 +288,12 @@ class RiemannMatrix:
 
     def lattice_points(self, radius):
         """Integer points n (int16) with ||T n|| <= radius (rounded up to a
-        quarter step), sorted by ||T n||: a prefix of _points.  Past _summed
-        it extends the summed prefix, dropping the kernel tables, with its
-        representatives _reps, weights exp(i pi n^T tau n) and _head, _heads.
-        """
+        quarter step), sorted by ||T n||: a prefix of _points, whose shells
+        are grown to reach it (_build)."""
         key = _quarter(radius)
         self._build(key)
-        start, stop = self._norms.searchsorted(
-            (self._summed + 1e-12, key + 1e-12), side="right")
-        if key > self._summed:
-            self._summed, self._tables = key, {}
-            points = self._points[start:stop]
-            # n >= -n lexicographically: sum sign(n_c) 2^(g - c) >= 0
-            reps = np.flatnonzero(
-                np.sign(points) @ 2.0 ** np.arange(self.g - 1, -1, -1) >= 0)
-            self._reps = np.append(self._reps, reps + start).astype(np.int32)
-            reps = points[reps]
-            self._weights = np.concatenate(
-                [self._weights, np.exp(_i_pi_quadratic(self, reps))])
-            self._weights[0] = 0.5  # the origin, the pair {0, -0}
-            # the known heads, distinct, then the new ones, sorted by value
-            # and index (a key even for the empty heads of g = 1): equal
-            # heads form a run led by their first appearance
-            heads = np.concatenate([self._heads, reps[:, :-1]])
-            order = np.lexsort((np.arange(len(heads)), *heads.T))
-            grouped = heads[order]
-            lead = np.ones(len(heads), dtype=bool)
-            lead[1:] = (grouped[1:] != grouped[:-1]).any(1)
-            firsts = np.empty_like(order)  # where each head first appears
-            firsts[order] = order[lead][lead.cumsum() - 1]
-            new = firsts == np.arange(len(heads))
-            self._head = np.concatenate([self._head, (np.cumsum(
-                new, dtype=np.int32) - 1)[firsts[len(self._heads):]]])
-            self._heads = heads[new]
-        return self._points[:stop]
+        return self._points[:self._norms.searchsorted(key + 1e-12,
+                                                      side="right")]
 
     def _build(self, key):
         """Grow the enumerated points to ``key`` by a shell (_ball)."""
@@ -588,46 +552,77 @@ def _nearest_translates(rm, W):
 _SPLIT_REACH = 600.0
 
 
-def _lines(rm, stop, offset, y_max):
-    """The summed representatives, those in lattice_points(...)[:stop], as
-    lattice lines: (heads, lines, top), the representative (heads[j], m)
-    with weight lines[j, top + m], -top <= m <= top.
+def _representatives(rm, stop):
+    """(reps, weights): one point of each pair {n, -n} of _points[:stop],
+    the origin and every n lexicographically after -n, in cache order, and
+    their weights exp(i pi n^T tau n), the origin's halved.  The weights
+    are formed _BLOCK // (4 g) rows at a time, the products n @ _split of
+    a block holding 4 g entries per row."""
+    points = rm._points[:stop]
+    # n >= -n lexicographically: sum sign(n_c) 2^(g - c) >= 0
+    reps = points[np.sign(points) @ 2.0 ** np.arange(rm.g - 1, -1, -1) >= 0]
+    step = max(_BLOCK // (4 * rm.g), 1)
+    weights = np.concatenate([np.exp(_i_pi_quadratic(rm, reps[lo:lo + step]))
+                              for lo in range(0, len(reps), step)])
+    weights[0] = 0.5  # the origin, the pair {0, -0}
+    return reps, weights
 
-    The heads are the first g - 1 coordinates while both bounds of _series
-    on the factors of a split sum are at most _SPLIT_REACH: 2 R offset
-    + 4 pi top y_g, R the largest ||T n|| summed, offset the largest
-    ||T c|| of the rows and top the largest |m| summed, and 2 pi (top_1
-    y_1 + ... + top_(g-1) y_(g-1)), top_c the largest |h_c| summed and
-    y_c = y_max[c] the largest |Im z_c| of the rows.  Otherwise each
+
+def _first_appearance(heads):
+    """(index, distinct): each row of heads (K, d) numbered by its first
+    appearance, and the distinct rows in that order.  Sorted by value and
+    index (a key even for the empty heads of g = 1), equal rows form a run
+    led by their first appearance."""
+    order = np.lexsort((np.arange(len(heads)), *heads.T))
+    grouped = heads[order]
+    lead = np.ones(len(heads), dtype=bool)
+    lead[1:] = (grouped[1:] != grouped[:-1]).any(1)
+    firsts = np.empty_like(order)  # where each head first appears
+    firsts[order] = order[lead][lead.cumsum() - 1]
+    new = firsts == np.arange(len(heads))
+    return (np.cumsum(new) - 1)[firsts], heads[new]
+
+
+def _lines(rm, stop, offset, y_max):
+    """The representatives of _points[:stop] (_representatives) as lattice
+    lines: (heads, lines, top), the representative (heads[j], m) with
+    weight lines[j, top + m], -top <= m <= top.
+
+    The heads are the first g - 1 coordinates, numbered by first
+    appearance (_first_appearance), while both bounds of _series on the
+    factors of a split sum are at most _SPLIT_REACH: 2 R offset + 4 pi top
+    y_g, R the largest ||T n|| summed, offset the largest ||T c|| of the
+    rows and top the largest |m| summed, and 2 pi (top_1 y_1 + ...
+    + top_(g-1) y_(g-1)), top_c the largest |h_c| summed and y_c
+    = y_max[c] the largest |Im z_c| of the rows.  Otherwise each
     representative is its own head of all g coordinates and top = 0.  The
-    lines are kept in rm._tables by (stop, split), beside the tops and the
-    number of the split heads by stop; a stop follows from a quarter-step
-    key.
+    tops are those of the prefix, a symmetric set, so the representatives'.
+    The lines are kept in rm._tables by (stop, split), beside the tops by
+    stop; a stop follows from a quarter-step key.  Each table is built
+    from its prefix alone, and a stop past every kept one drops them all.
     """
     tables = rm._tables
-    count = rm._reps.searchsorted(stop)
     if ("top", stop) not in tables:
-        heads = rm._heads[:rm._head[:count].max() + 1]
-        tables["top", stop] = (
-            int(np.abs(rm._points[rm._reps[:count], -1]).max()),
-            np.abs(heads).max(axis=0).tolist(), len(heads))
-    top, tops, n_heads = tables["top", stop]
+        if stop > max((key[1] for key in tables), default=0):
+            tables.clear()
+        tables["top", stop] = np.abs(rm._points[:stop]).max(axis=0).tolist()
+    *tops, top = tables["top", stop]
     reach = max(2.0 * rm._norms[stop - 1] * offset
                 + 4.0 * np.pi * top * y_max[-1],
                 2.0 * np.pi * sum(t * y for t, y in zip(tops, y_max)))
     key = ("lines", stop, bool(reach <= _SPLIT_REACH))
     if key not in tables:
-        # m as intp: m + top leaves int16 once the largest |m| passes 16383
-        head = rm._head[:count]
-        m = rm._points[rm._reps[:count], -1].astype(np.intp)
+        reps, weights = _representatives(rm, stop)
         if key[2]:
-            heads = rm._heads[:n_heads].astype(float)
+            head, heads = _first_appearance(reps[:, :-1])
+            # m as intp: m + top leaves int16 once the largest |m| passes
+            # 16383
+            m = reps[:, -1].astype(np.intp)
         else:
-            heads = rm._points[rm._reps[:count]].astype(float)
-            head, m, top = np.arange(count), 0, 0
+            head, heads, m, top = np.arange(len(reps)), reps, 0, 0
         lines = np.zeros((len(heads), 2 * top + 1), dtype=complex)
-        lines[head, m + top] = rm._weights[:count]
-        tables[key] = heads, lines, top
+        lines[head, m + top] = weights
+        tables[key] = heads.astype(float), lines, top
     return tables[key]
 
 
@@ -639,7 +634,7 @@ def _powers(rm, stop, heads):
     key = ("powers", stop)
     if key not in rm._tables:
         strides, shift, *layout = _power_layout(
-            tuple(rm._tables["top", stop][1]))
+            tuple(rm._tables["top", stop][:-1]))
         rm._tables[key] = ((heads @ strides + shift).T.astype(np.int32),
                            *layout)
     return rm._tables[key]
@@ -687,14 +682,12 @@ def _power_layout(tops):
     return layout
 
 
-def _onehot(rm, split):
-    """(2^d, heads) bool: the class of h mod 2 (eps order) of every head h
-    of d coordinates a sum of the cached point set can take, the heads of
-    _lines split (rm._heads) or unsplit (every representative).  Kept in
-    rm._tables; a call reads the prefix of its heads."""
-    key = ("onehot", split)
+def _onehot(rm, stop, split, heads):
+    """(2^d, K) bool: the class of h mod 2 (eps order) of each of the K
+    heads h (K, d) of _lines(...)[:stop], split or unsplit.  Kept in
+    rm._tables by (stop, split)."""
+    key = ("onehot", stop, split)
     if key not in rm._tables:
-        heads = rm._heads if split else rm._points[rm._reps]
         rm._tables[key] = _class_index(heads) \
             == np.arange(2 ** heads.shape[1])[:, None]
     return rm._tables[key]
@@ -797,7 +790,7 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     boost = math.exp(largest) if largest < 709.0 else math.inf
     margin = float(deriv)
     radius = _pick_radius(rm, tol / max(boost, 1.0), offset, deriv) + margin
-    stop = len(rm.lattice_points(radius))  # may rebuild the caches
+    stop = len(rm.lattice_points(radius))  # may grow the point shells
     heads, lines, top = _lines(rm, stop, offset,
                                np.maximum.reduce(abs(y)).tolist())
     n_rows, g = Z_red.shape
@@ -821,7 +814,7 @@ def _series(rm, Z_red, offset_sq, tol, deriv, by_parity=False,
     n_hc = 2 ** d if by_parity else 1
     signs = _pair_signs(n_hc, d, deriv, n_pow, n_par)
     n_cls = n_hc * n_par
-    onehot = _onehot(rm, d < g) if by_parity else None
+    onehot = _onehot(rm, stop, d < g, heads) if by_parity else None
     # (row, class, power of m, head weight), and the same of the moduli
     sums = np.empty((n_rows, n_cls, n_pow, n_mono), dtype=complex)
     if absolute:

@@ -15,9 +15,10 @@ from trisect.selftest import reference_curve
 from trisect.theta import (RiemannMatrix, HalfCharacteristic, theta_batch,
                            second_order_basis,
                            all_epsilons, eps_from_index, index_from_eps,
-                           DEFAULT_THETA_TOL, _gammaincc_half,
+                           DEFAULT_THETA_TOL, _class_index,
+                           _first_appearance, _gammaincc_half,
                            _nearest_translates, _norms, _pick_radius,
-                           _series, _theta)
+                           _representatives, _series, _theta)
 
 TAU1 = np.array([[1.0j]])
 TAU2 = np.array([[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]])
@@ -189,10 +190,11 @@ class TestHalfPeriodReduction:
         char = HalfCharacteristic((1, 0, 1), (0, 1, 1))
         z = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.3 - 0.1j])
         theta_batch(rm, z, char=char)
-        radius = rm._summed
-        # a tighter tolerance and a Hessian need a larger point set
+        stop = max(key[1] for key in rm._tables)
+        # a tighter tolerance and a Hessian need a larger point set, whose
+        # sum drops the tables of the smaller one
         theta_batch(rm, z, char=char, tol=1e-14, deriv=2)
-        assert rm._summed > radius
+        assert min(key[1] for key in rm._tables) > stop
         (got,), _, _ = theta_batch(rm, z, char=char)
         (want,), _, _ = theta_batch(RiemannMatrix(TAU3), z, char=char)
         assert abs(got - want) <= 1e-13 * abs(want)
@@ -392,27 +394,31 @@ class TestErrorControl:
                                                        half):
         """Every prefix of a cache grown to R is, to the bit, the cache a
         fresh matrix builds at that radius: points, norms, representatives,
-        weights and the heads _lines reads.  rho, taken at construction
-        from an enumeration of norms only, is the shortest nonzero norm."""
+        weights and the heads _lines reads; and the representatives, weights
+        and heads of the prefix are those of the whole cache, cut at it.
+        rho, taken at construction from an enumeration of norms only, is
+        the shortest nonzero norm."""
         tau = random_tau(g, g) / (2.0 if half else 1.0)
         grown = RiemannMatrix(tau)
-        grown.lattice_points(grown_to)
+        whole = _representatives(grown, len(grown.lattice_points(grown_to)))
+        numbered = _first_appearance(whole[0][:, :-1])
         assert grown._rho == grown._norms[1] > 0.0
         for radius in (1.0, 2.3, 4.5, grown_to - 1.3, grown_to - 0.25):
             fresh = RiemannMatrix(tau)
             want = fresh.lattice_points(radius)
             got = grown.lattice_points(radius)
             stop = len(got)
-            count = np.searchsorted(grown._reps, stop)
             np.testing.assert_array_equal(got, want)
             assert fresh._rho == grown._rho
             assert np.array_equal(grown._norms[:stop], fresh._norms[:stop])
-            for name in ("_reps", "_weights", "_head"):
-                assert np.array_equal(getattr(grown, name)[:count],
-                                      getattr(fresh, name)), name
-            assert len(fresh._reps) == count
-            heads = grown._head[:count].max() + 1
-            assert np.array_equal(grown._heads[:heads], fresh._heads)
+            reps, weights = _representatives(grown, stop)
+            assert_bitwise((reps, weights), _representatives(fresh, stop))
+            count = len(reps)
+            assert_bitwise((reps, weights), (whole[0][:count],
+                                             whole[1][:count]))
+            head, heads = _first_appearance(reps[:, :-1])
+            assert_bitwise(head, numbered[0][:count])
+            assert_bitwise(heads, numbered[1][:head.max() + 1])
 
     @pytest.mark.parametrize("split", [True, False],
                              ids=["split", "unsplit"])
@@ -438,20 +444,25 @@ class TestErrorControl:
                                                     True)
                   for deriv in (0, 1)]
         warm = RiemannMatrix(tau)
-        radii = []
+        stops = []
         for Z in (small, large, small):
             for call in calls:
                 assert_bitwise(call(warm, Z), call(RiemannMatrix(tau), Z))
-            radii.append((warm._summed, warm._half._summed))
-        assert radii[0][0] < radii[1][0] and radii[0][1] < radii[1][1]
+            stops.append([max(key[1] for key in m._tables)
+                          for m in (warm, warm._half)])
+        # the large arguments drop the tables; the small ones again drop
+        # none
+        assert stops[0][0] < stops[1][0] and stops[0][1] < stops[1][1]
+        assert stops[2] == stops[1]
         assert head_widths == [g - 1 if split else g] * (2 * 3 * len(calls))
 
     def test_one_table_per_key_and_split(self, monkeypatch):
         """A matrix holds one lines table per (stop, split) of the sums run
         on it, for its absolute sums the moduli of those lines, for its
         split sums the heads' entries in the power tables per stop and,
-        for its by-parity sums, one one-hot class table per split mode; a
-        growth of the point set drops them all."""
+        for its by-parity sums, the one-hot classes of the heads of each
+        lines table.  The first sum takes the largest stop, so no later one
+        drops them."""
         theta_module = sys.modules[RiemannMatrix.__module__]
         tau = random_tau(3, 3)
         rm = RiemannMatrix(tau)
@@ -463,8 +474,8 @@ class TestErrorControl:
         for split in (True, False):
             monkeypatch.setattr(theta_module, "_SPLIT_REACH",
                                 600.0 if split else -1.0)
-            for tol in (1e-6, 1e-10, 1e-14):
-                for deriv in (0, 1, 2):
+            for tol in (1e-14, 1e-10, 1e-6):
+                for deriv in (2, 1, 0):
                     for f, m in ((theta_batch, rm),
                                  (second_order_basis, half)):
                         _, radius, _ = f(rm, Z, tol=tol, deriv=deriv)
@@ -475,23 +486,28 @@ class TestErrorControl:
                     want[rm].add(("lines", stop, split))
                     moduli.add(("moduli", stop, split))
         for m in (rm, half):
-            assert m._summed == 12.0
+            assert m._radius == 12.0
             assert {k for k in m._tables if k[0] == "lines"} == want[m]
             assert {k for k in m._tables if k[0] == "powers"} \
                 == {("powers", k[1]) for k in want[m] if k[2]}
+            assert {k for k in m._tables if k[0] == "top"} \
+                == {("top", k[1]) for k in want[m]}
         assert len(want[half]) > 2
         assert {k for k in rm._tables if k[0] == "moduli"} == moduli
         assert not [k for k in half._tables if k[0] == "moduli"]
         assert not [k for k in rm._tables if k[0] == "onehot"]
-        for split, shape in ((True, (4, len(half._heads))),
-                             (False, (8, len(half._reps)))):
-            onehot = half._tables["onehot", split]
-            assert onehot.dtype == bool and onehot.shape == shape
+        assert {k for k in half._tables if k[0] == "onehot"} \
+            == {("onehot",) + k[1:] for k in want[half]}
+        for _, stop, split in want[half]:
+            heads = half._tables["lines", stop, split][0]
+            onehot = half._tables["onehot", stop, split]
+            assert heads.shape[1] == (2 if split else 3)
+            assert onehot.dtype == bool
+            assert onehot.shape == (2 ** heads.shape[1], len(heads))
             assert np.all(onehot.sum(axis=0) == 1)
+            assert np.array_equal(onehot.argmax(axis=0), _class_index(heads))
         assert {k[0] for k in half._tables} \
             == {"top", "lines", "onehot", "powers"}
-        half.lattice_points(13.0)
-        assert half._tables == {}
 
     def test_gamma00_leaves_no_head_weight_table(self, monkeypatch):
         """gamma00_dimension runs its one deriv-2 by-parity sum once per
@@ -513,10 +529,81 @@ class TestErrorControl:
         half = tau._half
         assert {k[0] for k in half._tables} \
             == {"top", "lines", "onehot", "powers"}
+        (stop,) = [k[1] for k in half._tables if k[0] == "lines"]
         assert list(k for k in half._tables if k[0] == "onehot") \
-            == [("onehot", True)]
-        onehot = half._tables["onehot", True]
-        assert onehot.dtype == bool and onehot.shape == (16, len(half._heads))
+            == [("onehot", stop, True)]
+        onehot = half._tables["onehot", stop, True]
+        heads = half._tables["lines", stop, True][0]
+        assert onehot.dtype == bool and onehot.shape == (16, len(heads))
+
+    def test_lattice_points_changes_only_the_points(self):
+        """lattice_points grows _points, _norms and _radius and leaves
+        every other attribute, the kernel tables among them, as it was."""
+        rm = RiemannMatrix(TAU3)
+        second_order_basis(rm, near_corner_arguments(TAU3, 1, 3), deriv=1)
+        _theta(rm, near_corner_arguments(TAU3, 2, 3), None, 1e-10, 1, True)
+        before = dict(vars(rm))
+        tables = dict(rm._tables)
+        assert tables
+        for radius in (2.0, rm._radius + 3.0, 1.0):
+            rm.lattice_points(radius)
+        assert len(rm._points) > len(before["_points"])
+        assert vars(rm).keys() == before.keys()
+        for name, value in vars(rm).items():
+            if name not in ("_points", "_norms", "_radius"):
+                assert value is before[name], name
+        assert rm._tables.keys() == tables.keys()
+        assert all(rm._tables[key] is table for key, table in tables.items())
+
+    def test_a_stop_past_every_kept_one_drops_the_tables(self):
+        """A sum at a stop past every kept one drops the tables; a sum at
+        a smaller stop drops none."""
+        rm = RiemannMatrix(TAU3)
+        Z = near_corner_arguments(TAU3, 4, 3)
+        stops = []
+        for tol, deriv in ((1e-6, 0), (1e-14, 2), (1e-10, 1)):
+            _, radius, _ = theta_batch(rm, Z, tol=tol, deriv=deriv)
+            stops.append(len(rm.lattice_points(radius)))
+        assert stops[0] < stops[2] < stops[1]
+        assert {key[1] for key in rm._tables} == set(stops[1:])
+        _, radius, _ = theta_batch(rm, Z, tol=2e-15, deriv=2)
+        stop = len(rm.lattice_points(radius))
+        assert stop > stops[1]
+        assert {key[1] for key in rm._tables} == {stop}
+
+    @pytest.mark.parametrize("split", [True, False],
+                             ids=["split", "unsplit"])
+    def test_rebuilt_tables_are_bitwise_the_first_build(self, monkeypatch,
+                                                        split):
+        """The tables of a stop, dropped by a sum at a larger one and built
+        again, equal their first build to the bit: every kind of table."""
+        if not split:
+            monkeypatch.setattr(sys.modules[RiemannMatrix.__module__],
+                                "_SPLIT_REACH", -1.0)
+        tau = random_tau(4, 4)
+        small = near_corner_arguments(tau, 5, 2)
+        rm = RiemannMatrix(tau)
+
+        def tables(tol):
+            second_order_basis(rm, small, tol=tol, deriv=2)
+            _theta(rm, small, None, tol, 1, True)
+            return {m: dict(m._tables) for m in (rm, rm._half)}
+
+        first = tables(1e-6)
+        powers = {"powers"} if split else set()
+        assert {k[0] for k in first[rm._half]} \
+            == {"top", "lines", "onehot"} | powers
+        assert {k[0] for k in first[rm]} == {"top", "lines", "moduli"} \
+            | powers
+        assert {k[2] for k in first[rm] if k[0] == "lines"} == {split}
+        tables(1e-14)
+        assert all(key not in m._tables for m in first for key in first[m])
+        again = tables(1e-6)
+        for m in first:
+            assert again[m].keys() >= first[m].keys()
+            for key, table in first[m].items():
+                assert again[m][key] is not table
+                assert_bitwise(again[m][key], table)
 
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     def test_blocked_sums_match_one_block(self, monkeypatch, deriv):
@@ -598,7 +685,7 @@ class TestSummedPointSet:
     @pytest.mark.parametrize("g", [3, 4, 5])
     @pytest.mark.parametrize("half", [False, True],
                              ids=["theta_batch", "second_order_basis"])
-    def test_centred_balls_lie_in_the_summed_set(self, half, g, tol, deriv):
+    def test_centred_balls_lie_in_the_points_a_sum_reads(self, half, g, tol, deriv):
         tau = random_tau(g, g)
         rng = np.random.default_rng(17 * g + deriv)
         Z = rng.uniform(-0.5, 0.5, (6, g)) \
@@ -624,8 +711,10 @@ class TestSummedPointSet:
                               offset, deriv) + deriv
         assert radius == pytest.approx(got_radius, rel=1e-12)
         assert radius <= 13.0
-        # the call on a fresh matrix enumerated the whole ball it sums
-        assert rm._summed >= radius
+        # the call on a fresh matrix enumerated the whole ball it sums, and
+        # built its tables for that prefix
+        assert rm._radius >= radius
+        assert ("top", len(rm.lattice_points(radius))) in rm._tables
         points, image = box_ball(g, g, half)
         # every lattice point within radius - offset of some row's centre
         near = np.zeros(len(points), dtype=bool)
@@ -639,31 +728,33 @@ class TestSummedPointSet:
 
     def test_representatives_pair_up_the_point_set(self):
         rm = RiemannMatrix(random_tau(5, 5))
-        rm.lattice_points(9.0)
+        whole = _representatives(rm, len(rm.lattice_points(9.0)))[0]
         for r in (1.0, 3.3, 6.0, 9.0):
             points = rm.lattice_points(r)
-            reps = rm._points[rm._reps[
-                :np.searchsorted(rm._reps, len(points))]]
+            reps = _representatives(rm, len(points))[0]
+            # the representatives of a prefix are a prefix of the whole's
+            assert np.array_equal(reps, whole[:len(reps)])
             as_set = {tuple(n) for n in points}
             assert {tuple(n) for n in reps} | {tuple(-n) for n in reps} \
                 == as_set
             assert 2 * len(reps) - 1 == len(as_set) == len(points)
             assert np.sum(~reps.any(axis=1)) == 1
-        reps = rm._points[rm._reps]
+        reps = whole
         first = reps[np.arange(len(reps)), np.argmax(reps != 0, axis=1)]
         assert np.all((first > 0) | ~reps.any(axis=1))
         # each representative is (its head, m), the heads are distinct, and
         # its class is 2 class(head) + (m mod 2)
-        np.testing.assert_array_equal(rm._heads[rm._head], reps[:, :-1])
-        assert len({tuple(h) for h in rm._heads}) == len(rm._heads)
-        for n, h in zip(reps, rm._heads[rm._head].astype(int)):
+        head, heads = _first_appearance(reps[:, :-1])
+        np.testing.assert_array_equal(heads[head], reps[:, :-1])
+        assert len({tuple(h) for h in heads}) == len(heads)
+        for n, h in zip(reps, heads[head].astype(int)):
             assert index_from_eps(n % 2) \
                 == 2 * index_from_eps(h % 2) + n[-1] % 2
         # heads are numbered by first appearance: the heads of every prefix
         # are the ids 0..k
-        seen = np.maximum.accumulate(rm._head)
-        assert rm._head[0] == 0 and np.all(np.diff(seen) <= 1)
-        assert seen[-1] == len(rm._heads) - 1
+        seen = np.maximum.accumulate(head)
+        assert head[0] == 0 and np.all(np.diff(seen) <= 1)
+        assert seen[-1] == len(heads) - 1
 
     @pytest.mark.parametrize("half", [False, True], ids=["tau", "tau/2"])
     @pytest.mark.parametrize("g", [3, 4, 5])
@@ -686,14 +777,15 @@ class TestSummedPointSet:
                 == norms[want].tobytes()
             reps = [i for i, n in enumerate(got.tolist())
                     if n >= [-c for c in n]]
-            count = np.searchsorted(rm._reps, len(got))
-            assert rm._reps[:count].tolist() == reps
+            chosen = _representatives(rm, len(got))[0]
+            assert chosen.tolist() == got[reps].tolist()
             first = {}
             for n in got[reps, :-1].tolist():
                 first.setdefault(tuple(n), len(first))
-            assert rm._head[:count].tolist() \
+            head, heads = _first_appearance(chosen[:, :-1])
+            assert head.tolist() \
                 == [first[tuple(n)] for n in got[reps, :-1].tolist()]
-            assert rm._heads[:len(first)].tolist() == [list(h) for h in first]
+            assert heads.tolist() == [list(h) for h in first]
 
     @pytest.mark.parametrize("by_parity", [False, True],
                              ids=["one-class", "by-parity"])
