@@ -27,7 +27,8 @@ corners of the rounding cell, where half-periods sit, the two differ
 (the 20 rows of the genus-5 Riemann-constant certificate: largest offset
 3.10 after rounding, 1.53 at the nearest translates).  Rounding stays
 the one reduction; the nearest translate is an exact search over the
-cached lattice points with ||T n|| <= 2 ||T c||, needed only for rows
+cached lattice points with ||T n|| <= 2 ||T c||, whose ties at rounding
+go to the first in cache order, needed only for rows
 farther than rho / 2, half the shortest lattice vector: nearer rows are
 nearest already.  The translate is applied to the reduction's lattice part, so
 the exact prefactors and the tau/2 class relabelling follow it.  The
@@ -501,6 +502,12 @@ def _nearest_translates(rm, W):
     <= 2 ||T c||, so the search over the points of that norm is exact: it
     maximises ||T c||^2 - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.  It
     reads them from the enumerated points, grown by a shell if need be.
+    Equally near translates, as at half periods, score the same up to
+    rounding, so the first point in cache order whose score lies within
+    the rounding of the best is taken: at most (g + 2) u A + (3 g + 4) u P
+    per score to first order, u the unit roundoff, A = 2 pi sum_c t_c
+    |Im z_c| and P = || |T| t ||^2, t_c the largest |n_c| searched, bounds
+    on the sums of the moduli of the terms of 2 pi n^T Im z and ||T n||^2.
 
     Unless every row is near and its lattice part zero, the residual
     W_red = W - m - tau p is then formed again with tau p exact (_split),
@@ -526,10 +533,17 @@ def _nearest_translates(rm, W):
         stop = rm._norms.searchsorted(radius + 1e-12, side="right")
         points, norms_sq = rm._points[:stop], rm._norms[:stop] ** 2
         scaled = np.multiply(points.T, 2.0 * np.pi, order="C")
+        tops = np.abs(points).max(axis=0)
+        # twice the rounding of a score, the best's and another's
+        slack = 2.0 ** -52 * ((rm.g + 2) * 2.0 * np.pi * (abs(y) @ tops)
+                              + (3 * rm.g + 4) * float(np.sum(
+                                  (abs(rm._chol) @ tops) ** 2)))
         step = max(_BLOCK // len(points), 1)
         for lo in range(0, len(far), step):
             rows = far[lo:lo + step]
-            n = points[(y[rows] @ scaled - norms_sq).argmax(axis=1)]
+            score = y[rows] @ scaled - norms_sq
+            near = score >= (score.max(axis=1) - slack[rows])[:, None]
+            n = points[near.argmax(axis=1)]
             p[rows] += n
             moved = moved or n.any()
     if not moved and not p.any():  # W_red = W - m exactly

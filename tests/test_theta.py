@@ -1185,6 +1185,33 @@ class TestNearestTranslate:
             - 2j * np.pi * np.einsum("ng,ng->n", p_moved, moved)),
             rtol=1e-12)
 
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_ties_do_not_read_the_last_bits_of_the_norms(self, g):
+        """At a half period tau n / 2 the centres n / 2 and -n / 2 are
+        equally near the origin when no other translate is nearer.  The
+        translate taken is the same however the last bit of each cached
+        norm ||T n|| falls."""
+        tau = random_tau(g, g)
+        rm = RiemannMatrix(tau)
+        points = rm.lattice_points(5.5)
+        # every point past rho up to 5, one of each pair
+        halves = points[(rm._norms[:len(points)] > 1.1 * rm._rho)
+                        & (rm._norms[:len(points)] <= 5.0)][::2]
+        Z = 0.1 + halves @ tau.T / 2.0
+        _, want, offset_sq, _ = _nearest_translates(rm, Z)
+        quarter = np.pi * np.einsum("ng,gh,nh->n", halves, tau.imag,
+                                    halves) / 4.0
+        assert np.all(offset_sq <= quarter * (1.0 + 1e-12))
+        tied = offset_sq >= quarter * (1.0 - 1e-12)
+        assert tied.sum() >= 2
+        norms = rm._norms
+        rng = np.random.default_rng(g)
+        for _ in range(8):
+            rm._norms = np.nextafter(norms, norms + rng.choice(
+                [-1.0, 1.0], len(norms)))
+            assert np.array_equal(_nearest_translates(rm, Z)[1], want)
+        rm._norms = norms
+
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     @pytest.mark.parametrize("case", ["g2", "g3"])
     def test_second_order_basis_matches_mpmath_near_the_corner(self, case,
