@@ -222,11 +222,6 @@ class HyperellipticCurve:
             raise InvalidInput("point does not satisfy y^2 = f(x)",
                                defect=float(defect[bad[0]]))
 
-    def validate_point(self, point):
-        if not point.at_infinity:
-            self.validate_points(np.array([point.x], dtype=complex),
-                                 np.array([point.y], dtype=complex))
-
     def is_branch_x(self, x):
         """Whether x (a scalar, or each entry of an array) lies within
         1e-8 span of a branch point."""

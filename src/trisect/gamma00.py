@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidInput, IndeterminateRank, PreconditionFailed
 from .numeric import numerical_rank, projective_angle, DEFAULT_RANK_TOL
 from .theta import theta_batch, second_order_basis, _as_rm, _norms
-from .geometry import (_as_vector, theta_divisor_point,
+from .geometry import (_as_points, theta_divisor_point,
                        gauss_fiber_enumerate)
 from .curves import Divisor, divisor_is_special, _divisor_lifts
 
@@ -133,7 +133,7 @@ def gamma00_combination(tau, x1, x2):
     Returns (section, lambda, gamma, conditions).
     """
     rm = _as_rm(tau)
-    X = np.stack([_as_vector(x1, rm.g), _as_vector(x2, rm.g)])
+    X = _as_points((x1, x2), rm.g)
     (_, grads), _, _ = theta_batch(rm, X, deriv=1)
     (sections,), _, _ = second_order_basis(rm, X)
     return _combination(rm, grads, sections)
@@ -161,7 +161,7 @@ def trisecant_gamma00_test(tau, x1, x2, x3, rank_tol=DEFAULT_RANK_TOL):
     Returns (dimension, {"span_rank", "degenerate_span", ...}).
     """
     rm = _as_rm(tau)
-    X = np.stack([_as_vector(x, rm.g) for x in (x1, x2, x3)])
+    X = _as_points((x1, x2, x3), rm.g)
     (sections,), _, _ = second_order_basis(rm, X)
     S = (sections / _norms(sections)[:, None]).T
     _, normalized = _condition_data(rm)
@@ -202,7 +202,8 @@ def span_VpWp(curve, periods, sample, kappa, rank_tol=DEFAULT_RANK_TOL):
     points, mults = zip(*sample.k0.terms)
     subdivisors = [Divisor.of(*zip(points, l))
                    for l, _ in gauss_fiber_enumerate(mults, g)]
-    lifts = _divisor_lifts(curve, subdivisors, periods) - _as_vector(kappa, g)
+    lifts = _divisor_lifts(curve, subdivisors, periods) \
+        - _as_points([kappa], g)
     special = np.array([divisor_is_special(curve, d) for d in subdivisors])
     smooth_lifts, special_lifts = lifts[~special], lifts[special]
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, NotOnTheta
 from .numeric import _norm, projective_angle
-from .theta import (theta_batch, second_order_basis, _as_rm, _judged,
-                    ON_THETA_TOL, SMOOTHNESS_THRESHOLD)
+from .theta import (theta_batch, second_order_basis, _as_complex, _as_rm,
+                    _judged, ON_THETA_TOL, SMOOTHNESS_THRESHOLD)
 
 #: consecutive failed attempts after which theta_divisor_point gives up.
 MAX_ATTEMPTS = 8
@@ -58,19 +58,23 @@ class GaussImage:
         return projective_angle(self.direction, dir2)
 
 
-def _as_vector(z, g):
-    if hasattr(z, "z"):
-        z = z.z
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if len(z) != g:
-        raise InvalidInput("point dimension does not match genus",
-                           got=len(z), genus=g)
-    return z
+def _as_points(points, g):
+    """The points, each a lift (its .z) or g numbers, as one (N, g) complex
+    array.  A point of another length, or with an entry that is not a
+    number, is refused with InvalidInput."""
+    rows = []
+    for k, z in enumerate(points):
+        z = _as_complex(getattr(z, "z", z)).reshape(-1)
+        if len(z) != g:
+            raise InvalidInput("point dimension does not match genus",
+                               point=k, got=len(z), genus=g)
+        rows.append(z)
+    return np.array(rows, dtype=complex).reshape(len(rows), g)
 
 
 def _reduced(rm, x):
-    """The point x reduced modulo the period lattice."""
-    return rm.reduce(_as_vector(x, rm.g))[0]
+    """The point x reduced modulo the period lattice, as one row (1, g)."""
+    return rm.reduce(_as_points([x], rm.g))[0]
 
 
 def kummer_map(tau, z):
@@ -82,7 +86,7 @@ def kummer_map(tau, z):
     cell.
     """
     rm = _as_rm(tau)
-    (coords,), _, _ = second_order_basis(rm, _reduced(rm, z))
+    (coords,), _, _ = second_order_basis(rm, _reduced(rm, z)[0])
     scale = float(np.max(np.abs(coords)))
     if scale < 1e-13:
         raise NumericalFailure(
@@ -173,7 +177,7 @@ def on_theta(tau, x):
     same at every lattice translate of x; not a proven distance to the divisor.
     """
     rm = _as_rm(tau)
-    _, _, (residual,), _ = _judged(rm, _as_vector(x, rm.g)[None], 0)
+    _, _, (residual,), _ = _judged(rm, _as_points([x], rm.g), 0)
     return bool(residual < ON_THETA_TOL), float(residual)
 
 
@@ -182,7 +186,7 @@ def gauss_map(tau, x):
     not ``defined`` at singular points, where ||grad theta|| is rounding
     (<= SMOOTHNESS_THRESHOLD A_1).  Raises NotOnTheta off the divisor."""
     rm = _as_rm(tau)
-    return _gauss_image(*_judged(rm, _reduced(rm, x)[None], 1))
+    return _gauss_image(*_judged(rm, _reduced(rm, x), 1))
 
 
 def _gauss_image(jet, sums, residuals, smooth):
@@ -208,7 +212,7 @@ def vanishing_order(tau, x):
     rounding: a singular point with ||H|| <= SMOOTHNESS_THRESHOLD A_2.
     """
     rm = _as_rm(tau)
-    judged = _judged(rm, _reduced(rm, x)[None], 2)
+    judged = _judged(rm, _reduced(rm, x), 2)
     if _gauss_image(*judged).defined:
         return 1
     (_, _, hess), (_, _, a_2), _, _ = judged

@@ -31,10 +31,6 @@ class RankCertificate:
     gap_ratio: float
     tolerance_used: float
 
-    @property
-    def full_rank(self):
-        return self.decided_rank == len(self.singular_values)
-
     def to_dict(self):
         return {
             "singular_values": [float(s) for s in self.singular_values],

@@ -20,6 +20,7 @@ from .theta import (second_order_basis, _as_rm, _judged, _norms,
                     ON_THETA_TOL, SMOOTHNESS_THRESHOLD)
 from .curves import (JacobianLift, Divisor, _abel_jacobi_points,
                      _divisor_lifts, random_curve_point)
+from .geometry import _as_points
 
 #: Largest halving residual of a theta trisecant that is accepted.
 HALVING_TOL = 1e-7
@@ -142,15 +143,6 @@ def theta_trisecant(curve, periods, sample, kappa,
     return triple, cert, halving
 
 
-def _lift_array(lifts, g):
-    Z = np.stack([np.asarray(l.z if isinstance(l, JacobianLift) else l,
-                             dtype=complex).reshape(-1) for l in lifts])
-    if Z.shape[1] != g:
-        raise InvalidInput("lift dimension does not match genus",
-                           got=Z.shape[1], genus=g)
-    return Z
-
-
 def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
     """Full numerical certificate for an r-secant claim (rank <= r-1).
 
@@ -171,7 +163,7 @@ def certify_secant(tau, lifts, rank_tol=DEFAULT_RANK_TOL):
     # point's Kummer row by s^2 and, on the divisor, its gradient by s, so
     # rank, angles and the outer-product identity do not see it, and the
     # gradient norms are those of the fundamental cell
-    Z, _, _ = rm.reduce(_lift_array(lifts, rm.g))
+    Z, _, _ = rm.reduce(_as_points(lifts, rm.g))
     r = len(lifts)
 
     (raw,), _, _ = second_order_basis(rm, Z)  # (r, 2^g)

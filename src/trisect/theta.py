@@ -23,19 +23,18 @@ values and derivatives are the true (unreduced) ones at any argument.
 The offset sets both R and the factor exp(||T c||^2) that the tail bound
 carries, so each row is summed at its nearest lattice translate in the
 ||T .|| metric, not where rounding the coordinates left it: near the
-corners of the rounding cell, where half-periods sit, the two differ
-(the 20 rows of the genus-5 Riemann-constant certificate: largest offset
-3.10 after rounding, 1.53 at the nearest translates).  Rounding stays
-the one reduction; the nearest translate is an exact search over the
-cached lattice points with ||T n|| <= 2 ||T c||, whose ties at rounding
-go to the first in cache order, needed only for rows
-farther than rho / 2, half the shortest lattice vector: nearer rows are
-nearest already.  The translate is applied to the reduction's lattice part, so
-the exact prefactors and the tau/2 class relabelling follow it.  The
-basis does not enter the translate, the radius or the summed set; on a
-skewed tau only the coordinates of n and of the lattice part p grow, and
-the products in i pi n^T tau n and tau p then cancel, so both are formed
-exactly (_split).
+corners of the rounding cell, where half-periods sit, the two differ (the
+20 rows of the genus-5 Riemann-constant certificate: largest offset 3.10
+after rounding, 1.53 at the nearest translates).  Rounding stays the one
+reduction; the nearest translate is an exact search over the cached
+lattice points with ||T n|| <= 2 ||T c||, ties at rounding going to the
+first in cache order, needed only for rows farther than rho / 2, half the
+shortest lattice vector: nearer rows are nearest already.  The translate
+is applied to the reduction's lattice part, so the exact prefactors and
+the tau/2 class relabelling follow it.  The basis does not enter the
+translate, the radius or the summed set; on a skewed tau only the
+coordinates of n and of the lattice part p grow, and the products in
+i pi n^T tau n and tau p then cancel, so both are formed exactly (_split).
 
 One pass over the lattice points returns the whole jet up to the requested
 order: values, gradients and Hessians come from the same sums (the
@@ -178,13 +177,12 @@ class RiemannMatrix:
     Caches one Cholesky factor T (_chol), one array of lattice points grown
     in shells (_build), whose prefixes the sums read (lattice_points), and
     results of other modules; entries are immutable.  Beside the points it
-    keeps kernel tables of the sums (_tables), each a function of tau and
-    the stop of the prefix it sums: the lattice lines of each (stop,
-    split) a sum took (_lines), their moduli for absolute sums, the heads'
-    entries in the power tables for split sums (_powers) and, for
-    by-parity sums, the one-hot classes of the heads (_onehot).  Each is
-    built from its prefix on the first sum that needs it, and all are
-    dropped when a sum needs a stop past every kept one.
+    keeps kernel tables of the sums (_tables), each built from the prefix
+    up to its stop on the first sum that needs it: the lattice lines of
+    each (stop, split) a sum took (_lines), their moduli for absolute sums,
+    the heads' entries in the power tables for split sums (_powers) and,
+    for by-parity sums, the heads' one-hot classes (_onehot).  A sum that
+    needs a stop past every kept one drops them all.
 
     A tau symmetric to 1e-10 relative is accepted and stored as the
     average 0.5 (tau + tau^T), and theta is that of the stored average.
@@ -324,7 +322,7 @@ class RiemannMatrix:
     def _reduce(self, Z):
         """reduce(Z) and the Gaussian centres Y^-1 Im Z_reduced of its
         rows, which the cell check forms."""
-        Z = np.asarray(Z, dtype=complex, order="C")
+        Z = _as_complex(Z)
         if Z.ndim not in (1, 2) or Z.shape[-1] != self.g:
             raise InvalidInput("argument dimension does not match genus",
                                got=Z.shape[-1] if Z.ndim else 0,
@@ -410,6 +408,16 @@ def _as_rm(tau):
     return tau if isinstance(tau, RiemannMatrix) else RiemannMatrix(tau)
 
 
+def _as_complex(Z):
+    """Z as a C-ordered complex array; entries that are not numbers are
+    refused with InvalidInput."""
+    try:
+        return np.asarray(Z, dtype=complex, order="C")
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput("point entries must be numbers",
+                           reason=str(exc)) from None
+
+
 def _prepare(tau, Z, tol, deriv):
     """Validated RiemannMatrix, the arguments as (N, g) and whether Z was
     one point."""
@@ -419,7 +427,7 @@ def _prepare(tau, Z, tol, deriv):
                            tol=tol)
     if deriv not in (0, 1, 2):
         raise InvalidInput("derivative order must be 0, 1 or 2", got=deriv)
-    Z = np.asarray(Z, dtype=complex)
+    Z = _as_complex(Z)
     squeeze = Z.ndim == 1
     if Z.ndim < 2:
         Z = Z.reshape(1, -1)
@@ -503,11 +511,10 @@ def _nearest_translates(rm, W):
     maximises ||T c||^2 - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.  It
     reads them from the enumerated points, grown by a shell if need be.
     Equally near translates, as at half periods, score the same up to
-    rounding, so the first point in cache order whose score lies within
-    the rounding of the best is taken: at most (g + 2) u A + (3 g + 4) u P
-    per score to first order, u the unit roundoff, A = 2 pi sum_c t_c
-    |Im z_c| and P = || |T| t ||^2, t_c the largest |n_c| searched, bounds
-    on the sums of the moduli of the terms of 2 pi n^T Im z and ||T n||^2.
+    rounding: the first point in cache order within the rounding of the
+    best is taken, (g + 2) u A + (3 g + 4) u P per score to first order, u
+    the unit roundoff, t_c the largest |n_c| searched, and A = 2 pi sum_c
+    t_c |Im z_c| and P = || |T| t ||^2 the moduli of the score's terms.
 
     Unless every row is near and its lattice part zero, the residual
     W_red = W - m - tau p is then formed again with tau p exact (_split),
@@ -533,11 +540,10 @@ def _nearest_translates(rm, W):
         stop = rm._norms.searchsorted(radius + 1e-12, side="right")
         points, norms_sq = rm._points[:stop], rm._norms[:stop] ** 2
         scaled = np.multiply(points.T, 2.0 * np.pi, order="C")
-        tops = np.abs(points).max(axis=0)
-        # twice the rounding of a score, the best's and another's
-        slack = 2.0 ** -52 * ((rm.g + 2) * 2.0 * np.pi * (abs(y) @ tops)
-                              + (3 * rm.g + 4) * float(np.sum(
-                                  (abs(rm._chol) @ tops) ** 2)))
+        tops = abs(points).max(axis=0)
+        # twice the rounding of a score: the best's and another's
+        slack = 2.0 ** -52 * ((rm.g + 2) * 2.0 * np.pi * (abs(y) @ tops) + (
+            3 * rm.g + 4) * float(np.sum((abs(rm._chol) @ tops) ** 2)))
         step = max(_BLOCK // len(points), 1)
         for lo in range(0, len(far), step):
             rows = far[lo:lo + step]
@@ -569,9 +575,8 @@ _SPLIT_REACH = 600.0
 def _representatives(rm, stop):
     """(reps, weights): one point of each pair {n, -n} of _points[:stop],
     the origin and every n lexicographically after -n, in cache order, and
-    their weights exp(i pi n^T tau n), the origin's halved.  The weights
-    are formed _BLOCK // (4 g) rows at a time, the products n @ _split of
-    a block holding 4 g entries per row."""
+    their weights exp(i pi n^T tau n), the origin's halved, formed in blocks
+    of _BLOCK // (4 g) rows, as n @ _split has 4 g columns."""
     points = rm._points[:stop]
     # n >= -n lexicographically: sum sign(n_c) 2^(g - c) >= 0
     reps = points[np.sign(points) @ 2.0 ** np.arange(rm.g - 1, -1, -1) >= 0]
@@ -609,11 +614,10 @@ def _lines(rm, stop, offset, y_max):
     rows and top the largest |m| summed, and 2 pi (top_1 y_1 + ...
     + top_(g-1) y_(g-1)), top_c the largest |h_c| summed and y_c
     = y_max[c] the largest |Im z_c| of the rows.  Otherwise each
-    representative is its own head of all g coordinates and top = 0.  The
-    tops are those of the prefix, a symmetric set, so the representatives'.
-    The lines are kept in rm._tables by (stop, split), beside the tops by
-    stop; a stop follows from a quarter-step key.  Each table is built
-    from its prefix alone, and a stop past every kept one drops them all.
+    representative is its own head of all g coordinates and top = 0; the
+    tops of the prefix, a symmetric set, are the representatives'.  The
+    lines are kept in rm._tables by (stop, split), beside the tops by stop;
+    a stop follows from a quarter-step key.
     """
     tables = rm._tables
     if ("top", stop) not in tables:
@@ -629,8 +633,7 @@ def _lines(rm, stop, offset, y_max):
         reps, weights = _representatives(rm, stop)
         if key[2]:
             head, heads = _first_appearance(reps[:, :-1])
-            # m as intp: m + top leaves int16 once the largest |m| passes
-            # 16383
+            # m as intp: m + top leaves int16 once |m| passes 16383
             m = reps[:, -1].astype(np.intp)
         else:
             head, heads, m, top = np.arange(len(reps)), reps, 0, 0

@@ -73,3 +73,36 @@ def test_readme_tolerances_match_constants():
             importlib.import_module("trisect." + module), name), constant
         checked += 1
     assert checked
+
+
+TAU2 = [[1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 0.2 + 1.5j]]
+POINT = [0.1 + 0.05j, -0.2 + 0.1j]
+
+#: every public entry point that takes points of C^g, called with one
+#: point replaced
+TAKES_POINTS = {
+    "theta_batch": lambda z: trisect.theta_batch(TAU2, z),
+    "second_order_basis": lambda z: trisect.second_order_basis(TAU2, z),
+    "RiemannMatrix.reduce": lambda z: trisect.RiemannMatrix(TAU2).reduce(z),
+    "kummer_map": lambda z: trisect.kummer_map(TAU2, z),
+    "on_theta": lambda z: trisect.on_theta(TAU2, z),
+    "gauss_map": lambda z: trisect.gauss_map(TAU2, z),
+    "vanishing_order": lambda z: trisect.vanishing_order(TAU2, z),
+    "certify_secant": lambda z: trisect.certify_secant(TAU2,
+                                                       [POINT, POINT, z]),
+    "gamma00_combination": lambda z: trisect.gamma00_combination(
+        TAU2, POINT, z),
+    "trisecant_gamma00_test": lambda z: trisect.trisecant_gamma00_test(
+        TAU2, POINT, POINT, z),
+}
+
+
+@pytest.mark.parametrize("point", [[0.1], [0.1, 0.2, 0.3], ["0.1x", 0.2],
+                                   [{}, 0.2], [[0.1, 0.2], [0.3]]],
+                         ids=["short", "long", "string", "object", "ragged"])
+@pytest.mark.parametrize("name", sorted(TAKES_POINTS))
+def test_points_of_another_length_or_not_numbers_are_invalid(name, point):
+    """A point of the wrong length, or with an entry that is not a number,
+    is refused with InvalidInput, not an error from numpy."""
+    with pytest.raises(trisect.InvalidInput):
+        TAKES_POINTS[name](point)

@@ -170,9 +170,10 @@ class TestCurveValidation:
     def test_point_validation(self):
         curve = reference_curve(2)
         good = curve.point(1.5 + 0.5j, -1)
-        curve.validate_point(good)
+        curve.validate_points(np.array([good.x]), np.array([good.y]))
         with pytest.raises(InvalidInput):
-            curve.validate_point(cv.CurvePoint(x=1.5, y=100.0))
+            curve.validate_points(np.array([1.5 + 0j]),
+                                  np.array([100.0 + 0j]))
 
     @pytest.mark.parametrize("x, y", [(1.5 + 0.5j, complex(np.nan)),
                                       (complex(np.nan), 1.0),
@@ -451,7 +452,7 @@ class TestAbelJacobi:
     def test_point_over_a_branch_x_off_the_branch_raises(self, jac2):
         curve, periods, _ = jac2
         point = cv.CurvePoint(x=complex(curve.roots[2]), y=1e-5)
-        curve.validate_point(point)
+        curve.validate_points(np.array([point.x]), np.array([point.y]))
         with pytest.raises(PathDegenerate):
             cv.abel_jacobi(curve, point, periods)
 

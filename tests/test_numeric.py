@@ -23,12 +23,12 @@ class TestNumericalRank:
         cert = numerical_rank(m)
         assert cert.decided_rank == 2
         assert cert.gap_ratio < 1e-12
-        assert not cert.full_rank
+        assert cert.decided_rank < len(cert.singular_values)
 
     def test_full_rank_identity(self):
         cert = numerical_rank(np.eye(4))
         assert cert.decided_rank == 4
-        assert cert.full_rank
+        assert cert.decided_rank == len(cert.singular_values)
         assert cert.gap_ratio == 0.0
 
     def test_spectrum_is_returned_sorted(self):
