@@ -223,6 +223,9 @@ class RiemannMatrix:
         # the largest |n_c| / ||T n||: sqrt of the largest diagonal entry of
         # (pi Im tau)^-1
         self._span = math.sqrt(self._imag_inv.diagonal().max() / math.pi)
+        # twice u pi g y, a nearest-translate score's rounding per t: in the
+        # cell |Im z_c| <= y / 2, and ||T||_F^2 = pi tr Im(tau) <= pi g y
+        self._score_unit = 2.0 ** -52 * math.pi * self.g * y
         # T = L lower, L^T L = pi Im(tau), so the walk (_ball) fixes n_1 first
         self._chol = np.linalg.cholesky(
             np.pi * entries.imag[::-1, ::-1]).T[::-1, ::-1]
@@ -409,8 +412,7 @@ def _as_rm(tau):
 
 
 def _as_complex(Z):
-    """Z as a C-ordered complex array; entries that are not numbers are
-    refused with InvalidInput."""
+    """Z as a C-ordered complex array; non-numbers raise InvalidInput."""
     try:
         return np.asarray(Z, dtype=complex, order="C")
     except (TypeError, ValueError) as exc:
@@ -511,10 +513,10 @@ def _nearest_translates(rm, W):
     maximises ||T c||^2 - ||T (c - n)||^2 = 2 pi n^T Im z - ||T n||^2.  It
     reads them from the enumerated points, grown by a shell if need be.
     Equally near translates, as at half periods, score the same up to
-    rounding: the first point in cache order within the rounding of the
-    best is taken, (g + 2) u A + (3 g + 4) u P per score to first order, u
-    the unit roundoff, t_c the largest |n_c| searched, and A = 2 pi sum_c
-    t_c |Im z_c| and P = || |T| t ||^2 the moduli of the score's terms.
+    rounding, so the first point in cache order within the rounding of the
+    best is taken: at most u pi g y t (g + 2 + (3 g + 4) g t) per score to
+    first order, u the unit roundoff, |n_c| <= t = span R, R the largest
+    ||T n|| searched, and y the largest row sum of |Im tau| (RiemannMatrix).
 
     Unless every row is near and its lattice part zero, the residual
     W_red = W - m - tau p is then formed again with tau p exact (_split),
@@ -540,15 +542,14 @@ def _nearest_translates(rm, W):
         stop = rm._norms.searchsorted(radius + 1e-12, side="right")
         points, norms_sq = rm._points[:stop], rm._norms[:stop] ** 2
         scaled = np.multiply(points.T, 2.0 * np.pi, order="C")
-        tops = abs(points).max(axis=0)
-        # twice the rounding of a score: the best's and another's
-        slack = 2.0 ** -52 * ((rm.g + 2) * 2.0 * np.pi * (abs(y) @ tops) + (
-            3 * rm.g + 4) * float(np.sum((abs(rm._chol) @ tops) ** 2)))
+        t = rm._span * rm._norms[stop - 1]  # at least every |n_c|
+        # the rounding of two scores, the best's and another's
+        slack = rm._score_unit * t * (rm.g + 2 + (3 * rm.g + 4) * rm.g * t)
         step = max(_BLOCK // len(points), 1)
         for lo in range(0, len(far), step):
             rows = far[lo:lo + step]
             score = y[rows] @ scaled - norms_sq
-            near = score >= (score.max(axis=1) - slack[rows])[:, None]
+            near = score >= score.max(axis=1, keepdims=True) - slack
             n = points[near.argmax(axis=1)]
             p[rows] += n
             moved = moved or n.any()

@@ -685,7 +685,8 @@ class TestSummedPointSet:
     @pytest.mark.parametrize("g", [3, 4, 5])
     @pytest.mark.parametrize("half", [False, True],
                              ids=["theta_batch", "second_order_basis"])
-    def test_centred_balls_lie_in_the_points_a_sum_reads(self, half, g, tol, deriv):
+    def test_centred_balls_lie_in_the_points_a_sum_reads(self, half, g, tol,
+                                                         deriv):
         tau = random_tau(g, g)
         rng = np.random.default_rng(17 * g + deriv)
         Z = rng.uniform(-0.5, 0.5, (6, g)) \
